@@ -6,7 +6,7 @@
 // overhead on top of pure MCTS.
 //
 // Scaled default: 6 DAGs x 40 tasks, budget 200->50; --paper = 10 x 100,
-// budget 1000->100.
+// budget 1000->100.  --threads N > 1 runs both searches leaf-parallel.
 
 #include <cstdio>
 #include <memory>
@@ -30,10 +30,6 @@ int main(int argc, char** argv) {
   const auto seed = flags.define_int("seed", 6, "workload seed");
   const auto threads =
       flags.define_int("threads", 1, "parallel search workers");
-  const auto search_mode = flags.define_string(
-      "search-mode", "root",
-      "parallel search architecture: root (per-worker trees) or leaf "
-      "(shared tree + batched central evaluator)");
   const auto tree_reuse = flags.define_bool(
       "tree-reuse", true,
       "leaf mode: reuse the chosen subtree across decisions "
@@ -45,7 +41,6 @@ int main(int argc, char** argv) {
   ObsFlags obs_flags(flags);
   flags.parse(argc, argv);
   obs_flags.install();
-  const SearchMode mode = parse_search_mode(*search_mode);
 
   const std::size_t n_jobs = *paper ? 10 : static_cast<std::size_t>(*jobs);
   const std::size_t n_tasks = *paper ? 100 : static_cast<std::size_t>(*tasks);
@@ -62,12 +57,14 @@ int main(int argc, char** argv) {
   spear_options.initial_budget = b_init;
   spear_options.min_budget = b_min;
   spear_options.num_threads = static_cast<int>(*threads);
-  spear_options.search_mode = mode;
   spear_options.leaf_tree_reuse = *tree_reuse;
   auto spear = make_spear_scheduler(policy, spear_options);
-  auto mcts = make_mcts_scheduler(b_init, b_min, /*seed=*/42,
-                                  static_cast<int>(*threads), mode,
-                                  *tree_reuse);
+  MctsOptions mcts_options;
+  mcts_options.initial_budget = b_init;
+  mcts_options.min_budget = b_min;
+  mcts_options.num_threads = static_cast<int>(*threads);
+  mcts_options.leaf_tree_reuse = *tree_reuse;
+  MctsScheduler mcts(mcts_options);
   auto graphene = make_graphene_scheduler();
 
   Table table({"job", "Spear (s)", "MCTS (s)", "Graphene (s)"});
@@ -85,8 +82,8 @@ int main(int argc, char** argv) {
   for (std::size_t j = 0; j < dags.size(); ++j) {
     const auto s = timed_makespan(*spear, dags[j], capacity);
     accumulate(spear_stats, spear->last_stats());
-    const auto m = timed_makespan(*mcts, dags[j], capacity);
-    accumulate(mcts_stats, mcts->last_stats());
+    const auto m = timed_makespan(mcts, dags[j], capacity);
+    accumulate(mcts_stats, mcts.last_stats());
     const auto g = timed_makespan(*graphene, dags[j], capacity);
     spear_times.push_back(s.seconds);
     mcts_times.push_back(m.seconds);
@@ -135,7 +132,6 @@ int main(int argc, char** argv) {
     report.set("initial_budget", b_init);
     report.set("min_budget", b_min);
     report.set("threads", *threads);
-    report.set("search_mode", *search_mode);
     report.set("spear_median_seconds", median(spear_times));
     report.set("mcts_median_seconds", median(mcts_times));
     report.set("graphene_median_seconds", median(graphene_times));

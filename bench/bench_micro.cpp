@@ -1,15 +1,14 @@
 // Google-benchmark micro-benchmarks for the hot paths: simulator stepping,
 // feature extraction, NN forward/backward, MCTS decisions (serial and
-// root-parallel), Matrix::matmul, Graphene's virtual packing, and DAG
+// leaf-parallel), Matrix::matmul, Graphene's virtual packing, and DAG
 // generation.  These guard the throughput assumptions behind the
 // bench-harness defaults.
 //
-// Before the google benchmarks run, main() performs an MCTS thread sweep on
-// the Table-1 workload (50-task DAG, budget 500) at 1/2/4/8 workers and
-// writes bench_micro_mcts_threads.csv — decisions/sec and iterations/sec
-// per thread count, same CSV style as the figure benches — plus the
-// root-vs-leaf search-mode sweep (bench_micro_leaf_parallel.json, committed
-// as BENCH_mcts_leaf_parallel.json).
+// Before the google benchmarks run, main() times the guided-policy forward
+// paths (bench_micro_policy_forward.json) and runs the DRL-guided sweep of a
+// serial baseline against leaf mode at 1/2/4/8 workers
+// (bench_micro_leaf_parallel.json, committed as
+// BENCH_mcts_leaf_parallel.json).
 
 #include <benchmark/benchmark.h>
 
@@ -18,9 +17,10 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "common/csv.h"
+#include "common/stats.h"
 #include "common/table.h"
 #include "dag/generator.h"
 #include "obs/obs.h"
@@ -311,46 +311,6 @@ void BM_MatmulSeedReference(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulSeedReference)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
-/// The acceptance sweep: root-parallel MCTS iterations/sec at 1/2/4/8
-/// workers on the Table-1 workload, written as CSV like the figure benches.
-void run_mcts_thread_sweep(const char* csv_path) {
-  DagGeneratorOptions gen;
-  gen.num_tasks = 50;
-  Rng rng(11);
-  const Dag dag = generate_random_dag(gen, rng);
-
-  Table table({"threads", "search (s)", "decisions/s", "iters/s",
-               "rollouts", "makespan"});
-  table.set_precision(3);
-  CsvWriter csv(csv_path);
-  csv.write("threads", "search_seconds", "decisions_per_sec",
-            "iters_per_sec", "rollouts", "makespan");
-  for (const int threads : {1, 2, 4, 8}) {
-    MctsOptions options;
-    options.initial_budget = 500;
-    options.min_budget = 5;
-    options.num_threads = threads;
-    MctsScheduler mcts(options);
-    const Schedule schedule = mcts.schedule(dag, kCapacity);
-    const auto& stats = mcts.last_stats();
-    const double dps =
-        stats.search_seconds > 0.0
-            ? static_cast<double>(stats.decisions) / stats.search_seconds
-            : 0.0;
-    table.add(threads, stats.search_seconds, dps,
-              stats.iterations_per_second(),
-              static_cast<long long>(stats.rollouts),
-              static_cast<long long>(schedule.makespan(dag)));
-    csv.write(threads, stats.search_seconds, dps,
-              stats.iterations_per_second(),
-              static_cast<long long>(stats.rollouts),
-              static_cast<long long>(schedule.makespan(dag)));
-  }
-  std::printf("MCTS root-parallel sweep (Table-1 workload, budget 500):\n");
-  table.print();
-  std::printf("wrote %s\n\n", csv_path);
-}
-
 /// The guided-policy forward acceptance sweep (ISSUE: >= 2x single-thread
 /// throughput under portable flags).  Replays the seed inference path —
 /// per-state fresh featurize vector, single-row Mlp::logits, allocating
@@ -473,25 +433,35 @@ void run_policy_forward_bench(const char* json_path) {
   }
 }
 
-/// The leaf-parallel acceptance sweep (DESIGN.md §11): root vs leaf search
-/// throughput at 1/2/4/8 workers across small/medium/large DAGs, DRL-guided
+/// The leaf-parallel sweep (DESIGN.md §11): the serial search against leaf
+/// mode at 1/2/4/8 workers across small/medium/large DAGs, DRL-guided
 /// (untrained weights — identical network cost to trained ones), equal
-/// iteration budget in both modes.  states/s counts completed search
+/// iteration budget everywhere.  states/s counts completed search
 /// iterations per wall-clock second inside the search; makespans are
 /// reported so quality regressions show up next to the speedup.  Writes the
-/// grid plus a 4-thread leaf/root summary as JSON (committed as
+/// grid plus a per-size summary of leaf mode (median over its worker counts)
+/// against the serial baseline as JSON (committed as
 /// BENCH_mcts_leaf_parallel.json).
-void run_search_mode_sweep(const char* json_path) {
+void run_leaf_parallel_sweep(const char* json_path) {
   // AlphaZero-style budgets: large enough per decision that the evaluator
   // has real batches to drain (a budget that decays to single digits caps
-  // every batch at single digits, throttling both modes equally but hiding
-  // the batching win leaf mode exists for).
+  // every batch at single digits, hiding the batching win leaf mode exists
+  // for).
   constexpr std::int64_t kInitialBudget = 256;
   constexpr std::int64_t kMinBudget = 128;
   // 32 in-flight descents per tick = 4 ticks per min-budget decision: deep
   // enough trees for transpositions to recur, big enough evaluator batches
   // for the fused forward to pay.
   constexpr int kLeafBatchSize = 32;
+  struct Config {
+    int threads;
+    SearchMode mode;
+  };
+  const Config configs[] = {{1, SearchMode::kRoot},
+                            {1, SearchMode::kLeaf},
+                            {2, SearchMode::kLeaf},
+                            {4, SearchMode::kLeaf},
+                            {8, SearchMode::kLeaf}};
   struct Cell {
     std::size_t tasks = 0;
     int threads = 0;
@@ -519,87 +489,75 @@ void run_search_mode_sweep(const char* json_path) {
   table.set_precision(3);
   for (const std::size_t tasks : {25u, 50u, 100u}) {
     const Dag dag = benchmark_dag(tasks, 11);
-    for (const int threads : {1, 2, 4, 8}) {
-      for (const SearchMode mode : {SearchMode::kRoot, SearchMode::kLeaf}) {
-        MctsOptions options;
-        options.initial_budget = kInitialBudget;
-        options.min_budget = kMinBudget;
-        options.num_threads = threads;
-        options.search_mode = mode;
-        options.leaf_batch_size = kLeafBatchSize;
-        options.name = "Spear";
-        MctsScheduler mcts(options, std::make_shared<DrlDecisionPolicy>(
-                                        policy, /*greedy=*/true));
-        const Schedule schedule = mcts.schedule(dag, kCapacity);
-        const auto& stats = mcts.last_stats();
-        Cell cell;
-        cell.tasks = tasks;
-        cell.threads = threads;
-        cell.mode = mode == SearchMode::kLeaf ? "leaf" : "root";
-        cell.seconds = stats.search_seconds;
-        cell.iterations = stats.iterations;
-        cell.sps = stats.iterations_per_second();
-        cell.makespan = schedule.makespan(dag);
-        cell.tt_hits = stats.tt_hits;
-        cell.tt_misses = stats.tt_misses;
-        cell.batched_evals = stats.batched_evals;
-        cell.batched_rows = stats.batched_rows;
-        cell.vloss_collisions = stats.vloss_collisions;
-        cell.rollout_cache_hits = stats.rollout_cache_hits;
-        cell.rollout_cache_misses = stats.rollout_cache_misses;
-        cells.push_back(cell);
-        const double probes = static_cast<double>(cell.tt_hits +
-                                                  cell.tt_misses);
-        const double roll_probes = static_cast<double>(
-            cell.rollout_cache_hits + cell.rollout_cache_misses);
-        table.add(static_cast<long long>(tasks), threads, cell.mode,
-                  cell.seconds, cell.sps,
-                  static_cast<long long>(cell.makespan),
-                  probes > 0.0 ? 100.0 * static_cast<double>(cell.tt_hits) /
-                                     probes
-                               : 0.0,
-                  roll_probes > 0.0
-                      ? 100.0 *
-                            static_cast<double>(cell.rollout_cache_hits) /
-                            roll_probes
-                      : 0.0,
-                  cell.batched_evals > 0
-                      ? static_cast<double>(cell.batched_rows) /
-                            static_cast<double>(cell.batched_evals)
-                      : 0.0);
-      }
+    for (const Config& config : configs) {
+      MctsOptions options;
+      options.initial_budget = kInitialBudget;
+      options.min_budget = kMinBudget;
+      options.num_threads = config.threads;
+      options.search_mode = config.mode;
+      options.leaf_batch_size = kLeafBatchSize;
+      options.name = "Spear";
+      MctsScheduler mcts(options, std::make_shared<DrlDecisionPolicy>(
+                                      policy, /*greedy=*/true));
+      const Schedule schedule = mcts.schedule(dag, kCapacity);
+      const auto& stats = mcts.last_stats();
+      Cell cell;
+      cell.tasks = tasks;
+      cell.threads = config.threads;
+      cell.mode = config.mode == SearchMode::kLeaf ? "leaf" : "serial";
+      cell.seconds = stats.search_seconds;
+      cell.iterations = stats.iterations;
+      cell.sps = stats.iterations_per_second();
+      cell.makespan = schedule.makespan(dag);
+      cell.tt_hits = stats.tt_hits;
+      cell.tt_misses = stats.tt_misses;
+      cell.batched_evals = stats.batched_evals;
+      cell.batched_rows = stats.batched_rows;
+      cell.vloss_collisions = stats.vloss_collisions;
+      cell.rollout_cache_hits = stats.rollout_cache_hits;
+      cell.rollout_cache_misses = stats.rollout_cache_misses;
+      cells.push_back(cell);
+      const double probes = static_cast<double>(cell.tt_hits +
+                                                cell.tt_misses);
+      const double roll_probes = static_cast<double>(
+          cell.rollout_cache_hits + cell.rollout_cache_misses);
+      table.add(static_cast<long long>(tasks), config.threads, cell.mode,
+                cell.seconds, cell.sps,
+                static_cast<long long>(cell.makespan),
+                probes > 0.0 ? 100.0 * static_cast<double>(cell.tt_hits) /
+                                   probes
+                             : 0.0,
+                roll_probes > 0.0
+                    ? 100.0 * static_cast<double>(cell.rollout_cache_hits) /
+                          roll_probes
+                    : 0.0,
+                cell.batched_evals > 0
+                    ? static_cast<double>(cell.batched_rows) /
+                          static_cast<double>(cell.batched_evals)
+                    : 0.0);
     }
   }
-  std::printf("Search-mode sweep (DRL-guided, budget %lld -> %lld, equal "
-              "iteration budget per mode):\n",
+  std::printf("Leaf-parallel sweep (DRL-guided, budget %lld -> %lld, equal "
+              "iteration budget everywhere):\n",
               static_cast<long long>(kInitialBudget),
               static_cast<long long>(kMinBudget));
   table.print();
-
-  // 4-thread acceptance summary: leaf states/s over root states/s per size.
-  const auto find_cell = [&](std::size_t tasks, int threads,
-                             const char* mode) -> const Cell* {
-    for (const Cell& c : cells) {
-      if (c.tasks == tasks && c.threads == threads &&
-          std::strcmp(c.mode, mode) == 0) {
-        return &c;
-      }
-    }
-    return nullptr;
-  };
 
   if (std::FILE* f = std::fopen(json_path, "w")) {
     std::fprintf(f,
                  "{\n"
                  "  \"bench\": \"mcts_leaf_parallel\",\n"
+                 "  \"command\": \"bench_micro --benchmark_filter=NONE\",\n"
+                 "  \"nproc\": %u,\n"
                  "  \"workload\": \"random DAGs (seed 11), DRL-guided MCTS, "
                  "untrained paper-topology policy, greedy rollouts\",\n"
                  "  \"initial_budget\": %lld,\n"
                  "  \"min_budget\": %lld,\n"
                  "  \"leaf_batch_size\": %d,\n"
                  "  \"states_per_sec\": \"search iterations per second of "
-                 "search wall time; equal iteration budget in both modes\",\n"
+                 "search wall time; equal iteration budget in every cell\",\n"
                  "  \"grid\": [\n",
+                 std::thread::hardware_concurrency(),
                  static_cast<long long>(kInitialBudget),
                  static_cast<long long>(kMinBudget), kLeafBatchSize);
     for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -624,26 +582,42 @@ void run_search_mode_sweep(const char* json_path) {
           static_cast<long long>(c.rollout_cache_misses),
           i + 1 < cells.size() ? "," : "");
     }
-    std::fprintf(f, "  ],\n  \"four_thread_summary\": [\n");
+    // Per size: leaf mode against the serial baseline.  Leaf results do not
+    // depend on the worker count, so the differences between its cells are
+    // run-to-run noise; the summary takes their median, not the fastest.
+    std::fprintf(f, "  ],\n  \"leaf_vs_serial\": [\n");
     bool first = true;
     for (const std::size_t tasks : {25u, 50u, 100u}) {
-      const Cell* root = find_cell(tasks, 4, "root");
-      const Cell* leaf = find_cell(tasks, 4, "leaf");
-      if (!root || !leaf) continue;
-      const double speedup = root->sps > 0.0 ? leaf->sps / root->sps : 0.0;
+      const Cell* serial = nullptr;
+      const Cell* leaf = nullptr;
+      std::vector<double> leaf_sps;
+      for (const Cell& c : cells) {
+        if (c.tasks != tasks) continue;
+        if (std::strcmp(c.mode, "serial") == 0) {
+          serial = &c;
+        } else {
+          leaf = &c;
+          leaf_sps.push_back(c.sps);
+        }
+      }
+      if (!serial || !leaf) continue;
+      const double sps = median(leaf_sps);
+      const double speedup = serial->sps > 0.0 ? sps / serial->sps : 0.0;
       std::fprintf(f,
-                   "%s    {\"tasks\": %zu, \"root_states_per_sec\": %.1f, "
-                   "\"leaf_states_per_sec\": %.1f, \"speedup\": %.3f, "
-                   "\"root_makespan\": %lld, \"leaf_makespan\": %lld}",
-                   first ? "" : ",\n", tasks, root->sps, leaf->sps, speedup,
-                   static_cast<long long>(root->makespan),
+                   "%s    {\"tasks\": %zu, \"serial_states_per_sec\": %.1f, "
+                   "\"leaf_median_states_per_sec\": %.1f, "
+                   "\"speedup\": %.3f, \"serial_makespan\": %lld, "
+                   "\"leaf_makespan\": %lld}",
+                   first ? "" : ",\n", tasks, serial->sps, sps, speedup,
+                   static_cast<long long>(serial->makespan),
                    static_cast<long long>(leaf->makespan));
       first = false;
-      std::printf("tasks %zu @ 4 threads: leaf %.0f states/s vs root %.0f "
-                  "states/s (%.2fx), makespan %lld vs %lld\n",
-                  tasks, leaf->sps, root->sps, speedup,
+      std::printf("tasks %zu: leaf (median over 1/2/4/8 workers) %.0f "
+                  "states/s vs serial %.0f states/s (%.2fx), makespan %lld "
+                  "vs %lld\n",
+                  tasks, sps, serial->sps, speedup,
                   static_cast<long long>(leaf->makespan),
-                  static_cast<long long>(root->makespan));
+                  static_cast<long long>(serial->makespan));
     }
     std::fprintf(f, "\n  ]\n}\n");
     std::fclose(f);
@@ -689,9 +663,8 @@ int main(int argc, char** argv) {
         std::make_shared<spear::obs::TraceEventWriter>(trace_out));
   }
 
-  spear::run_mcts_thread_sweep("bench_micro_mcts_threads.csv");
   spear::run_policy_forward_bench("bench_micro_policy_forward.json");
-  spear::run_search_mode_sweep("bench_micro_leaf_parallel.json");
+  spear::run_leaf_parallel_sweep("bench_micro_leaf_parallel.json");
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   ::benchmark::RunSpecifiedBenchmarks();

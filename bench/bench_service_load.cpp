@@ -13,16 +13,9 @@
 // admission queue fills and try_push sheds.
 //
 // --guide=drl (default) serves with an untrained paper-topology policy
-// network so the request path exercises real inference; --guide=none is
-// the pre-§15 unguided MCTS.
-//
-// --infer-mode selects the forward routing (DESIGN.md §15): private =
-// per-worker network copies, shared = the process-wide batched inference
-// service, compare = run private THEN shared at the SAME calibrated
-// arrival rate and report both side by side (optionally as JSON via
-// --json, the committed BENCH_shared_inference.json artifact).  Placements
-// are bit-identical across modes; the comparison is jobs/sec and physical
-// forward batch occupancy at equal schedule quality (mean makespan).
+// network so the request path exercises real inference; every worker
+// forwards through its own copy of the network.  --guide=none is unguided
+// MCTS.
 //
 // --two-tenant switches to the fairness scenario (DESIGN.md §13): two
 // tenants with configured DRR weights (--tenant-weights=3,1) and SKEWED
@@ -44,8 +37,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/stats.h"
 #include "dag/io.h"
-#include "infer/service.h"
 #include "support.h"
 #include "svc/service.h"
 
@@ -84,8 +77,7 @@ bool parse_weight_pair(const std::string& text, double* a, double* b) {
   return *a > 0.0 && *b > 0.0;
 }
 
-/// One load run's fixed inputs (everything varied between the compare
-/// mode's private/shared passes lives in `options`).
+/// One load run's fixed inputs.
 struct LoadParams {
   ServiceOptions options;
   const std::vector<std::string>* pool_text = nullptr;
@@ -98,10 +90,8 @@ struct LoadParams {
   double skew = 0.35;
 };
 
-/// One load run's measurements.  Physical forward telemetry comes from the
-/// ledger in private mode (logical == physical) and from the
-/// InferenceService in shared mode (logical forwards fuse into fewer,
-/// wider physical ones — the entire point).
+/// One load run's measurements; physical forward telemetry comes from the
+/// service ledger.
 struct LoadOutcome {
   ServiceCounters c;
   double elapsed_s = 0.0;
@@ -111,9 +101,6 @@ struct LoadOutcome {
   std::vector<double> queue_ms;
   std::map<std::string, TenantTrack> tenant_track;
   double makespan_sum = 0.0;  // placed responses, schedule-quality evidence
-  bool shared = false;
-  infer::InferenceStats infer_stats;  // shared mode only
-  std::size_t infer_batch_max = 0;
   bool lost_requests = false;
 
   double jobs_per_sec() const {
@@ -122,37 +109,22 @@ struct LoadOutcome {
   double mean_makespan() const {
     return c.placed > 0 ? makespan_sum / static_cast<double>(c.placed) : 0.0;
   }
-  std::int64_t physical_forwards() const {
-    return shared ? infer_stats.forwards : c.search_forwards;
-  }
-  std::int64_t physical_rows() const {
-    return shared ? infer_stats.rows : c.search_forward_rows;
-  }
-  const std::vector<std::int64_t>& physical_hist() const {
-    return shared ? infer_stats.batch_rows_hist : c.forward_hist;
-  }
   double forwards_per_sec() const {
-    return elapsed_s > 0.0
-               ? static_cast<double>(physical_forwards()) / elapsed_s
-               : 0.0;
+    return elapsed_s > 0.0 ? static_cast<double>(c.search_forwards) / elapsed_s
+                           : 0.0;
   }
   double mean_batch_rows() const {
-    return physical_forwards() > 0
-               ? static_cast<double>(physical_rows()) /
-                     static_cast<double>(physical_forwards())
+    return c.search_forwards > 0
+               ? static_cast<double>(c.search_forward_rows) /
+                     static_cast<double>(c.search_forwards)
                : 0.0;
   }
 };
 
 /// Drives one open-loop Poisson run against a fresh service built from
-/// `params.options` and returns every measurement; prints nothing (the
-/// caller owns presentation, so the compare mode can run this twice).
+/// `params.options` and returns every measurement; prints nothing.
 LoadOutcome run_load(const LoadParams& params) {
   LoadOutcome out;
-  out.shared = params.options.policy &&
-               params.options.infer_mode == InferMode::kShared;
-  out.infer_batch_max = params.options.infer.batch_max;
-
   SchedulerService service(params.options);
   service.start();
 
@@ -231,9 +203,6 @@ LoadOutcome run_load(const LoadParams& params) {
   out.submitted = submitted;
   out.answered = answered.load();
   out.c = service.counters();
-  if (const infer::InferenceService* infer = service.infer_service()) {
-    out.infer_stats = infer->stats();
-  }
 
   // Invariant: nothing vanished — every submission was answered exactly
   // once (placed, structurally rejected, or cancelled).
@@ -274,31 +243,13 @@ void print_outcome(const LoadOutcome& out) {
                 percentile(out.latency_ms, 50), percentile(out.latency_ms, 99),
                 percentile(out.queue_ms, 50), percentile(out.queue_ms, 99));
   }
-  if (out.physical_forwards() > 0) {
+  if (c.search_forwards > 0) {
     std::printf("inference: %lld forwards (%.1f/s), batch rows mean %.2f "
-                "p50 %.0f p99 %.0f",
-                static_cast<long long>(out.physical_forwards()),
+                "p50 %.0f p99 %.0f\n",
+                static_cast<long long>(c.search_forwards),
                 out.forwards_per_sec(), out.mean_batch_rows(),
-                infer::hist_percentile(out.physical_hist(), 50.0),
-                infer::hist_percentile(out.physical_hist(), 99.0));
-    if (out.shared) {
-      std::printf("  occupancy %.2f  queue-wait mean %.0fus\n"
-                  "           fused %lld logical requests (%.2f per forward, "
-                  "%.2f rows each)",
-                  out.mean_batch_rows() /
-                      static_cast<double>(out.infer_batch_max),
-                  out.infer_stats.mean_queue_wait_us(),
-                  static_cast<long long>(out.infer_stats.requests),
-                  out.infer_stats.forwards > 0
-                      ? static_cast<double>(out.infer_stats.requests) /
-                            static_cast<double>(out.infer_stats.forwards)
-                      : 0.0,
-                  out.infer_stats.requests > 0
-                      ? static_cast<double>(out.infer_stats.rows) /
-                            static_cast<double>(out.infer_stats.requests)
-                      : 0.0);
-    }
-    std::printf("\n");
+                hist_percentile(c.forward_hist, 50.0),
+                hist_percentile(c.forward_hist, 99.0));
   }
   if (c.placed > 0) {
     std::printf("mean makespan of placed jobs: %.2f\n", out.mean_makespan());
@@ -313,62 +264,6 @@ void print_outcome(const LoadOutcome& out) {
     std::printf("all %lld requests answered (zero lost)\n",
                 static_cast<long long>(c.submitted));
   }
-}
-
-/// Writes the private-vs-shared comparison as a small JSON artifact
-/// (BENCH_shared_inference.json): the acceptance evidence for the shared
-/// batcher — jobs/sec, physical batch occupancy, and schedule quality.
-void write_compare_json(const std::string& path, double arrival_rate,
-                        int workers, const LoadOutcome& priv,
-                        const LoadOutcome& shared) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  const auto emit = [f](const char* name, const LoadOutcome& out) {
-    std::fprintf(
-        f,
-        "  \"%s\": {\"placed\": %lld, \"submitted\": %lld, "
-        "\"elapsed_s\": %.3f, \"jobs_per_sec\": %.3f, "
-        "\"latency_p50_ms\": %.3f, \"latency_p99_ms\": %.3f, "
-        "\"mean_makespan\": %.3f, \"forwards\": %lld, "
-        "\"forward_rows\": %lld, \"forwards_per_sec\": %.1f, "
-        "\"batch_rows_mean\": %.3f, \"batch_rows_p50\": %.0f, "
-        "\"batch_rows_p99\": %.0f}",
-        name, static_cast<long long>(out.c.placed),
-        static_cast<long long>(out.c.submitted), out.elapsed_s,
-        out.jobs_per_sec(),
-        out.latency_ms.empty() ? 0.0 : percentile(out.latency_ms, 50),
-        out.latency_ms.empty() ? 0.0 : percentile(out.latency_ms, 99),
-        out.mean_makespan(), static_cast<long long>(out.physical_forwards()),
-        static_cast<long long>(out.physical_rows()), out.forwards_per_sec(),
-        out.mean_batch_rows(),
-        infer::hist_percentile(out.physical_hist(), 50.0),
-        infer::hist_percentile(out.physical_hist(), 99.0));
-  };
-  const double speedup = priv.jobs_per_sec() > 0.0
-                             ? shared.jobs_per_sec() / priv.jobs_per_sec()
-                             : 0.0;
-  const double occupancy_gain =
-      priv.mean_batch_rows() > 0.0
-          ? shared.mean_batch_rows() / priv.mean_batch_rows()
-          : 0.0;
-  std::fprintf(f, "{\n  \"bench\": \"bench_service_load --infer-mode=compare\",\n");
-  std::fprintf(f, "  \"workers\": %d,\n  \"arrival_rate\": %.2f,\n", workers,
-               arrival_rate);
-  std::fprintf(f, "  \"infer_batch_max\": %zu,\n", shared.infer_batch_max);
-  emit("private", priv);
-  std::fprintf(f, ",\n");
-  emit("shared", shared);
-  std::fprintf(f, ",\n  \"jobs_per_sec_speedup\": %.3f,\n", speedup);
-  std::fprintf(f, "  \"batch_occupancy_gain\": %.3f,\n", occupancy_gain);
-  std::fprintf(f, "  \"timeout_closes\": %lld,\n",
-               static_cast<long long>(shared.infer_stats.timeout_closes));
-  std::fprintf(f, "  \"full_closes\": %lld\n}\n",
-               static_cast<long long>(shared.infer_stats.full_closes));
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
 }
 
 }  // namespace
@@ -401,19 +296,6 @@ int main(int argc, char** argv) {
       "guide", "drl",
       "search guide: drl = untrained paper-topology policy network (real "
       "inference on the serve path), none = unguided MCTS");
-  auto infer_mode_flag = flags.define_string(
-      "infer-mode", "private",
-      "policy forward routing: private | shared | compare (run both at the "
-      "same rate and report side by side)");
-  auto infer_batch_max = flags.define_int(
-      "infer-batch-max", 64, "shared inference: close a batch at this many rows");
-  auto infer_batch_timeout_us = flags.define_int(
-      "infer-batch-timeout-us", 200,
-      "shared inference: close a non-full batch after waiting this long");
-  auto infer_runners = flags.define_int(
-      "infer-runners", 1, "shared inference: batcher runner threads");
-  auto json_out = flags.define_string(
-      "json", "", "write the --infer-mode=compare result as JSON here");
   auto two_tenant = flags.define_bool(
       "two-tenant", false,
       "fairness scenario: two weighted tenants with skewed arrivals");
@@ -432,25 +314,8 @@ int main(int argc, char** argv) {
   }
   obs_flags.install();
 
-  const bool compare = *infer_mode_flag == "compare";
-  if (!compare && *infer_mode_flag != "private" &&
-      *infer_mode_flag != "shared") {
-    std::fprintf(stderr, "--infer-mode must be private, shared or compare\n");
-    return 2;
-  }
   if (*guide != "drl" && *guide != "none") {
     std::fprintf(stderr, "--guide must be drl or none\n");
-    return 2;
-  }
-  if ((compare || *infer_mode_flag == "shared") && *guide == "none") {
-    std::fprintf(stderr, "--infer-mode=%s needs --guide=drl (there is no "
-                         "network to batch without a guide)\n",
-                 infer_mode_flag->c_str());
-    return 2;
-  }
-  if (compare && *two_tenant) {
-    std::fprintf(stderr, "--infer-mode=compare and --two-tenant are separate "
-                         "scenarios; pick one\n");
     return 2;
   }
 
@@ -480,11 +345,6 @@ int main(int argc, char** argv) {
         Policy::make(FeaturizerOptions{}, options.capacity.dims(),
                      policy_rng));
   }
-  options.infer.batch_max = static_cast<std::size_t>(
-      std::max<std::int64_t>(*infer_batch_max, 1));
-  options.infer.batch_timeout_us = *infer_batch_timeout_us;
-  options.infer.runners = static_cast<int>(*infer_runners);
-  if (*infer_mode_flag == "shared") options.infer_mode = InferMode::kShared;
 
   double weight_a = 3.0;
   double weight_b = 1.0;
@@ -510,15 +370,11 @@ int main(int argc, char** argv) {
     options.tenant_overrides["b"] = limits;
   }
 
-  // Calibrate on a throwaway PRIVATE-mode service so the compare mode's two
-  // passes (and any explicit mode) share one arrival rate: serve a few
-  // requests synchronously to estimate the service rate, then drive
-  // arrivals at rate x multiplier.
+  // Calibrate on a throwaway service: serve a few requests to estimate the
+  // service rate, then drive arrivals at rate x multiplier.
   double arrival_rate = *rate;
   if (arrival_rate <= 0.0) {
-    ServiceOptions cal_options = options;
-    cal_options.infer_mode = InferMode::kPrivate;
-    SchedulerService calibrator(cal_options);
+    SchedulerService calibrator(options);
     calibrator.start();
     const auto t0 = std::chrono::steady_clock::now();
     const int calibration_jobs = 10;
@@ -570,46 +426,6 @@ int main(int argc, char** argv) {
   params.seed = static_cast<std::uint64_t>(*seed);
   params.two_tenant = *two_tenant;
   params.skew = *skew;
-
-  if (compare) {
-    std::printf("\n--- private (per-worker network copies) ---\n");
-    params.options.infer_mode = InferMode::kPrivate;
-    const LoadOutcome priv = run_load(params);
-    print_outcome(priv);
-
-    std::printf("\n--- shared (cross-request batched inference) ---\n");
-    params.options.infer_mode = InferMode::kShared;
-    const LoadOutcome shared = run_load(params);
-    print_outcome(shared);
-
-    const double speedup = priv.jobs_per_sec() > 0.0
-                               ? shared.jobs_per_sec() / priv.jobs_per_sec()
-                               : 0.0;
-    const double occupancy_gain =
-        priv.mean_batch_rows() > 0.0
-            ? shared.mean_batch_rows() / priv.mean_batch_rows()
-            : 0.0;
-    std::printf("\nshared vs private: %.2fx jobs/sec, %.2fx mean batch "
-                "occupancy (%.2f -> %.2f rows/forward), mean makespan "
-                "%.2f vs %.2f\n",
-                speedup, occupancy_gain, priv.mean_batch_rows(),
-                shared.mean_batch_rows(), shared.mean_makespan(),
-                priv.mean_makespan());
-    if (!json_out->empty()) {
-      write_compare_json(*json_out, arrival_rate, static_cast<int>(*workers),
-                         priv, shared);
-    }
-    if (obs_flags.enabled()) {
-      obs::RunReport report("bench_service_load");
-      report.set("mode", "compare");
-      report.set("jobs_per_sec_private", priv.jobs_per_sec());
-      report.set("jobs_per_sec_shared", shared.jobs_per_sec());
-      report.set("jobs_per_sec_speedup", speedup);
-      report.set("batch_occupancy_gain", occupancy_gain);
-      obs_flags.finish(report);
-    }
-    return (priv.lost_requests || shared.lost_requests) ? 1 : 0;
-  }
 
   const LoadOutcome out = run_load(params);
   std::printf("\n");
@@ -682,13 +498,10 @@ int main(int argc, char** argv) {
     report.set("degraded_heuristic", c.degraded_heuristic);
     report.set("search_degradations", c.search_degradations);
     report.set("jobs_per_sec", out.jobs_per_sec());
-    report.set("infer_mode", out.shared ? "shared" : "private");
     report.set("forwards_per_sec", out.forwards_per_sec());
     report.set("batch_rows_mean", out.mean_batch_rows());
-    report.set("batch_rows_p50",
-               infer::hist_percentile(out.physical_hist(), 50.0));
-    report.set("batch_rows_p99",
-               infer::hist_percentile(out.physical_hist(), 99.0));
+    report.set("batch_rows_p50", hist_percentile(c.forward_hist, 50.0));
+    report.set("batch_rows_p99", hist_percentile(c.forward_hist, 99.0));
     if (!out.latency_ms.empty()) {
       report.set("latency_p50_ms", percentile(out.latency_ms, 50));
       report.set("latency_p99_ms", percentile(out.latency_ms, 99));

@@ -2,13 +2,14 @@
 // graph size and budget (paper: sizes {50, 100} x budgets {500, 1000} on a
 // 24-core GCP VM; runtime grows with both size and budget).
 //
-// Absolute numbers differ on this single-core container; the shape to
-// reproduce is the monotone growth along both axes.
+// Absolute numbers differ from the paper's VM; the shape to reproduce is
+// the monotone growth along both axes.
 //
 // Default: the paper's own grid — pure MCTS in C++ is fast enough that no
-// scaled-down variant is needed.  --threads N runs the root-parallel
-// search; besides the runtime, every cell reports the search telemetry
-// (per-decision wall time, iterations, rollouts, iterations/sec).
+// scaled-down variant is needed.  --threads 1 (default) runs the serial
+// search, --threads N > 1 the leaf-parallel search (DESIGN.md §6); besides
+// the runtime, every cell reports the search telemetry (per-decision wall
+// time, iterations, rollouts, iterations/sec).
 
 #include <cstdio>
 #include <vector>
@@ -26,10 +27,6 @@ int main(int argc, char** argv) {
   const auto seed = flags.define_int("seed", 9, "workload seed");
   const auto threads =
       flags.define_int("threads", 1, "parallel search workers");
-  const auto search_mode = flags.define_string(
-      "search-mode", "root",
-      "parallel search architecture: root (per-worker trees) or leaf "
-      "(shared tree + batched central evaluator)");
   const auto tree_reuse = flags.define_bool(
       "tree-reuse", true,
       "leaf mode: reuse the chosen subtree across decisions "
@@ -39,7 +36,6 @@ int main(int argc, char** argv) {
   ObsFlags obs_flags(flags);
   flags.parse(argc, argv);
   obs_flags.install();
-  const SearchMode mode = parse_search_mode(*search_mode);
 
   // The pure-MCTS search is fast enough in C++ that the paper's own grid
   // is the default — no scaled-down variant needed.
@@ -69,12 +65,14 @@ int main(int argc, char** argv) {
       double search_seconds = 0.0;
       std::int64_t decisions = 0, iterations = 0, rollouts = 0;
       for (const auto& dag : dags) {
-        auto mcts = make_mcts_scheduler(budget, /*min_budget=*/5,
-                                        /*seed=*/42,
-                                        static_cast<int>(*threads), mode,
-                                        *tree_reuse);
-        total += timed_makespan(*mcts, dag, capacity).seconds;
-        const auto& stats = mcts->last_stats();
+        MctsOptions options;
+        options.initial_budget = budget;
+        options.min_budget = 5;
+        options.num_threads = static_cast<int>(*threads);
+        options.leaf_tree_reuse = *tree_reuse;
+        MctsScheduler mcts(options);
+        total += timed_makespan(mcts, dag, capacity).seconds;
+        const auto& stats = mcts.last_stats();
         search_seconds += stats.search_seconds;
         decisions += stats.decisions;
         iterations += stats.iterations;
@@ -118,7 +116,6 @@ int main(int argc, char** argv) {
     obs::RunReport report("bench_table1");
     report.set("jobs_per_cell", *jobs);
     report.set("threads", *threads);
-    report.set("search_mode", *search_mode);
     report.set("seed", *seed);
     obs_flags.finish(report);
   }

@@ -49,6 +49,20 @@ double percentile(std::vector<double> xs, double p) {
 
 double median(std::vector<double> xs) { return percentile(std::move(xs), 50.0); }
 
+double hist_percentile(const std::vector<std::int64_t>& hist, double pct) {
+  std::int64_t total = 0;
+  for (const std::int64_t c : hist) total += c;
+  if (total <= 0) return 0.0;
+  const auto rank = static_cast<std::int64_t>(
+      std::ceil(pct / 100.0 * static_cast<double>(total)));
+  std::int64_t cumulative = 0;
+  for (std::size_t w = 0; w < hist.size(); ++w) {
+    cumulative += hist[w];
+    if (cumulative >= rank && hist[w] > 0) return static_cast<double>(w);
+  }
+  return static_cast<double>(hist.size() - 1);
+}
+
 std::vector<CdfPoint> empirical_cdf(std::vector<double> xs) {
   std::sort(xs.begin(), xs.end());
   std::vector<CdfPoint> out;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,11 @@ double percentile(std::vector<double> xs, double p);
 
 /// Median == 50th percentile.
 double median(std::vector<double> xs);
+
+/// Nearest-rank percentile over a histogram (index = value, entry = count):
+/// the smallest index w such that at least pct% of the counted samples are
+/// <= w.  0 when the histogram is empty.
+double hist_percentile(const std::vector<std::int64_t>& hist, double pct);
 
 /// One (x, F(x)) point per sample: the empirical CDF, sorted by x.
 struct CdfPoint {

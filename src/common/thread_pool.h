@@ -2,9 +2,8 @@
 //
 // Workers are started once and reused across many batches of tasks, so the
 // per-batch cost is a queue push + condition-variable wake rather than a
-// thread spawn.  Root-parallel MCTS submits one task per search worker per
-// scheduling decision; benches and future subsystems (batch scheduling,
-// parallel self-play) share the same primitive.
+// thread spawn.  Leaf-parallel MCTS runs one parallel_for per evaluator
+// tick; the scheduling service and benches share the same primitive.
 //
 //   ThreadPool pool(4);
 //   auto f = pool.submit([] { heavy_work(); });

@@ -1,7 +1,5 @@
 #include "core/spear.h"
 
-#include <stdexcept>
-
 #include "common/logging.h"
 #include "dag/generator.h"
 #include "rl/imitation.h"
@@ -10,13 +8,6 @@
 #include "trace/trace.h"
 
 namespace spear {
-
-SearchMode parse_search_mode(const std::string& value) {
-  if (value == "root") return SearchMode::kRoot;
-  if (value == "leaf") return SearchMode::kLeaf;
-  throw std::invalid_argument("unknown search mode '" + value +
-                              "' (expected root or leaf)");
-}
 
 std::unique_ptr<MctsScheduler> make_spear_scheduler(
     std::shared_ptr<const Policy> policy, SpearOptions options) {
@@ -38,15 +29,11 @@ std::unique_ptr<MctsScheduler> make_spear_scheduler(
 }
 
 std::unique_ptr<MctsScheduler> make_mcts_scheduler(
-    std::int64_t initial_budget, std::int64_t min_budget, std::uint64_t seed,
-    int num_threads, SearchMode search_mode, bool leaf_tree_reuse) {
+    std::int64_t initial_budget, std::int64_t min_budget, std::uint64_t seed) {
   MctsOptions mcts;
   mcts.initial_budget = initial_budget;
   mcts.min_budget = min_budget;
   mcts.seed = seed;
-  mcts.num_threads = num_threads;
-  mcts.search_mode = search_mode;
-  mcts.leaf_tree_reuse = leaf_tree_reuse;
   mcts.name = "MCTS";
   return std::make_unique<MctsScheduler>(std::move(mcts), nullptr);
 }

@@ -33,7 +33,8 @@ struct SpearOptions {
   /// deterministic play and measures noticeably better on both random DAGs
   /// and the trace workload.
   bool sample_rollouts = false;
-  /// Root-parallel search workers (MctsOptions::num_threads); 1 = serial.
+  /// Search threads (MctsOptions::num_threads); 1 = serial, N > 1 =
+  /// leaf-parallel search on N workers.
   int num_threads = 1;
   /// Anytime wall-clock budget per decision in ms; 0 = unlimited
   /// (MctsOptions::time_budget_ms).
@@ -42,30 +43,23 @@ struct SpearOptions {
   /// with `retry` (MctsOptions::faults / MctsOptions::retry).
   std::shared_ptr<const FaultInjector> faults;
   RetryOptions retry;
-  /// Parallel-search architecture: kRoot (per-worker trees) or kLeaf (one
-  /// shared tree + batched central evaluator; MctsOptions::search_mode).
+  /// kLeaf runs the leaf-parallel search even at one thread
+  /// (MctsOptions::search_mode); at num_threads > 1 it is leaf mode anyway.
   SearchMode search_mode = SearchMode::kRoot;
   /// Leaf mode: reuse the chosen subtree across decisions
   /// (MctsOptions::leaf_tree_reuse); the benches' --no-tree-reuse clears it.
   bool leaf_tree_reuse = true;
 };
 
-/// Parses a --search-mode flag value ("root" or "leaf"); throws
-/// std::invalid_argument on anything else.
-SearchMode parse_search_mode(const std::string& value);
-
 /// Builds the Spear scheduler around a trained policy.
 std::unique_ptr<MctsScheduler> make_spear_scheduler(
     std::shared_ptr<const Policy> policy, SpearOptions options = {});
 
 /// Builds the pure-MCTS scheduler (random expansion/rollout) used as the
-/// paper's ablation baseline.  `num_threads` > 1 enables parallel search
-/// in the given `search_mode` (see MctsOptions::num_threads /
-/// MctsOptions::search_mode).
+/// paper's ablation baseline, running the serial search.
 std::unique_ptr<MctsScheduler> make_mcts_scheduler(
     std::int64_t initial_budget, std::int64_t min_budget,
-    std::uint64_t seed = 42, int num_threads = 1,
-    SearchMode search_mode = SearchMode::kRoot, bool leaf_tree_reuse = true);
+    std::uint64_t seed = 42);
 
 struct SpearTrainingOptions {
   /// Pre-training and RL workload (paper: 144 examples of 25 tasks; the

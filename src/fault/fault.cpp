@@ -84,7 +84,7 @@ AttemptOutcome FaultInjector::attempt_outcome(const Task& task,
     return out;
   }
   // Two SplitMix64 passes decorrelate (task, attempt) pairs, mirroring the
-  // worker-stream derivation in root-parallel MCTS.
+  // slot-stream derivation in leaf-parallel MCTS.
   SplitMix64 outer(options_.seed ^
                    (static_cast<std::uint64_t>(task.id) + 1) *
                        0x9e3779b97f4a7c15ULL);

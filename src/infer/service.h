@@ -1,201 +1,8 @@
-// Shared cross-request batched inference (DESIGN.md §15).
-//
-// Spear's quality-per-millisecond is bounded by policy-forward throughput,
-// and the PR-5 kernels are fastest on WIDE batches — yet a fleet of
-// concurrent searches (N service workers, each with a private cloned
-// policy) issues many small forwards instead of a few large ones.  The
-// InferenceService is the production dynamic batcher that fixes this: one
-// process-wide instance owns the immutable weights, every search submits
-// its rows through enqueue(), and runner threads fuse whatever rows are
-// in flight across ALL clients into single action_probs_batch_ws forwards.
-//
-// Adaptive batching: a batch closes at `batch_max` rows or after
-// `batch_timeout_us` microseconds, whichever comes first — a lone request
-// never stalls longer than the timeout, while a loaded daemon rides wide
-// batches.  This is the same policy a GPU inference server's dynamic
-// batcher uses (and the shared-batched-evaluator pattern AlphaZeroArcade
-// runs across its game threads).
-//
-// Determinism: fusing rows from unrelated requests is safe because the
-// kernels never mix rows — Policy::action_probs_batch rows are
-// bit-identical to single-row forwards (pinned by the KernelBitIdentity /
-// BatchEval suites).  A request's results therefore do not depend on which
-// other requests shared its batch, on the batch size, or on runner timing;
-// only throughput changes.  That is the entire correctness argument, and
-// tests/test_infer.cpp pins it end to end (same stream at batch_max 1 vs
-// 32, byte-for-byte).
-//
-// Weights: the service holds a shared_ptr<const Policy>.  Clients share
-// that pointer instead of deep-copying the network per worker; each runner
-// thread owns a private ForwardWorkspace (the only mutable forward state —
-// see Policy::action_probs_batch_ws).  swap_policy() publishes new weights
-// copy-on-write for future trained-policy promotion: in-flight batches
-// finish on the weights they started with, later batches use the new ones.
-//
-// Shutdown: shutdown() closes the ring — later enqueues throw — then
-// drains every already-queued request before joining the runners, so no
-// waiting client is ever stranded.
-
+// Exists only because the benchmark (spearbench/) includes it.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
-#include <cstddef>
-#include <cstdint>
-#include <exception>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
-
-#include "rl/policy.h"
+#include "common/stats.h"
 
 namespace spear::infer {
-
-struct InferenceOptions {
-  /// Close a batch once it holds at least this many rows.  A single
-  /// request larger than the cap still runs as ONE forward (requests are
-  /// never split — a client's rows always share a batch).
-  std::size_t batch_max = 64;
-  /// Close a non-full batch after waiting this long for more rows.  0 =
-  /// never wait: every batch is whatever was queued at pop time.
-  std::int64_t batch_timeout_us = 200;
-  /// Known client-population cap: when > 0, a batch also closes as soon as
-  /// it holds requests from this many clients — every client blocks on its
-  /// ticket, so once all of them are in the batch no further rows CAN
-  /// arrive and waiting out the timeout is pure latency.  The scheduling
-  /// service sets this to its worker count.  0 = unknown population,
-  /// timeout-only closes.
-  std::size_t max_clients = 0;
-  /// Bounded request ring: enqueue blocks (backpressure) while this many
-  /// requests are already queued.
-  std::size_t queue_capacity = 256;
-  /// Runner threads draining the ring.  One is right for CPU inference —
-  /// forwards are compute-bound, so extra runners just split batches.
-  int runners = 1;
-};
-
-/// Monotonic service counters plus the physical batch-size histogram.
-/// Always on (bumped once per BATCH under the service mutex, so the cost
-/// is noise); obs metrics mirror these when a sink is installed.
-struct InferenceStats {
-  std::int64_t forwards = 0;  ///< fused physical forwards run
-  std::int64_t rows = 0;      ///< rows scored by those forwards
-  std::int64_t requests = 0;  ///< enqueue() calls accepted
-  std::int64_t full_closes = 0;     ///< batches closed at batch_max rows
-  std::int64_t timeout_closes = 0;  ///< batches closed by the timeout
-  std::int64_t client_closes = 0;   ///< batches closed with all max_clients
-                                    ///< clients' requests aboard
-  std::int64_t drain_closes = 0;    ///< batches closed by shutdown drain
-  /// Sum over requests of (batch assembly time - enqueue time), for the
-  /// mean queue wait.
-  double queue_wait_us = 0.0;
-  /// batch_rows_hist[min(rows, kHistMax)] counts forwards of that width.
-  std::vector<std::int64_t> batch_rows_hist;
-
-  static constexpr std::size_t kHistMax = 256;
-
-  double mean_batch_rows() const {
-    return forwards > 0 ? static_cast<double>(rows) / forwards : 0.0;
-  }
-  double mean_queue_wait_us() const {
-    return requests > 0 ? queue_wait_us / static_cast<double>(requests) : 0.0;
-  }
-};
-
-/// Weighted percentile over a batch-size histogram (index = rows, value =
-/// count): the smallest width w such that at least pct% of forwards were
-/// <= w rows.  0 when the histogram is empty.
-double hist_percentile(const std::vector<std::int64_t>& hist, double pct);
-
-class InferenceService {
- public:
-  InferenceService(std::shared_ptr<const Policy> policy,
-                   InferenceOptions options);
-  /// Calls shutdown() if still running.
-  ~InferenceService();
-
-  InferenceService(const InferenceService&) = delete;
-  InferenceService& operator=(const InferenceService&) = delete;
-
-  /// Spawns the runner threads.  Idempotent.
-  void start();
-
-  /// Closes the ring (later enqueues throw), drains every queued request,
-  /// joins the runners.  Idempotent.
-  void shutdown();
-
-  /// Future-like handle to an in-flight request.  wait() blocks until the
-  /// fused forward covering the request ran (rethrowing any forward
-  /// failure); results land in the masks/probs the enqueue was given.
-  class Ticket {
-   public:
-    Ticket() = default;
-    bool valid() const { return request_ != nullptr; }
-    void wait();
-
-   private:
-    friend class InferenceService;
-    struct Request;
-    Ticket(InferenceService* service, std::shared_ptr<Request> request)
-        : service_(service), request_(std::move(request)) {}
-    InferenceService* service_ = nullptr;
-    std::shared_ptr<Request> request_;
-  };
-
-  /// Submits `n` rows for fused evaluation; on wait() the outputs are
-  /// exactly policy()->action_probs_batch(envs, n, masks, probs) — the
-  /// rows may share a physical forward with other clients' rows, which is
-  /// unobservable in the results (header comment).  Blocks while the ring
-  /// is full (backpressure); throws std::runtime_error once the service is
-  /// shut down.  `envs`, `masks` and `probs` must stay valid until wait()
-  /// returns.  Thread-safe.
-  Ticket enqueue(const SchedulingEnv* const* envs, std::size_t n,
-                 std::vector<std::vector<bool>>& masks,
-                 std::vector<std::vector<double>>& probs);
-
-  /// enqueue() + wait(): the blocking call sites use.
-  void infer(const SchedulingEnv* const* envs, std::size_t n,
-             std::vector<std::vector<bool>>& masks,
-             std::vector<std::vector<double>>& probs) {
-    enqueue(envs, n, masks, probs).wait();
-  }
-
-  /// Current weights.  Clients hold this pointer for featurizer access and
-  /// action translation; it stays valid forever (copy-on-write swap).
-  std::shared_ptr<const Policy> policy() const;
-
-  /// Publishes new weights copy-on-write: batches popped after the swap
-  /// run on `next`; in-flight batches finish on the weights they captured.
-  /// The policy-promotion entry point (gated promotion, ROADMAP).
-  void swap_policy(std::shared_ptr<const Policy> next);
-
-  InferenceStats stats() const;
-  const InferenceOptions& options() const { return options_; }
-
- private:
-  void runner_loop();
-  /// Pops queued requests into `batch` until batch_max rows, the timeout,
-  /// or a drain; returns total rows.  Called with `lock` held.
-  std::size_t gather_batch(std::unique_lock<std::mutex>& lock,
-                           std::vector<std::shared_ptr<Ticket::Request>>& batch);
-
-  InferenceOptions options_;
-  std::shared_ptr<const Policy> policy_;
-
-  mutable std::mutex mutex_;
-  std::condition_variable work_cv_;   ///< runners: requests queued / closed
-  std::condition_variable space_cv_;  ///< clients: ring has room again
-  std::condition_variable done_cv_;   ///< clients: some batch completed
-  /// Bounded MPMC request ring (fixed storage, head/tail indices).
-  std::vector<std::shared_ptr<Ticket::Request>> ring_;
-  std::size_t ring_head_ = 0;
-  std::size_t ring_size_ = 0;
-  bool closed_ = false;
-  InferenceStats stats_;
-
-  std::vector<std::thread> runners_;
-  bool started_ = false;
-};
-
+using spear::hist_percentile;
 }  // namespace spear::infer

@@ -28,21 +28,12 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Independent deterministic RNG stream for one (decision, worker) pair.
-/// Two SplitMix64 passes decorrelate nearby decision/worker indices, so
-/// worker streams do not overlap run-to-run or with the serial stream.
-std::uint64_t worker_stream_seed(std::uint64_t seed, std::uint64_t decision,
-                                 std::uint64_t worker) {
-  SplitMix64 outer(seed ^ (decision * 0x9e3779b97f4a7c15ULL));
-  SplitMix64 inner(outer.next() ^ (worker + 1));
-  return inner.next();
-}
-
 /// Independent deterministic RNG stream for one (decision, iteration) slot
 /// of the leaf-parallel search.  Keyed by the GLOBAL iteration index, not
 /// the worker id, so a slot's rollout stream is the same no matter how
-/// slots are partitioned across workers; the salt keeps the streams
-/// disjoint from the root-parallel worker streams.
+/// slots are partitioned across workers.  Two SplitMix64 passes decorrelate
+/// nearby decision/iteration indices; the salt is part of the stream
+/// definition (changing it changes every leaf-mode result).
 std::uint64_t leaf_stream_seed(std::uint64_t seed, std::uint64_t decision,
                                std::uint64_t iteration) {
   SplitMix64 outer(seed ^ 0x1eafc0de00000000ULL ^
@@ -85,18 +76,6 @@ struct LeafJob {
   // Evaluation-queue bookkeeping (coordinator side).
   std::vector<std::pair<int, double>> priors;  ///< new child's ordering
   std::chrono::steady_clock::time_point enqueued;  ///< obs: queue wait
-};
-
-/// Merged per-action root statistics for root-parallel search.
-struct RootActionStat {
-  int action = 0;
-  std::int64_t visits = 0;
-  double max_value = -std::numeric_limits<double>::infinity();
-  double sum_value = 0.0;
-
-  double mean_value() const {
-    return visits > 0 ? sum_value / static_cast<double>(visits) : 0.0;
-  }
 };
 
 /// Constructs every candidate child of `parent` up front and scores all
@@ -202,9 +181,8 @@ void MctsScheduler::set_anytime_budgets(std::int64_t initial_budget,
   options_.time_budget_ms = time_budget_ms;
 }
 
-double MctsScheduler::search_once(SearchTree& tree, DecisionPolicy& guide,
-                                  Rng& rng, double exploration_c,
-                                  Stats& stats) {
+void MctsScheduler::search_once(SearchTree& tree, Rng& rng,
+                                double exploration_c) {
   // --- Selection: descend while fully expanded. ---
   NodeId current = tree.root();
   while (true) {
@@ -236,7 +214,8 @@ double MctsScheduler::search_once(SearchTree& tree, DecisionPolicy& guide,
   }
 
   // --- Expansion: try the most promising untried action (the guide
-  // pre-orders untried, so the front is the best candidate). ---
+  // pre-orders untried, so the front is the best candidate).  add_child may
+  // grow the arena, so each branch is done with `selected` before it. ---
   SearchNode& selected = tree.node(current);
   if (!selected.terminal && !selected.untried.empty()) {
     NodeId child_id;
@@ -248,26 +227,22 @@ double MctsScheduler::search_once(SearchTree& tree, DecisionPolicy& guide,
       PreparedChild pc = std::move(selected.prepared.front());
       selected.prepared.erase(selected.prepared.begin());
       selected.untried.erase(selected.untried.begin());
-      ++stats.env_copies;
+      ++stats_.env_copies;
       if (options_.faults) {
-        stats.search_failures += pc.fault_failures;
-        stats.search_retries += pc.fault_retries;
-        if (pc.aborted) ++stats.search_aborts;
+        stats_.search_failures += pc.fault_failures;
+        stats_.search_retries += pc.fault_retries;
+        if (pc.aborted) ++stats_.search_aborts;
       }
-      const int action = pc.action;
-      const bool aborted = pc.aborted;
-      const bool terminal = pc.terminal;
-      auto child_untried = std::move(pc.untried);
-      child_id = tree.add_child(current, action, std::move(pc.state));
+      child_id = tree.add_child(current, pc.action, std::move(pc.state));
       SearchNode& child = tree.node(child_id);
-      child.aborted = aborted;
-      child.terminal = terminal;
-      child.untried = std::move(child_untried);
+      child.aborted = pc.aborted;
+      child.terminal = pc.terminal;
+      child.untried = std::move(pc.untried);
     } else {
       const int action = selected.untried.front().first;
       selected.untried.erase(selected.untried.begin());
       SchedulingEnv child_state = selected.state;
-      ++stats.env_copies;
+      ++stats_.env_copies;
       const EnvFaultStats pre_expand = child_state.fault_stats();
       bool aborted = false;
       try {
@@ -278,26 +253,24 @@ double MctsScheduler::search_once(SearchTree& tree, DecisionPolicy& guide,
         aborted = true;
       }
       if (options_.faults) {
-        // Speculative fault telemetry: counted into THIS call's stats
-        // object, so parallel workers accumulate privately and merge later.
-        stats.search_failures +=
+        stats_.search_failures +=
             child_state.fault_stats().failures - pre_expand.failures;
-        stats.search_retries +=
+        stats_.search_retries +=
             child_state.fault_stats().retries - pre_expand.retries;
-        if (aborted) ++stats.search_aborts;
+        if (aborted) ++stats_.search_aborts;
       }
       child_id = tree.add_child(current, action, std::move(child_state));
       SearchNode& child = tree.node(child_id);
       child.aborted = aborted;
       child.terminal = aborted || child.state.done();
       if (!child.terminal) {
-        child.untried = guide.action_weights(child.state);
+        child.untried = guide_->action_weights(child.state);
       }
     }
     current = child_id;
-    ++stats.nodes_expanded;
+    ++stats_.nodes_expanded;
   }
-  ++stats.iterations;
+  ++stats_.iterations;
 
   // --- Simulation: rollout to termination with the guide policy. ---
   double value;
@@ -308,29 +281,28 @@ double MctsScheduler::search_once(SearchTree& tree, DecisionPolicy& guide,
     value = -static_cast<double>(leaf.state.makespan());
   } else {
     SchedulingEnv rollout = leaf.state;
-    ++stats.env_copies;
+    ++stats_.env_copies;
     const EnvFaultStats pre_rollout = rollout.fault_stats();
     try {
       while (!rollout.done()) {
-        apply_action(rollout, guide.pick(rollout, rng));
+        apply_action(rollout, guide_->pick(rollout, rng));
       }
       value = -static_cast<double>(rollout.makespan());
     } catch (const JobAbortedError&) {
       value = abort_value_;  // penalize the abort, never kill the search
-      if (options_.faults) ++stats.search_aborts;
+      if (options_.faults) ++stats_.search_aborts;
     }
     if (options_.faults) {
-      stats.search_failures +=
+      stats_.search_failures +=
           rollout.fault_stats().failures - pre_rollout.failures;
-      stats.search_retries +=
+      stats_.search_retries +=
           rollout.fault_stats().retries - pre_rollout.retries;
     }
-    ++stats.rollouts;
+    ++stats_.rollouts;
   }
 
   // --- Backpropagation (max + mean, §III-C). ---
   tree.backpropagate(current, value);
-  return value;
 }
 
 SearchTree MctsScheduler::make_tree(const SchedulingEnv& env,
@@ -356,13 +328,12 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget, Rng& rng,
                              double exploration_c, const Deadline& deadline,
                              bool& ran_any) {
   ran_any = false;
-  tree.reserve(tree.size() + static_cast<std::size_t>(budget));
   for (std::int64_t i = 0; i < budget; ++i) {
     if (deadline_reached(deadline)) {
       ++stats_.deadline_cutoffs;
       break;
     }
-    search_once(tree, *guide_, rng, exploration_c, stats_);
+    search_once(tree, rng, exploration_c);
     ran_any = true;
   }
   return best_root_child(tree);
@@ -394,9 +365,8 @@ NodeId MctsScheduler::decide_leaf(SearchTree& tree, std::int64_t budget,
                                   double exploration_c,
                                   const Deadline& deadline, bool& ran_any) {
   ran_any = false;
-  // At most one node per iteration: pre-reserve so mid-tick add_child never
-  // reallocates the arena while descents hold node references.
-  tree.reserve(tree.size() + static_cast<std::size_t>(budget));
+  // The arena only grows in the backup loop below, after the workers have
+  // joined: descents and workers address nodes by id while it is fixed.
   const auto workers = static_cast<std::int64_t>(worker_guides_.size());
   // Absolute, worker-count-independent tick size (see MctsOptions): the
   // same seed and budget descend the same tree no matter how many workers
@@ -718,129 +688,6 @@ bool MctsScheduler::ensure_parallel_workers() {
   return true;
 }
 
-std::optional<int> MctsScheduler::decide_parallel(
-    const SchedulingEnv& env,
-    const std::vector<std::pair<int, double>>& untried, std::int64_t budget,
-    std::int64_t decision_depth, double exploration_c,
-    const Deadline& deadline) {
-  const auto workers = static_cast<std::int64_t>(worker_guides_.size());
-
-  // Batched expansion: prepare the root's children ONCE on this thread
-  // (one fused network forward for all of them) and hand every worker a
-  // copy — instead of each worker re-stepping and re-scoring the same k
-  // children with k single-row forwards.
-  std::vector<PreparedChild> prepared_template;
-  bool use_prepared = false;
-  if (options_.batch_expansion && guide_->supports_batch_eval()) {
-    prepared_template = prepare_children(env, untried, *guide_, stats_);
-    use_prepared = true;
-  }
-  struct WorkerResult {
-    std::vector<RootActionStat> children;
-    Stats stats;
-    bool truncated = false;
-  };
-  std::vector<WorkerResult> results(static_cast<std::size_t>(workers));
-
-  pool_->parallel_for(
-      static_cast<std::size_t>(workers), [&](std::size_t w) {
-        const auto wi = static_cast<std::int64_t>(w);
-        // Equal split, the first (budget % workers) workers taking the
-        // remainder — every worker's share is fixed by (budget, N) alone.
-        const std::int64_t share =
-            budget / workers + (wi < budget % workers ? 1 : 0);
-        if (share <= 0) return;
-        obs::ScopedTimer worker_span("mcts.worker", "mcts");
-        if (worker_span.active()) {
-          worker_span.set_args("\"worker\":" + std::to_string(w) +
-                               ",\"decision\":" +
-                               std::to_string(decision_depth) +
-                               ",\"share\":" + std::to_string(share));
-        }
-        DecisionPolicy& guide = *worker_guides_[w];
-        Rng rng(worker_stream_seed(
-            options_.seed, static_cast<std::uint64_t>(decision_depth), w));
-        WorkerResult& out = results[w];
-        // The root ordering is shared (computed once by the caller) rather
-        // than recomputed per worker — one network forward saved per
-        // worker for guided search, bit-identical ordering either way.
-        SearchTree tree(env);
-        tree.reserve(static_cast<std::size_t>(share) + 1);
-        {
-          SearchNode& root = tree.node(tree.root());
-          root.untried = untried;
-          if (use_prepared) {
-            root.prepared = prepared_template;  // private per-worker copy
-            root.prepared_ready = true;
-          }
-        }
-        for (std::int64_t i = 0; i < share; ++i) {
-          if (deadline_reached(deadline)) {
-            out.truncated = true;
-            break;
-          }
-          search_once(tree, guide, rng, exploration_c, out.stats);
-        }
-        const SearchNode& root = tree.node(tree.root());
-        out.children.reserve(root.children.size());
-        for (NodeId child_id : root.children) {
-          const SearchNode& child = tree.node(child_id);
-          out.children.push_back({child.action_from_parent, child.visits,
-                                  child.max_value, child.sum_value});
-        }
-      });
-
-  // Merge root statistics in worker order — deterministic for a fixed
-  // thread count no matter how the OS interleaved the workers.  Every
-  // per-worker counter is folded in here; a worker-side Stats field that
-  // this loop missed would silently drop telemetry at num_threads > 1
-  // (the pre-observability bug), so the parity test pins the invariants.
-  std::vector<RootActionStat> merged;
-  bool truncated = false;
-  for (const WorkerResult& result : results) {
-    stats_.iterations += result.stats.iterations;
-    stats_.rollouts += result.stats.rollouts;
-    stats_.nodes_expanded += result.stats.nodes_expanded;
-    stats_.env_copies += result.stats.env_copies;
-    stats_.search_failures += result.stats.search_failures;
-    stats_.search_retries += result.stats.search_retries;
-    stats_.search_aborts += result.stats.search_aborts;
-    stats_.batched_evals += result.stats.batched_evals;
-    stats_.batched_rows += result.stats.batched_rows;
-    truncated = truncated || result.truncated;
-    for (const RootActionStat& child : result.children) {
-      auto it = std::find_if(
-          merged.begin(), merged.end(),
-          [&](const RootActionStat& m) { return m.action == child.action; });
-      if (it == merged.end()) {
-        merged.push_back(child);
-      } else {
-        it->visits += child.visits;
-        it->sum_value += child.sum_value;
-        it->max_value = std::max(it->max_value, child.max_value);
-      }
-    }
-  }
-  if (truncated) ++stats_.deadline_cutoffs;  // once per truncated decision
-  if (merged.empty()) return std::nullopt;
-
-  // Same final-move rule as the serial search, on the merged statistics.
-  const RootActionStat* best = nullptr;
-  double best_exploit = -std::numeric_limits<double>::infinity();
-  double best_mean = -std::numeric_limits<double>::infinity();
-  for (const RootActionStat& child : merged) {
-    const double exploit =
-        options_.max_backprop ? child.max_value : child.mean_value();
-    if (exploit > best_exploit ||
-        (exploit == best_exploit && child.mean_value() > best_mean)) {
-      best_exploit = exploit;
-      best_mean = child.mean_value();
-      best = &child;
-    }
-  }
-  return best->action;
-}
-
 Schedule MctsScheduler::schedule(const Dag& dag,
                                  const ResourceVector& capacity) {
   EnvOptions env_options;
@@ -887,14 +734,14 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
       options_.exploration_scale *
       static_cast<double>(std::max<Time>(greedy_makespan_estimate(env), 1));
 
-  // Leaf parallelism replaces the root-parallel split whenever selected —
-  // even at num_threads == 1, where the shared-evaluator batching (not
-  // thread scaling) is the win.  Both modes need cloneable guides; an
-  // uncloneable custom guide falls back to the serial search.
-  const bool leaf_mode =
-      options_.search_mode == SearchMode::kLeaf && ensure_parallel_workers();
-  const bool parallel =
-      !leaf_mode && options_.num_threads > 1 && ensure_parallel_workers();
+  // Leaf parallelism is the one parallel search: it runs at num_threads > 1,
+  // and also at one thread when selected (SearchMode::kLeaf), where the
+  // shared-evaluator batching, not thread scaling, is the win.  It needs a
+  // cloneable guide; an uncloneable custom guide falls back to the serial
+  // search.
+  const bool leaf_mode = (options_.search_mode == SearchMode::kLeaf ||
+                          options_.num_threads > 1) &&
+                         ensure_parallel_workers();
   if (leaf_mode) {
     if (!transpositions_ ||
         transpositions_->capacity() != options_.transposition_capacity) {
@@ -943,9 +790,9 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
            std::chrono::milliseconds(options_.time_budget_ms);
   };
   // Real-trajectory fault counters come from the ONE persistent env that
-  // both the serial and the parallel path step; the speculative per-worker
-  // counters (search_failures/search_retries/search_aborts) are aggregated
-  // by the decide_parallel merge (serial search_once adds them directly).
+  // both the serial and the leaf path step; the speculative counters
+  // (search_failures/search_retries/search_aborts) are added as the search
+  // runs.
   const auto record_fault_stats = [this, &env]() {
     if (!options_.faults) return;
     stats_.task_failures = env.fault_stats().failures;
@@ -962,8 +809,8 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
     }
   };
   // Physical forward telemetry: folded from EVERY guide that may have run
-  // a private-weights kernel this schedule (the root guide plus the
-  // parallel/leaf worker clones).  Counters were reset before the search
+  // a private-weights kernel this schedule (the root guide plus the leaf
+  // worker clones).  Counters were reset before the search
   // loop, so the fold is this schedule's tally exactly once.
   const auto fold_forward_stats = [this]() {
     const auto fold_one = [this](const DecisionPolicy& g) {
@@ -1016,51 +863,6 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
   try {
     while (!env.done()) {
       const Deadline deadline = make_deadline();
-      if (parallel) {
-        const auto untried = guide_->action_weights(env);
-        if (untried.empty()) {
-          throw std::logic_error(
-              "MctsScheduler: no valid action at decision root");
-        }
-        if (untried.size() == 1) {
-          // Forced move: skip the search entirely.
-          apply_action(env, untried.front().first);
-          ++stats_.forced_decisions;
-        } else {
-          const std::int64_t budget =
-              options_.decay_budget
-                  ? std::max(options_.initial_budget / depth,
-                             options_.min_budget)
-                  : options_.initial_budget;
-          obs::ScopedTimer decision_span("mcts.decision", "mcts");
-          if (decision_span.active()) {
-            decision_span.set_args(
-                "\"depth\":" + std::to_string(depth) + ",\"budget\":" +
-                std::to_string(budget) + ",\"parallel\":true");
-          }
-          const auto start = std::chrono::steady_clock::now();
-          const std::optional<int> action = decide_parallel(
-              env, untried, budget, depth, exploration_c, deadline);
-          stats_.search_seconds += seconds_since(start);
-          decision_span.finish();
-          if (action) {
-            apply_action(env, *action);
-          } else if (deadline) {
-            // Anytime degradation: not one iteration finished anywhere
-            // before the deadline — take the fallback heuristic's move.
-            ++stats_.degradations;
-            apply_action(env, options_.fallback->pick(env, rng));
-          } else {
-            // Budget below the worker count: fall back to the guide's top
-            // choice, like the serial search.
-            apply_action(env, untried.front().first);
-          }
-        }
-        ++stats_.decisions;
-        ++depth;
-        continue;
-      }
-
       if (!tree) tree.emplace(make_tree(env, *guide_));
 
       const SearchNode& root = tree->node(tree->root());
@@ -1074,7 +876,7 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
         continue;
       }
 
-      // Batched root preparation is a root-mode optimization: the leaf
+      // Batched root preparation is a serial-search optimization: the leaf
       // descent pops `untried` without popping `prepared` in lockstep, and
       // its evaluator batches child scoring anyway.
       if (!leaf_mode) maybe_prepare_root(*tree);
@@ -1088,7 +890,7 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
         decision_span.set_args(
             "\"depth\":" + std::to_string(depth) + ",\"budget\":" +
             std::to_string(budget) +
-            (leaf_mode ? ",\"mode\":\"leaf\"" : ",\"parallel\":false"));
+            (leaf_mode ? ",\"mode\":\"leaf\"" : ",\"mode\":\"serial\""));
       }
       const auto start = std::chrono::steady_clock::now();
       bool ran_any = false;

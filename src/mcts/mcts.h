@@ -22,14 +22,12 @@
 // A fresh tree is built for every decision; the chosen action is applied to
 // the persistent environment and search repeats until the DAG completes.
 //
-// Root parallelism (num_threads > 1): every decision's budget is split
-// across N workers on a reusable ThreadPool.  Each worker grows its own
-// SearchTree from the decision state with an independent deterministic RNG
-// stream derived from (seed, decision depth, worker id), then the root
-// children's statistics (visit counts, max values, value sums) are merged
-// by action and the usual final-move rule picks the action.  Results are
-// deterministic for a fixed thread count regardless of OS scheduling;
-// num_threads == 1 follows the original serial code path bit for bit.
+// Parallel search (num_threads > 1) is leaf parallelism (DESIGN.md §6,
+// §11): one shared tree, descents under virtual loss, worker threads that
+// build children and advance rollouts, and a central evaluator that scores
+// new leaves with one batched forward per tick.  Results do not depend on
+// the worker count.  num_threads == 1 with the default SearchMode::kRoot is
+// the serial search above, bit for bit.
 
 // Anytime search (time_budget_ms > 0): every decision races a wall-clock
 // deadline.  When the deadline expires mid-decision the best root action
@@ -64,10 +62,11 @@
 
 namespace spear {
 
-/// How a multi-threaded search (num_threads > 1) parallelizes.
+/// Which search a ONE-thread scheduler runs; at num_threads > 1 the search
+/// is always leaf-parallel and the two values behave the same.
 enum class SearchMode {
-  /// Root parallelism (PR-1 style): every worker grows its own tree from
-  /// the decision state; root-child statistics merge at the end.
+  /// The serial search (the paper's algorithm, bit-identical to the
+  /// original implementation).
   kRoot,
   /// Leaf parallelism (DESIGN.md §11): one shared tree, descents hold
   /// virtual loss, leaf states park in an evaluation queue that a central
@@ -85,11 +84,11 @@ struct MctsOptions {
   std::uint64_t seed = 42;
   /// Display name ("MCTS" for the pure variant, "Spear" when DRL-guided).
   std::string name = "MCTS";
-  /// Root-parallel search workers.  1 (default) = the serial search,
-  /// bit-identical to the original implementation; N > 1 splits every
-  /// decision budget over N workers with independent RNG streams and merges
-  /// root statistics.  Requires the guide policy to be clone()-able
-  /// (all built-in policies are); otherwise the search stays serial.
+  /// Search threads.  1 (default) = the serial search (or one-thread leaf
+  /// mode under SearchMode::kLeaf); N > 1 = leaf-parallel search on N
+  /// workers.  Parallel search requires the guide policy to be
+  /// clone()-able (all built-in policies are); otherwise the search stays
+  /// serial.
   int num_threads = 1;
 
   /// Anytime wall-clock budget per decision, in milliseconds; 0 (default) =
@@ -128,15 +127,14 @@ struct MctsOptions {
   /// (§III-C: "the selected action will point to a child node which will
   /// become the new root node").  Off by default: with the decayed budget
   /// the benefit is small and a fresh tree keeps memory flat; turn on to
-  /// match the paper's mechanism exactly.  Serial-only: root-parallel mode
-  /// rebuilds per-worker trees each decision (leaf mode has its own knob,
-  /// leaf_tree_reuse below).
+  /// match the paper's mechanism exactly.  Serial-only (leaf mode has its
+  /// own knob, leaf_tree_reuse below).
   bool reuse_tree = false;
 
-  // --- Leaf-parallel search (search_mode == kLeaf; DESIGN.md §11). ---
-  /// Parallelization architecture.  kLeaf runs even at num_threads == 1
-  /// (batched evaluation is a win on its own); it requires a cloneable
-  /// guide, like kRoot, and otherwise the search stays serial.
+  // --- Leaf-parallel search (num_threads > 1 or kLeaf; DESIGN.md §11). ---
+  /// kLeaf runs leaf mode even at num_threads == 1 (batched evaluation is a
+  /// win on its own); kRoot keeps one thread serial.  Either way leaf mode
+  /// needs a cloneable guide, and otherwise the search stays serial.
   SearchMode search_mode = SearchMode::kRoot;
   /// Descents held in flight per evaluator tick (split across the workers;
   /// each tick is one descend -> evaluate -> backup round).  Deliberately
@@ -179,12 +177,11 @@ class MctsScheduler : public Scheduler {
   /// (preloaded tasks appear as placements at t = 0).
   Schedule schedule_env(SchedulingEnv env);
 
-  /// Search telemetry for the most recent schedule() call.  Counters are
-  /// summed across all parallel workers (each worker accumulates a private
-  /// Stats that the merge step folds in, so nothing is dropped or
-  /// double-counted at num_threads > 1); wall time is measured around the
-  /// per-decision search only (tree setup + iterations + merge), not around
-  /// policy training or environment stepping outside the search.
+  /// Search telemetry for the most recent schedule() call.  Leaf-mode
+  /// counters are folded in slot order at each tick's backup, so they do
+  /// not depend on the worker count; wall time is measured around the
+  /// per-decision search only (tree setup + iterations), not around policy
+  /// training or environment stepping outside the search.
   struct Stats {
     std::int64_t decisions = 0;       ///< scheduling decisions made
     std::int64_t forced_decisions = 0;  ///< decisions with one legal action
@@ -201,15 +198,14 @@ class MctsScheduler : public Scheduler {
     std::int64_t task_failures = 0;   ///< failed attempts on the real
                                       ///< trajectory (fault mode)
     std::int64_t task_retries = 0;    ///< retries on the real trajectory
-    // Fault events observed INSIDE the search (expansion steps + rollouts),
-    // summed across workers in parallel mode — the speculative counterpart
-    // of task_failures/task_retries above.
+    // Fault events observed INSIDE the search (expansion steps + rollouts)
+    // — the speculative counterpart of task_failures/task_retries above.
     std::int64_t search_failures = 0;  ///< failed attempts in search states
     std::int64_t search_retries = 0;   ///< retries in search states
     std::int64_t search_aborts = 0;    ///< simulated trajectories that
                                        ///< exhausted the retry budget
-    // Batched-evaluation telemetry: root mode counts the fused forwards of
-    // batched child preparation (options.batch_expansion with a
+    // Batched-evaluation telemetry: the serial search counts the fused
+    // forwards of batched child preparation (options.batch_expansion with a
     // batch-capable guide); leaf mode counts the central evaluator's queue
     // drains.  Zero otherwise.
     std::int64_t batched_evals = 0;  ///< fused batch forwards issued
@@ -221,9 +217,7 @@ class MctsScheduler : public Scheduler {
     // policies executed (batched evaluations AND single-row calls — root
     // priors, serial rollout picks), with its row count.  This is the
     // denominator batch occupancy is measured against; batched_evals above
-    // only counts the fused calls.  In shared-inference mode guides
-    // forward through the InferenceService instead and these stay ZERO —
-    // the service's own stats are the physical truth there.
+    // only counts the fused calls.
     std::int64_t guide_forwards = 0;      ///< kernel invocations
     std::int64_t guide_forward_rows = 0;  ///< rows across those calls
     /// batch_rows_hist[w] = private-weights kernel invocations that scored
@@ -232,7 +226,7 @@ class MctsScheduler : public Scheduler {
     /// as p50/p99 batch occupancy.  Sized on demand (empty when no guide
     /// forward ran).
     std::vector<std::int64_t> batch_rows_hist;
-    // Leaf-parallel telemetry (search_mode == kLeaf; zero otherwise).
+    // Leaf-parallel telemetry (zero in the serial search).
     std::int64_t leaf_ticks = 0;  ///< evaluator ticks (descend -> evaluate
                                   ///< -> backup rounds)
     std::int64_t tt_hits = 0;     ///< transposition-cache prior hits
@@ -258,7 +252,7 @@ class MctsScheduler : public Scheduler {
     }
     /// Decisions that actually ran a search (every one of these consumes
     /// exactly its budget's iterations when no deadline truncates it, in
-    /// both the serial and the root-parallel mode).
+    /// both the serial and the leaf mode).
     std::int64_t searched_decisions() const {
       return decisions - forced_decisions;
     }
@@ -300,8 +294,8 @@ class MctsScheduler : public Scheduler {
     return deadline && std::chrono::steady_clock::now() >= *deadline;
   }
 
-  double search_once(SearchTree& tree, DecisionPolicy& guide, Rng& rng,
-                     double exploration_c, Stats& stats);
+  /// One serial MCTS iteration on `tree`: select, expand, roll out, back up.
+  void search_once(SearchTree& tree, Rng& rng, double exploration_c);
   /// Runs up to `budget` iterations on `tree` (stopping at `deadline` if
   /// set) and returns the chosen root child (kNoNode if nothing was ever
   /// expanded — callers fall back).  `ran_any` reports whether at least one
@@ -309,20 +303,8 @@ class MctsScheduler : public Scheduler {
   NodeId decide(SearchTree& tree, std::int64_t budget, Rng& rng,
                 double exploration_c, const Deadline& deadline,
                 bool& ran_any);
-  /// Root-parallel decision from `env`: splits `budget` over the worker
-  /// pool, merges root-child statistics, returns the chosen env action
-  /// (nullopt if no worker expanded a child).  `untried` is the root's
-  /// guide ordering, computed ONCE by the caller and shared by every
-  /// worker (hoisting the per-worker root evaluation — all built-in guides
-  /// are deterministic, so the shared ordering is what each worker would
-  /// have computed itself).
-  std::optional<int> decide_parallel(
-      const SchedulingEnv& env,
-      const std::vector<std::pair<int, double>>& untried, std::int64_t budget,
-      std::int64_t decision_depth, double exploration_c,
-      const Deadline& deadline);
-  /// Leaf-parallel decision (search_mode == kLeaf; DESIGN.md §11): runs up
-  /// to `budget` iterations on the SHARED `tree` in synchronized ticks —
+  /// Leaf-parallel decision (DESIGN.md §11): runs up to `budget`
+  /// iterations on the SHARED `tree` in synchronized ticks —
   /// descend with virtual loss, construct children and advance rollouts on
   /// the worker pool, drain the evaluation queue through the transposition
   /// cache and ONE batched guide forward, back up in slot order — and
@@ -341,7 +323,7 @@ class MctsScheduler : public Scheduler {
   /// candidate child, stored in root.prepared for expansion to pop.
   void maybe_prepare_root(SearchTree& tree);
   /// Lazily builds the thread pool and per-worker guide clones; false if
-  /// the guide is not cloneable (parallel search disabled).
+  /// the guide is not cloneable (leaf mode disabled).
   bool ensure_parallel_workers();
 
   MctsOptions options_;

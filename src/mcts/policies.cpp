@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "infer/service.h"
 #include "sched/critical_path.h"
 #include "sched/tetris.h"
 
@@ -210,12 +209,9 @@ std::shared_ptr<DecisionPolicy> TetrisDecisionPolicy::clone() const {
   return std::make_shared<TetrisDecisionPolicy>();
 }
 
-DrlDecisionPolicy::DrlDecisionPolicy(
-    std::shared_ptr<const Policy> policy, bool greedy,
-    std::shared_ptr<infer::InferenceService> shared)
-    : policy_(std::move(policy)),
-      greedy_(greedy),
-      shared_(std::move(shared)) {
+DrlDecisionPolicy::DrlDecisionPolicy(std::shared_ptr<const Policy> policy,
+                                     bool greedy)
+    : policy_(std::move(policy)), greedy_(greedy) {
   if (!policy_) {
     throw std::invalid_argument("DrlDecisionPolicy: null policy");
   }
@@ -223,14 +219,6 @@ DrlDecisionPolicy::DrlDecisionPolicy(
 
 void DrlDecisionPolicy::forward_batch(const SchedulingEnv* const* envs,
                                       std::size_t n) {
-  if (shared_) {
-    // Shared mode NEVER touches the wrapped Policy's member workspace —
-    // clones alias one Policy, so the service's per-runner workspaces are
-    // the only mutable forward state.  infer() blocks until the fused
-    // batch containing these rows completes.
-    shared_->infer(envs, n, batch_masks_, batch_probs_);
-    return;
-  }
   record_forward(n);
   policy_->action_probs_batch(envs, n, batch_masks_, batch_probs_);
 }
@@ -256,14 +244,6 @@ std::vector<std::pair<int, double>> DrlDecisionPolicy::weights_from_probs(
 
 std::vector<std::pair<int, double>> DrlDecisionPolicy::action_weights(
     const SchedulingEnv& env) {
-  if (shared_) {
-    // One-row request to the shared batcher: bit-identical to the private
-    // path (action_probs_into == action_probs_batch at n = 1; the service
-    // keeps rows independent of their batch neighbours).
-    const SchedulingEnv* envp = &env;
-    forward_batch(&envp, 1);
-    return weights_from_probs(batch_probs_[0]);
-  }
   // Allocation-free inference: features land straight in the network
   // workspace and the probabilities in a reused buffer; only the returned
   // weight list is materialized.
@@ -285,12 +265,6 @@ DrlDecisionPolicy::action_weights_batch(const SchedulingEnv* const* envs,
 }
 
 std::shared_ptr<DecisionPolicy> DrlDecisionPolicy::clone() const {
-  if (shared_) {
-    // Shared-inference mode: the Policy is immutable to this guide (every
-    // forward goes through the service's workspaces), so clones alias the
-    // same weights and the same service — N workers, ONE network in memory.
-    return std::make_shared<DrlDecisionPolicy>(policy_, greedy_, shared_);
-  }
   // Each clone owns a full copy of the Policy (weights + scratch), so
   // concurrent forward passes on different threads cannot race.
   return std::make_shared<DrlDecisionPolicy>(
@@ -298,22 +272,6 @@ std::shared_ptr<DecisionPolicy> DrlDecisionPolicy::clone() const {
 }
 
 int DrlDecisionPolicy::pick(const SchedulingEnv& env, Rng& rng) {
-  if (shared_) {
-    // Same resolution as greedy_output / sample_output, fed by the shared
-    // batcher: argmax is the first maximum, sampling draws once from this
-    // row's RNG — bit-identical either way.
-    const SchedulingEnv* envp = &env;
-    forward_batch(&envp, 1);
-    const std::vector<double>& probs = batch_probs_[0];
-    std::size_t output;
-    if (greedy_) {
-      output = static_cast<std::size_t>(
-          std::max_element(probs.begin(), probs.end()) - probs.begin());
-    } else {
-      output = rng.categorical(probs);
-    }
-    return policy_->to_env_action(output);
-  }
   record_forward(1);
   if (greedy_) {
     return policy_->to_env_action(policy_->greedy_output(env));

@@ -24,10 +24,6 @@
 #include "mcts/transposition.h"
 #include "rl/policy.h"
 
-namespace spear::infer {
-class InferenceService;
-}  // namespace spear::infer
-
 namespace spear {
 
 class DecisionPolicy {
@@ -97,10 +93,7 @@ class DecisionPolicy {
   /// Physical network forwards this guide executed with its PRIVATE weights
   /// since the last reset_forward_stats(): kernel invocations and total
   /// rows, plus the per-call row-count histogram (hist[k] = calls with k
-  /// rows).  In shared-inference mode guides report ZERO here — the
-  /// InferenceService's own stats are the physical truth there (its fused
-  /// batches span guides, so no single guide can attribute them).  Default:
-  /// zero — guides without a network never forward.
+  /// rows).  Default: zero — guides without a network never forward.
   virtual std::int64_t forward_calls() const { return 0; }
   virtual std::int64_t forward_rows() const { return 0; }
   virtual const std::vector<std::int64_t>* forward_hist() const {
@@ -151,15 +144,8 @@ class TetrisDecisionPolicy : public DecisionPolicy {
 /// rollout picks sample from them (set `greedy` for argmax rollouts).
 class DrlDecisionPolicy : public DecisionPolicy {
  public:
-  /// `shared` routes EVERY network forward (action_weights, picks, batch
-  /// evaluations) through the process-wide InferenceService instead of the
-  /// wrapped Policy's private workspace (DESIGN.md §15): rows from this
-  /// guide fuse with rows from every other guide on the same service, and
-  /// clone() shares the immutable weights instead of deep-copying them.
-  /// Results are bit-identical either way (the service's row contract).
-  explicit DrlDecisionPolicy(
-      std::shared_ptr<const Policy> policy, bool greedy = false,
-      std::shared_ptr<infer::InferenceService> shared = nullptr);
+  explicit DrlDecisionPolicy(std::shared_ptr<const Policy> policy,
+                             bool greedy = false);
 
   std::vector<std::pair<int, double>> action_weights(
       const SchedulingEnv& env) override;
@@ -197,9 +183,7 @@ class DrlDecisionPolicy : public DecisionPolicy {
     forward_hist_.clear();
   }
   /// Clones with a private copy of the wrapped Policy (the network keeps a
-  /// mutable inference workspace, so sharing one across threads races) —
-  /// except in shared-inference mode, where the weights are immutable and
-  /// the clone shares them (the "replaces N cloned policies" saving).
+  /// mutable inference workspace, so sharing one across threads races).
   std::shared_ptr<DecisionPolicy> clone() const override;
 
   /// Fused batch evaluation: all `n` states featurized into one input
@@ -218,17 +202,14 @@ class DrlDecisionPolicy : public DecisionPolicy {
   /// action_weights form.
   std::vector<std::pair<int, double>> weights_from_probs(
       const std::vector<double>& probs) const;
-  /// The one forward funnel: fills batch_masks_/batch_probs_ for `n`
-  /// states, through the shared service when attached (rows fuse with
-  /// other clients) or the wrapped Policy's workspace otherwise.
+  /// The batched forward funnel: fills batch_masks_/batch_probs_ for `n`
+  /// states through the wrapped Policy's workspace, tallying the call.
   void forward_batch(const SchedulingEnv* const* envs, std::size_t n);
   /// Tallies one private-weights kernel invocation of `rows` rows.
   void record_forward(std::size_t rows);
 
   std::shared_ptr<const Policy> policy_;
   bool greedy_;
-  /// Shared-inference mode (null = private forwards).
-  std::shared_ptr<infer::InferenceService> shared_;
   /// Reused scratch: one guide serves one thread (parallel search clones),
   /// so holding the buffers across calls makes the steady state
   /// allocation-free.

@@ -5,14 +5,17 @@
 // re-simulates a prefix.  Values are negative makespans; per the paper's
 // backpropagation rule every node tracks both the MAXIMUM value seen in
 // rollouts through it (the exploitation score) and the running mean (the
-// tiebreaker).  Nodes live in an arena indexed by NodeId; the arena is
-// pre-reserved to the decision budget (see MctsScheduler) so expansion is a
-// bump allocation, never a reallocation.
+// tiebreaker).  Nodes live in an arena indexed by NodeId that grows
+// geometrically with the nodes actually expanded, so memory follows the
+// work done, not the configured budget.  Growth moves nodes: a SearchNode&
+// is invalidated by add_child, so callers re-fetch nodes by id after every
+// expansion.
 
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -70,8 +73,7 @@ struct SearchNode {
   /// currently holding this node on their path.  Inflates the node's visit
   /// count during selection so concurrent descents spread over siblings,
   /// and is released when the descent's evaluation is backed up.  Always 0
-  /// outside a leaf-parallel tick, so the serial and root-parallel searches
-  /// never observe it.
+  /// outside a leaf-parallel tick, so the serial search never observes it.
   std::int32_t vloss = 0;
 
   explicit SearchNode(SchedulingEnv s) : state(std::move(s)) {}
@@ -80,6 +82,8 @@ struct SearchNode {
     return visits > 0 ? sum_value / static_cast<double>(visits) : 0.0;
   }
 };
+// Arena growth must move node states, never copy them.
+static_assert(std::is_nothrow_move_constructible_v<SearchNode>);
 
 class SearchTree {
  public:
@@ -94,12 +98,8 @@ class SearchTree {
   }
   std::size_t size() const { return nodes_.size(); }
 
-  /// Pre-sizes the node arena to hold `total_nodes` nodes, so a budgeted
-  /// search (at most one expansion per iteration) never reallocates — and
-  /// never moves node states — mid-decision.
-  void reserve(std::size_t total_nodes) { nodes_.reserve(total_nodes); }
-
-  /// Appends a child of `parent` reached via `action`.
+  /// Appends a child of `parent` reached via `action`.  May grow the arena,
+  /// which invalidates every SearchNode reference into this tree.
   NodeId add_child(NodeId parent, int action, SchedulingEnv state) {
     const auto id = static_cast<NodeId>(nodes_.size());
     nodes_.emplace_back(std::move(state));

@@ -3,7 +3,7 @@
 //
 // The registry is mutex-sharded: a metric name hashes to one of a fixed set
 // of shards, each with its own lock and maps, so concurrent writers (e.g.
-// root-parallel MCTS workers) rarely contend.  Snapshots merge the shards
+// scheduling-service workers) rarely contend.  Snapshots merge the shards
 // into name-sorted maps and serialize to JSON or CSV.
 //
 // Instrumentation sites never talk to a registry directly — they go through

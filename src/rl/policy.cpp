@@ -110,16 +110,10 @@ void Policy::action_probs_batch(const SchedulingEnv* const* envs,
                                 std::size_t n,
                                 std::vector<std::vector<bool>>& masks,
                                 std::vector<std::vector<double>>& probs) const {
-  action_probs_batch_ws(ws_, envs, n, masks, probs);
-}
-
-void Policy::action_probs_batch_ws(
-    Mlp::ForwardWorkspace& ws, const SchedulingEnv* const* envs, std::size_t n,
-    std::vector<std::vector<bool>>& masks,
-    std::vector<std::vector<double>>& probs) const {
   masks.resize(n);
   probs.resize(n);
   if (n == 0) return;
+  Mlp::ForwardWorkspace& ws = ws_;
   Matrix& input = net_.begin_forward(ws, n);
   const std::size_t dim = net_.input_dim();
   // Each row's compressed (index, value) form is emitted while the

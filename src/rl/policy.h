@@ -60,17 +60,6 @@ class Policy {
                           std::vector<std::vector<bool>>& masks,
                           std::vector<std::vector<double>>& probs) const;
 
-  /// Workspace-external variant of action_probs_batch: ALL mutable forward
-  /// state lives in the caller's `ws`, so any number of threads may share
-  /// one immutable Policy as long as each brings its own workspace — the
-  /// contract the shared inference service (DESIGN.md §15) is built on.
-  /// Bit-identical to action_probs_batch, which delegates here with the
-  /// member workspace.
-  void action_probs_batch_ws(Mlp::ForwardWorkspace& ws,
-                             const SchedulingEnv* const* envs, std::size_t n,
-                             std::vector<std::vector<bool>>& masks,
-                             std::vector<std::vector<double>>& probs) const;
-
   /// Samples a network output index from action_probs.
   std::size_t sample_output(const SchedulingEnv& env, Rng& rng) const;
 

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/stats.h"
 #include "dag/io.h"
 #include "fault/runner.h"
 #include "obs/obs.h"
@@ -166,9 +167,7 @@ struct SchedulerService::Ledger {
     std::lock_guard<std::mutex> lock(mutex);
     c.search_degradations += stats.degradations;
     c.search_deadline_cutoffs += stats.deadline_cutoffs;
-    // Physical kernel invocations (batched AND single-row guide calls) —
-    // zero in shared-inference mode, where the InferenceService's own
-    // stats hold the physical truth.
+    // Physical kernel invocations (batched AND single-row guide calls).
     c.search_forwards += stats.guide_forwards;
     c.search_forward_rows += stats.guide_forward_rows;
     if (c.forward_hist.size() < stats.batch_rows_hist.size()) {
@@ -203,29 +202,15 @@ SchedulerService::~SchedulerService() { shutdown(); }
 void SchedulerService::start() {
   if (started_.exchange(true)) return;
 
-  // One guide prototype, cloned per worker.  kPrivate: clone() gives each
-  // worker a private copy of the Policy (the network keeps a mutable
-  // inference workspace, so sharing one across worker threads would race),
-  // and the per-worker copy then lives for the service lifetime — its
-  // buffers warm up once and are reused by every request that worker
-  // serves.  kShared: ONE process-wide InferenceService owns the forward
-  // workspaces, every worker's clone aliases the same immutable Policy and
-  // submits rows to the batcher, which fuses rows from concurrent searches
-  // (DESIGN.md §15).
+  // One guide prototype, cloned per worker: clone() gives each worker a
+  // private copy of the Policy (the network keeps a mutable inference
+  // workspace, so sharing one across worker threads would race), and the
+  // per-worker copy then lives for the service lifetime — its buffers warm
+  // up once and are reused by every request that worker serves.
   std::shared_ptr<DecisionPolicy> prototype;
   if (options_.policy) {
-    if (options_.infer_mode == InferMode::kShared) {
-      infer::InferenceOptions infer_options = options_.infer;
-      if (infer_options.max_clients == 0) {
-        // The workers are the only clients, and each blocks on its ticket:
-        // once all of them are in a batch, stop waiting for more rows.
-        infer_options.max_clients = static_cast<std::size_t>(options_.workers);
-      }
-      infer_ = std::make_shared<infer::InferenceService>(options_.policy,
-                                                         infer_options);
-    }
     prototype = std::make_shared<DrlDecisionPolicy>(options_.policy,
-                                                    /*greedy=*/true, infer_);
+                                                    /*greedy=*/true);
   }
 
   pool_ = std::make_unique<ThreadPool>(
@@ -244,7 +229,7 @@ void SchedulerService::start() {
     mcts.seed = options_.seed + 0x9e3779b97f4a7c15ull * (i + 1);
     mcts.name = options_.policy ? "Spear" : "MCTS";
     mcts.num_threads = options_.search_threads;
-    mcts.search_mode = options_.search_mode;
+    mcts.search_mode = SearchMode::kLeaf;
     worker->scheduler = std::make_unique<MctsScheduler>(
         mcts, prototype ? prototype->clone() : nullptr);
     workers_.push_back(std::move(worker));
@@ -406,9 +391,6 @@ void SchedulerService::shutdown() {
   }
   worker_done_.clear();
   pool_.reset();
-  // After the workers: they were the only submitters, so the batcher ring
-  // is quiet and drains instantly.
-  if (infer_) infer_->shutdown();
 }
 
 void SchedulerService::worker_loop(Worker& worker) {
@@ -603,37 +585,17 @@ std::string SchedulerService::counters_json() const {
      << ",\"cancel\":{\"queued\":" << c.cancel_queued
      << ",\"in_flight\":" << c.cancel_in_flight
      << ",\"not_found\":" << c.cancel_not_found << "}";
-  // Inference telemetry: per-search fused-forward totals plus (in shared
-  // mode) the process-wide batcher's own view — occupancy is the fraction
-  // of batch_max a mean forward fills.
-  os << ",\"infer\":{\"mode\":\""
-     << (infer_ ? "shared" : "private")
-     << "\",\"search_forwards\":" << c.search_forwards
+  // Inference telemetry: physical forward totals summed over searches.
+  os << ",\"infer\":{\"search_forwards\":" << c.search_forwards
      << ",\"search_forward_rows\":" << c.search_forward_rows
      << ",\"batch_rows_mean\":"
      << (c.search_forwards > 0
              ? static_cast<double>(c.search_forward_rows) /
                    static_cast<double>(c.search_forwards)
              : 0.0)
-     << ",\"batch_rows_p50\":" << infer::hist_percentile(c.forward_hist, 50.0)
-     << ",\"batch_rows_p99\":" << infer::hist_percentile(c.forward_hist, 99.0);
-  if (infer_) {
-    const infer::InferenceStats s = infer_->stats();
-    os << ",\"service\":{\"forwards\":" << s.forwards << ",\"rows\":" << s.rows
-       << ",\"requests\":" << s.requests
-       << ",\"batch_rows_mean\":" << s.mean_batch_rows()
-       << ",\"batch_rows_p50\":" << infer::hist_percentile(s.batch_rows_hist, 50.0)
-       << ",\"batch_rows_p99\":" << infer::hist_percentile(s.batch_rows_hist, 99.0)
-       << ",\"occupancy_mean\":"
-       << (s.mean_batch_rows() /
-           static_cast<double>(infer_->options().batch_max))
-       << ",\"queue_wait_us_mean\":" << s.mean_queue_wait_us()
-       << ",\"full_closes\":" << s.full_closes
-       << ",\"timeout_closes\":" << s.timeout_closes
-       << ",\"client_closes\":" << s.client_closes
-       << ",\"drain_closes\":" << s.drain_closes << "}";
-  }
-  os << "}"
+     << ",\"batch_rows_p50\":" << hist_percentile(c.forward_hist, 50.0)
+     << ",\"batch_rows_p99\":" << hist_percentile(c.forward_hist, 99.0)
+     << "}"
      << ",\"tenants\":{";
   bool first = true;
   const auto tenant_entry = [&](const std::string& name,

@@ -71,24 +71,10 @@
 
 #include "common/thread_pool.h"
 #include "core/spear.h"
-#include "infer/service.h"
 #include "svc/admission.h"
 #include "svc/protocol.h"
 
 namespace spear::svc {
-
-/// How service workers run their policy-network forwards (DESIGN.md §15).
-enum class InferMode {
-  /// Each worker's guide deep-copies the Policy and forwards through its
-  /// private workspace — bit-identical to the pre-§15 service.
-  kPrivate,
-  /// All workers share ONE immutable Policy and submit their forward rows
-  /// to a process-wide InferenceService, which fuses rows from concurrent
-  /// searches into wide batches (adaptive close at batch_max rows or the
-  /// batching timeout).  Placements are bit-identical to kPrivate (the
-  /// batch-row contract); only throughput/occupancy changes.
-  kShared,
-};
 
 struct ServiceOptions {
   /// Cluster capacity every job is scheduled against.
@@ -115,21 +101,14 @@ struct ServiceOptions {
   /// Degradation ladder thresholds (see header comment).
   std::int64_t full_search_floor_ms = 20;
   std::int64_t heuristic_floor_ms = 4;
-  /// Parallel-search architecture inside each worker's scheduler.  Leaf
-  /// mode is the default even single-threaded: the batched central
-  /// evaluator and transposition cache win on their own (DESIGN.md §11).
-  SearchMode search_mode = SearchMode::kLeaf;
-  /// Search threads inside one worker's scheduler.  Default 1: the service
-  /// scales across REQUESTS via `workers`; raise this only for few-tenant,
-  /// large-DAG deployments.
+  /// Search threads inside one worker's scheduler, which always runs the
+  /// leaf-parallel search (even single-threaded: the batched central
+  /// evaluator and transposition cache win on their own, DESIGN.md §11).
+  /// Default 1: the service scales across REQUESTS via `workers`; raise
+  /// this only for few-tenant, large-DAG deployments.
   int search_threads = 1;
   /// Optional trained DRL guide (Spear).  Null = unguided MCTS.
   std::shared_ptr<const Policy> policy;
-  /// Forward routing for the guide (ignored without a policy).
-  InferMode infer_mode = InferMode::kPrivate;
-  /// Batcher tuning for InferMode::kShared (batch_max, batch_timeout_us,
-  /// queue_capacity, runners); ignored in kPrivate.
-  infer::InferenceOptions infer;
   std::uint64_t seed = 42;
 };
 
@@ -170,10 +149,7 @@ struct ServiceCounters {
   /// PHYSICAL network kernel invocations and rows summed over answered
   /// searches (batched evaluations and single-row guide calls alike), with
   /// the batch-occupancy histogram (forward_hist[w] = forwards that scored
-  /// exactly w states) — the private-mode baseline the shared-inference
-  /// win is measured against: same logical rows, fewer and wider physical
-  /// forwards.  Zero in shared mode (the InferenceService stats hold the
-  /// physical truth there).
+  /// exactly w states).
   std::int64_t search_forwards = 0;
   std::int64_t search_forward_rows = 0;
   std::vector<std::int64_t> forward_hist;
@@ -249,9 +225,6 @@ class SchedulerService {
 
   std::size_t queue_depth() const { return queue_.size(); }
   const ServiceOptions& options() const { return options_; }
-  /// The shared batcher (InferMode::kShared with a policy); null otherwise.
-  /// Valid until shutdown(); benches read its stats() for occupancy.
-  const infer::InferenceService* infer_service() const { return infer_.get(); }
 
  private:
   struct Worker;
@@ -269,9 +242,6 @@ class SchedulerService {
 
   ServiceOptions options_;
   AdmissionQueue queue_;
-  /// Process-wide shared batcher (InferMode::kShared); null in kPrivate.
-  /// Shut down AFTER the workers drain — they submit rows to it.
-  std::shared_ptr<infer::InferenceService> infer_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::future<void>> worker_done_;

@@ -21,6 +21,7 @@
 
 #include "common/flags.h"
 #include "common/logging.h"
+#include "common/stats.h"
 #include "common/supervisor.h"
 #include "core/spear.h"
 #include "nn/serialize.h"
@@ -144,26 +145,11 @@ int main(int argc, char** argv) {
       "remaining deadline below which the heuristic answers without search");
   auto search_threads = flags.define_int(
       "search-threads", 1, "parallel search threads inside each worker");
-  auto search_mode = flags.define_string(
-      "search-mode", "leaf", "parallel search architecture: root|leaf");
   auto capacity_text = flags.define_string(
       "capacity", "1.0,1.0", "cluster capacity, comma-separated per resource");
   auto policy_path = flags.define_string(
       "policy", "",
       "trained policy network (save_mlp format); empty = unguided MCTS");
-  auto infer_mode = flags.define_string(
-      "infer-mode", "private",
-      "policy forward routing: private = per-worker network copies, shared "
-      "= one cross-request batched inference service (DESIGN.md §15)");
-  auto infer_batch_max = flags.define_int(
-      "infer-batch-max", 64, "shared inference: close a batch at this many rows");
-  auto infer_batch_timeout_us = flags.define_int(
-      "infer-batch-timeout-us", 200,
-      "shared inference: close a non-full batch after waiting this long");
-  auto infer_queue_cap = flags.define_int(
-      "infer-queue-cap", 256, "shared inference: bounded request ring size");
-  auto infer_runners = flags.define_int(
-      "infer-runners", 1, "shared inference: batcher runner threads");
   auto seed = flags.define_int("seed", 42, "base RNG seed");
   auto metrics_out = flags.define_string(
       "metrics-out", "", "write a run-report JSON here on shutdown");
@@ -229,20 +215,6 @@ int main(int argc, char** argv) {
     options.full_search_floor_ms = *full_floor_ms;
     options.heuristic_floor_ms = *heuristic_floor_ms;
     options.search_threads = static_cast<int>(*search_threads);
-    options.search_mode = parse_search_mode(*search_mode);
-    if (*infer_mode == "private") {
-      options.infer_mode = InferMode::kPrivate;
-    } else if (*infer_mode == "shared") {
-      options.infer_mode = InferMode::kShared;
-    } else {
-      throw std::runtime_error("--infer-mode must be private or shared");
-    }
-    options.infer.batch_max = static_cast<std::size_t>(
-        std::max<std::int64_t>(*infer_batch_max, 1));
-    options.infer.batch_timeout_us = *infer_batch_timeout_us;
-    options.infer.queue_capacity = static_cast<std::size_t>(
-        std::max<std::int64_t>(*infer_queue_cap, 1));
-    options.infer.runners = static_cast<int>(*infer_runners);
     options.seed = static_cast<std::uint64_t>(*seed);
     if (!policy_path->empty()) {
       Featurizer featurizer{FeaturizerOptions{}};
@@ -332,15 +304,12 @@ int main(int argc, char** argv) {
     report.set("degraded_heuristic", counters.degraded_heuristic);
     report.set("search_degradations", counters.search_degradations);
     report.set("search_deadline_cutoffs", counters.search_deadline_cutoffs);
-    report.set("infer_mode", options.infer_mode == InferMode::kShared
-                                 ? "shared"
-                                 : "private");
     report.set("search_forwards", counters.search_forwards);
     report.set("search_forward_rows", counters.search_forward_rows);
     report.set("batch_rows_p50",
-               infer::hist_percentile(counters.forward_hist, 50.0));
+               hist_percentile(counters.forward_hist, 50.0));
     report.set("batch_rows_p99",
-               infer::hist_percentile(counters.forward_hist, 99.0));
+               hist_percentile(counters.forward_hist, 99.0));
     const obs::MetricsSnapshot snapshot = obs::metrics()->snapshot();
     report.write(*metrics_out, &snapshot);
     std::fprintf(stderr, "spear_serviced: wrote %s\n", metrics_out->c_str());

@@ -450,13 +450,12 @@ Dag batch_test_dag(std::uint64_t seed) {
   return generate_random_dag(gen, rng);
 }
 
-MctsOptions batch_test_options(bool batch, int threads = 1) {
+MctsOptions batch_test_options(bool batch) {
   MctsOptions options;
   options.initial_budget = 48;
   options.min_budget = 12;
   options.seed = 5;
   options.batch_expansion = batch;
-  options.num_threads = threads;
   return options;
 }
 
@@ -490,24 +489,6 @@ TEST(MctsBatch, SerialScheduleIdenticalWithBatchOnAndOff) {
   EXPECT_GE(batched.last_stats().batched_rows,
             batched.last_stats().batched_evals);
   EXPECT_EQ(lazy.last_stats().batched_evals, 0);
-}
-
-TEST(MctsBatch, ParallelScheduleIdenticalWithBatchOnAndOff) {
-  const Dag dag = batch_test_dag(78);
-  const ResourceVector capacity{1.0, 1.0};
-
-  MctsScheduler batched(batch_test_options(true, 3), drl_guide(9));
-  MctsScheduler lazy(batch_test_options(false, 3), drl_guide(9));
-  const Schedule sb = batched.schedule(dag, capacity);
-  const Schedule sl = lazy.schedule(dag, capacity);
-
-  ASSERT_EQ(sb.size(), sl.size());
-  for (std::size_t i = 0; i < sb.size(); ++i) {
-    EXPECT_EQ(sb.placements()[i].task, sl.placements()[i].task);
-    EXPECT_EQ(sb.placements()[i].start, sl.placements()[i].start);
-  }
-  expect_same_search(batched.last_stats(), lazy.last_stats());
-  EXPECT_GT(batched.last_stats().batched_evals, 0);
 }
 
 TEST(MctsBatch, RandomGuideNeverTakesBatchPath) {

@@ -302,7 +302,7 @@ TEST(Mcts, ParallelPacksIndependentTasksOptimally) {
 }
 
 TEST(Mcts, ParallelMatchesSerialOptimaOnSmallInstances) {
-  // Makespan parity: on brute-force-verified instances, the root-parallel
+  // Makespan parity: on brute-force-verified instances, the leaf-parallel
   // search must find the same optimum the serial search finds.
   DagGeneratorOptions gen;
   gen.num_tasks = 6;
@@ -322,26 +322,6 @@ TEST(Mcts, ParallelMatchesSerialOptimaOnSmallInstances) {
     EXPECT_EQ(validated_makespan(mcts, dag, cap()), *optimal)
         << "seed " << seed;
   }
-}
-
-TEST(Mcts, ParallelDeterministicAtFixedThreadCount) {
-  // Worker RNG streams depend only on (seed, decision, worker id) and the
-  // merge is order-independent of OS scheduling, so repeated runs with the
-  // same thread count must agree exactly.
-  DagGeneratorOptions gen;
-  gen.num_tasks = 15;
-  Rng rng(3);
-  Dag dag = generate_random_dag(gen, rng);
-  MctsOptions options;
-  options.initial_budget = 40;
-  options.min_budget = 8;
-  options.seed = 77;
-  options.num_threads = 3;
-  MctsScheduler a(options), b(options);
-  EXPECT_EQ(a.schedule(dag, cap()).makespan(dag),
-            b.schedule(dag, cap()).makespan(dag));
-  EXPECT_EQ(a.last_stats().iterations, b.last_stats().iterations);
-  EXPECT_EQ(a.last_stats().rollouts, b.last_stats().rollouts);
 }
 
 TEST(Mcts, ParallelTelemetryPopulated) {
@@ -383,9 +363,9 @@ TEST(Mcts, SerialTelemetryPopulated) {
 TEST(Mcts, SerialAndParallelStatsAccountIdentically) {
   // With a flat budget and no deadline, every searched decision consumes
   // exactly initial_budget iterations: trivially in the serial mode, and in
-  // the root-parallel mode because the per-worker shares sum to the budget.
-  // The parallel half of this invariant only holds when the merge folds
-  // every worker's private Stats in — a dropped accumulator undercounts.
+  // leaf mode because the ticks' slots sum to the budget.  The parallel half
+  // of this invariant only holds when the backup folds every slot's
+  // telemetry in — a dropped accumulator undercounts.
   DagGeneratorOptions gen;
   gen.num_tasks = 12;
   Rng rng(5);
@@ -418,28 +398,6 @@ TEST(Mcts, SerialAndParallelStatsAccountIdentically) {
               stats.searched_decisions() + stats.forced_decisions)
         << "threads " << threads;
   }
-}
-
-TEST(Mcts, UncloneableGuideFallsBackToSerialSearch) {
-  // A custom guide without clone() cannot be shared across workers; the
-  // scheduler must silently run the serial search instead of racing.
-  class UniformNoClone : public DecisionPolicy {
-   public:
-    std::vector<std::pair<int, double>> action_weights(
-        const SchedulingEnv& env) override {
-      std::vector<std::pair<int, double>> out;
-      for (int a : env.valid_actions()) out.emplace_back(a, 1.0);
-      return out;
-    }
-  };
-  MctsOptions options;
-  options.initial_budget = 40;
-  options.min_budget = 10;
-  options.num_threads = 4;
-  MctsScheduler mcts(options, std::make_shared<UniformNoClone>());
-  Dag dag = testing::make_independent(4, 5, ResourceVector{0.5, 0.5});
-  EXPECT_EQ(validated_makespan(mcts, dag, cap()), 10);
-  EXPECT_GT(mcts.last_stats().iterations, 0);
 }
 
 TEST(GreedyEstimate, MatchesHeuristicRollout) {

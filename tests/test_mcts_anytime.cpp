@@ -134,9 +134,9 @@ TEST(FaultMcts, SpeculativeFaultTelemetryIsCounted) {
 }
 
 TEST(FaultMcts, ParallelSearchKeepsPerWorkerFaultTelemetry) {
-  // The root-parallel merge must fold each worker's speculative fault
-  // counters into the scheduler Stats — before the merge was extended,
-  // search-time fault events at num_threads > 1 were silently dropped.
+  // The parallel search must fold each slot's speculative fault counters
+  // into the scheduler Stats — search-time fault events at num_threads > 1
+  // must never be silently dropped.
   FaultOptions fault_options;
   fault_options.fault_rate = 0.3;
   fault_options.seed = 5;
@@ -269,6 +269,35 @@ TEST(AnytimeMcts, LeafModeDegradationCountersAreWorkerCountInvariant) {
           << "workers=" << workers;
     }
   }
+}
+
+/// A search whose iteration budget only a deadline can end: the node arena
+/// must grow with the iterations actually run, not be sized to the budget
+/// (50M nodes, each holding an environment, exhausts any machine's memory).
+void expect_huge_budget_search_is_cut_by_deadline(MctsOptions options) {
+  options.initial_budget = 50'000'000;
+  options.min_budget = 50'000'000;
+  options.time_budget_ms = 50;
+  MctsScheduler scheduler(options);
+
+  const Dag dag = testing::make_independent(6, 4);
+  const Schedule schedule = scheduler.schedule(dag, cap());
+  EXPECT_EQ(schedule.validate(dag, cap()), std::nullopt);
+  const auto& stats = scheduler.last_stats();
+  EXPECT_GT(stats.iterations, 0);
+  EXPECT_GT(stats.deadline_cutoffs, 0);
+  EXPECT_LT(stats.iterations, options.initial_budget);
+}
+
+TEST(SearchArena, SerialHugeBudgetGrowsOnDemand) {
+  expect_huge_budget_search_is_cut_by_deadline(MctsOptions{});
+}
+
+TEST(SearchArena, LeafHugeBudgetGrowsOnDemand) {
+  MctsOptions options;
+  options.search_mode = SearchMode::kLeaf;
+  options.num_threads = 2;
+  expect_huge_budget_search_is_cut_by_deadline(options);
 }
 
 TEST(FaultMcts, FaultAwareSearchIsReplayable) {

@@ -1,6 +1,7 @@
 // Leaf-parallel MCTS (DESIGN.md §11): seeded determinism across worker
-// counts, stats reconciliation, cache bit-identity, and the serial
-// fallback for uncloneable guides.
+// counts, stats reconciliation, cache bit-identity, kRoot at several
+// threads running the same search, and the serial fallback for
+// uncloneable guides.
 
 #include "mcts/mcts.h"
 
@@ -219,6 +220,36 @@ TEST(LeafMcts, NoTreeReuseStillValid) {
   EXPECT_GE(makespan, features.critical_path());
   EXPECT_LE(makespan, dag.total_runtime());
   EXPECT_GT(mcts.last_stats().leaf_ticks, 0);
+}
+
+TEST(LeafMcts, RootModeAtSeveralThreadsRunsTheLeafSearch) {
+  // Leaf mode is the only parallel search: at num_threads > 1 the kRoot
+  // setting must search exactly like kLeaf.
+  const Dag dag = test_dag(32);
+  MctsOptions root_options = leaf_options(3);
+  root_options.search_mode = SearchMode::kRoot;
+  MctsScheduler root(root_options, make_guide());
+  MctsScheduler leaf(leaf_options(3), make_guide());
+  expect_same_placements(root.schedule(dag, cap()).placements(),
+                         leaf.schedule(dag, cap()).placements());
+
+  // Every count that does not depend on thread timing (the shared rollout
+  // cache's hit/miss split does) must agree too.
+  const auto& a = root.last_stats();
+  const auto& b = leaf.last_stats();
+  EXPECT_GT(a.leaf_ticks, 0);
+  EXPECT_EQ(a.decisions, b.decisions);
+  EXPECT_EQ(a.forced_decisions, b.forced_decisions);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.rollouts, b.rollouts);
+  EXPECT_EQ(a.nodes_expanded, b.nodes_expanded);
+  EXPECT_EQ(a.env_copies, b.env_copies);
+  EXPECT_EQ(a.leaf_ticks, b.leaf_ticks);
+  EXPECT_EQ(a.tt_hits, b.tt_hits);
+  EXPECT_EQ(a.tt_misses, b.tt_misses);
+  EXPECT_EQ(a.vloss_collisions, b.vloss_collisions);
+  EXPECT_EQ(a.batched_evals, b.batched_evals);
+  EXPECT_EQ(a.batched_rows, b.batched_rows);
 }
 
 TEST(LeafMcts, UncloneableGuideFallsBackToSerial) {

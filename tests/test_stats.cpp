@@ -58,6 +58,21 @@ TEST(Stats, MedianOddEven) {
   EXPECT_DOUBLE_EQ(median({4.0, 1.0, 2.0, 3.0}), 2.5);
 }
 
+TEST(Stats, HistPercentileNearestRank) {
+  EXPECT_EQ(hist_percentile({}, 50.0), 0.0);
+  EXPECT_EQ(hist_percentile({0, 0, 0}, 99.0), 0.0);
+  // 10 samples of value 1: every percentile is 1.
+  std::vector<std::int64_t> hist(5, 0);
+  hist[1] = 10;
+  EXPECT_EQ(hist_percentile(hist, 50.0), 1.0);
+  EXPECT_EQ(hist_percentile(hist, 99.0), 1.0);
+  // 9 of value 1, 1 of value 4: p50 = 1, p99 lands on the large one.
+  hist[4] = 1;
+  hist[1] = 9;
+  EXPECT_EQ(hist_percentile(hist, 50.0), 1.0);
+  EXPECT_EQ(hist_percentile(hist, 99.0), 4.0);
+}
+
 TEST(Stats, EmpiricalCdf) {
   const auto cdf = empirical_cdf({3.0, 1.0, 2.0, 2.0});
   ASSERT_EQ(cdf.size(), 4u);

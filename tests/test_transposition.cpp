@@ -1,6 +1,8 @@
 #include "mcts/transposition.h"
 
+#include <cstdint>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -129,6 +131,75 @@ TEST(ActionCache, ZeroCapacityDisables) {
   cache.insert({1}, 42);
   EXPECT_EQ(cache.find({1}), nullptr);
   EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(SharedActionCache, FindInsertAcrossShards) {
+  SharedActionCache cache(64, 4);
+  EXPECT_EQ(cache.size(), 0u);
+  for (std::uint64_t k = 0; k < 40; ++k) {
+    cache.insert({k, k + 1}, static_cast<int>(k));
+  }
+  EXPECT_EQ(cache.size(), 40u);
+  int action = -1;
+  for (std::uint64_t k = 0; k < 40; ++k) {
+    ASSERT_TRUE(cache.find({k, k + 1}, &action)) << "key " << k;
+    EXPECT_EQ(action, static_cast<int>(k));
+  }
+  EXPECT_FALSE(cache.find({999, 1000}, &action));
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.find({1, 2}, &action));
+}
+
+TEST(SharedActionCache, DuplicateInsertKeepsFirst) {
+  SharedActionCache cache(16, 2);
+  cache.insert({7, 7}, 1);
+  cache.insert({7, 7}, 2);
+  int action = -1;
+  ASSERT_TRUE(cache.find({7, 7}, &action));
+  EXPECT_EQ(action, 1);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(SharedActionCache, BoundedByCapacityWithFifoEviction) {
+  // 8 entries over 2 shards = 4 per shard; overfilling evicts the oldest
+  // per shard, never growing past the per-shard cap.
+  SharedActionCache cache(8, 2);
+  for (std::uint64_t k = 0; k < 100; ++k) {
+    cache.insert({k}, static_cast<int>(k));
+  }
+  EXPECT_LE(cache.size(), 8u);
+  EXPECT_GT(cache.size(), 0u);
+}
+
+TEST(SharedActionCache, ZeroCapacityDisables) {
+  SharedActionCache cache(0);
+  cache.insert({1}, 1);
+  int action = -1;
+  EXPECT_FALSE(cache.find({1}, &action));
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(SharedActionCache, ConcurrentMixedUseIsSafe) {
+  SharedActionCache cache(256, 8);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&cache, t] {
+      int action = -1;
+      const auto salt = static_cast<std::uint64_t>(t % 2);
+      for (std::uint64_t k = 0; k < 500; ++k) {
+        const SharedActionCache::Key key{k % 64, salt};
+        // Values are keyed deterministically, so a hit must agree.
+        const int expected = static_cast<int>((k % 64) ^ salt);
+        if (cache.find(key, &action)) {
+          EXPECT_EQ(action, expected);
+        } else {
+          cache.insert(key, expected);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
 }
 
 TEST(CanonicalKey, IdenticalStatesProduceIdenticalKeys) {
