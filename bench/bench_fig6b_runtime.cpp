@@ -70,20 +70,11 @@ int main(int argc, char** argv) {
   Table table({"job", "Spear (s)", "MCTS (s)", "Graphene (s)"});
   std::vector<double> spear_times, mcts_times, graphene_times;
   MctsScheduler::Stats spear_stats, mcts_stats;
-  const auto accumulate = [](MctsScheduler::Stats& into,
-                             const MctsScheduler::Stats& from) {
-    into.decisions += from.decisions;
-    into.iterations += from.iterations;
-    into.rollouts += from.rollouts;
-    into.nodes_expanded += from.nodes_expanded;
-    into.env_copies += from.env_copies;
-    into.search_seconds += from.search_seconds;
-  };
   for (std::size_t j = 0; j < dags.size(); ++j) {
     const auto s = timed_makespan(*spear, dags[j], capacity);
-    accumulate(spear_stats, spear->last_stats());
+    spear_stats += spear->last_stats();
     const auto m = timed_makespan(mcts, dags[j], capacity);
-    accumulate(mcts_stats, mcts.last_stats());
+    mcts_stats += mcts.last_stats();
     const auto g = timed_makespan(*graphene, dags[j], capacity);
     spear_times.push_back(s.seconds);
     mcts_times.push_back(m.seconds);

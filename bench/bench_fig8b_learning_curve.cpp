@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "ckpt/manager.h"
-#include "ckpt/supervisor.h"
 #include "common/flags.h"
+#include "common/supervisor.h"
 #include "common/table.h"
 #include "obs/report.h"
 #include "rl/imitation.h"
@@ -72,13 +72,13 @@ int main(int argc, char** argv) {
     mo.dir = *checkpoint_dir;
     mo.keep = static_cast<std::size_t>(*checkpoint_keep);
     manager = std::make_unique<ckpt::CheckpointManager>(std::move(mo));
-    ckpt::install_signal_handlers();
+    install_signal_handlers();
     // Metrics make ckpt.saves / watchdog counters visible in the exit
     // report.  Default (no --checkpoint-dir) runs keep obs fully disabled,
     // so their output stays byte-identical.
     obs::install_metrics(std::make_shared<obs::MetricsRegistry>());
   }
-  ckpt::Watchdog watchdog("fig8b");
+  Watchdog watchdog("fig8b");
   const auto epoch_deadline =
       std::chrono::milliseconds(*epoch_deadline_ms > 0 ? *epoch_deadline_ms
                                                        : 0);
@@ -164,13 +164,13 @@ int main(int argc, char** argv) {
       warmup.restore(loaded->state);
     }
     while (!warmup.done()) {
-      if (ckpt::stop_requested()) {
+      if (stop_requested()) {
         std::printf("stop requested; checkpointing imitation at epoch %zu\n",
                     warmup.next_epoch());
         flush_checkpoint(warmup.checkpoint_state(), /*stopped_early=*/true);
         return 0;
       }
-      ckpt::WatchdogScope scope(
+      WatchdogScope scope(
           watchdog, epoch_deadline,
           "imitation epoch " + std::to_string(warmup.next_epoch()));
       warmup.run_epoch();
@@ -204,14 +204,14 @@ int main(int argc, char** argv) {
   }
 
   while (!trainer.done()) {
-    if (ckpt::stop_requested()) {
+    if (stop_requested()) {
       std::printf("stop requested; checkpointing REINFORCE at epoch %zu\n",
                   trainer.next_epoch());
       flush_checkpoint(trainer.checkpoint_state(), /*stopped_early=*/true);
       return 0;
     }
     const std::size_t epoch = trainer.next_epoch();
-    ckpt::WatchdogScope scope(watchdog, epoch_deadline,
+    WatchdogScope scope(watchdog, epoch_deadline,
                               "REINFORCE epoch " + std::to_string(epoch));
     const double makespan = trainer.run_epoch();
     emit_row(epoch, makespan);

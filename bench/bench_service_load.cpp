@@ -94,6 +94,7 @@ struct LoadParams {
 /// service ledger.
 struct LoadOutcome {
   ServiceCounters c;
+  std::string counters_json;  ///< the same ledger, as the `stats` body
   double elapsed_s = 0.0;
   std::int64_t submitted = 0;
   std::int64_t answered = 0;
@@ -203,6 +204,7 @@ LoadOutcome run_load(const LoadParams& params) {
   out.submitted = submitted;
   out.answered = answered.load();
   out.c = service.counters();
+  out.counters_json = service.counters_json();
 
   // Invariant: nothing vanished — every submission was answered exactly
   // once (placed, structurally rejected, or cancelled).
@@ -486,22 +488,12 @@ int main(int argc, char** argv) {
     const std::int64_t shed_total =
         c.rejected_queue_full + c.rejected_quota_exceeded;
     obs::RunReport report("bench_service_load");
-    report.set("submitted", c.submitted);
-    report.set("placed", c.placed);
-    report.set("shed", shed_total);
+    report.set_json("service", out.counters_json);
     report.set("shed_rate", c.submitted > 0 ? static_cast<double>(shed_total) /
                                                   c.submitted
                                             : 0.0);
-    report.set("expired", c.rejected_deadline_expired);
-    report.set("cancelled", c.cancelled);
-    report.set("degraded_reduced", c.degraded_reduced);
-    report.set("degraded_heuristic", c.degraded_heuristic);
-    report.set("search_degradations", c.search_degradations);
     report.set("jobs_per_sec", out.jobs_per_sec());
     report.set("forwards_per_sec", out.forwards_per_sec());
-    report.set("batch_rows_mean", out.mean_batch_rows());
-    report.set("batch_rows_p50", hist_percentile(c.forward_hist, 50.0));
-    report.set("batch_rows_p99", hist_percentile(c.forward_hist, 99.0));
     if (!out.latency_ms.empty()) {
       report.set("latency_p50_ms", percentile(out.latency_ms, 50));
       report.set("latency_p99_ms", percentile(out.latency_ms, 99));

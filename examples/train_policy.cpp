@@ -20,9 +20,9 @@
 #include <optional>
 
 #include "ckpt/manager.h"
-#include "ckpt/supervisor.h"
 #include "common/csv.h"
 #include "common/flags.h"
+#include "common/supervisor.h"
 #include "core/spear.h"
 #include "dag/generator.h"
 #include "nn/serialize.h"
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
     ckpt::CheckpointManagerOptions mo;
     mo.dir = *checkpoint_dir;
     manager = std::make_unique<ckpt::CheckpointManager>(std::move(mo));
-    ckpt::install_signal_handlers();
+    install_signal_handlers();
     if (*resume) {
       loaded = manager->load_latest();
       if (loaded) {
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
       warmup.restore(loaded->state);
     }
     while (!warmup.done()) {
-      if (checkpointing && ckpt::stop_requested()) {
+      if (checkpointing && stop_requested()) {
         return save_and_exit(warmup.checkpoint_state());
       }
       const std::size_t e = warmup.next_epoch();
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
                 trainer.result().epoch_mean_makespan[e]);
   }
   while (!trainer.done()) {
-    if (checkpointing && ckpt::stop_requested()) {
+    if (checkpointing && stop_requested()) {
       return save_and_exit(trainer.checkpoint_state());
     }
     const std::size_t e = trainer.next_epoch();

@@ -63,6 +63,12 @@ double hist_percentile(const std::vector<std::int64_t>& hist, double pct) {
   return static_cast<double>(hist.size() - 1);
 }
 
+void hist_add(std::vector<std::int64_t>& into,
+              const std::vector<std::int64_t>& from) {
+  if (into.size() < from.size()) into.resize(from.size(), 0);
+  for (std::size_t w = 0; w < from.size(); ++w) into[w] += from[w];
+}
+
 std::vector<CdfPoint> empirical_cdf(std::vector<double> xs) {
   std::sort(xs.begin(), xs.end());
   std::vector<CdfPoint> out;

@@ -35,6 +35,10 @@ double median(std::vector<double> xs);
 /// <= w.  0 when the histogram is empty.
 double hist_percentile(const std::vector<std::int64_t>& hist, double pct);
 
+/// Adds `from` into `into` bucket by bucket, growing `into` to fit.
+void hist_add(std::vector<std::int64_t>& into,
+              const std::vector<std::int64_t>& from);
+
 /// One (x, F(x)) point per sample: the empirical CDF, sorted by x.
 struct CdfPoint {
   double value = 0.0;

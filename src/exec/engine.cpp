@@ -186,7 +186,6 @@ void ExecutionEngine::maybe_speculate(RunState& s) const {
     s.running.push_back({id, attempt, s.now, s.now + realized, true,
                          std::make_shared<std::atomic<bool>>(false)});
     s.events.push_back({s.now, EventKind::kSpeculate, id, attempt, realized});
-    if (obs::enabled()) obs::count("exec.speculations");
   }
 }
 
@@ -282,7 +281,6 @@ void ExecutionEngine::local_repair(RunState& s) const {
               const Time bb = bl[static_cast<std::size_t>(b)];
               return ba != bb ? ba > bb : a < b;
             });
-  if (obs::enabled()) obs::count("exec.local_repairs");
 }
 
 void ExecutionEngine::research(RunState& s) const {
@@ -369,7 +367,6 @@ void ExecutionEngine::research(RunState& s) const {
               const Time sb = residual_plan.start_of(rb);
               return sa != sb ? sa < sb : ra < rb;
             });
-  if (obs::enabled()) obs::count("exec.researches");
 }
 
 ExecResult ExecutionEngine::run(const Schedule& plan) {
@@ -473,9 +470,9 @@ ExecResult ExecutionEngine::run(const Schedule& plan) {
     obs::count("exec.runs");
     obs::count("exec.surprises", s.stats.surprises);
     obs::count("exec.absorbed", s.stats.absorbed);
-    obs::count("exec.local_repairs_total", s.stats.local_repairs);
-    obs::count("exec.researches_total", s.stats.researches);
-    obs::count("exec.speculations_total", s.stats.speculations);
+    obs::count("exec.local_repairs", s.stats.local_repairs);
+    obs::count("exec.researches", s.stats.researches);
+    obs::count("exec.speculations", s.stats.speculations);
     obs::count("exec.speculation_wins", s.stats.speculation_wins);
     obs::count("exec.cancellations", s.stats.cancellations);
     obs::gauge("exec.last_makespan", static_cast<double>(makespan));

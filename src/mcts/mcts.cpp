@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "common/stats.h"
 #include "obs/obs.h"
 
 namespace spear {
@@ -119,7 +120,52 @@ std::vector<PreparedChild> prepare_children(
   return out;
 }
 
+/// Every int64_t Stats counter with its metric name, in declaration order.
+struct NamedCount {
+  const char* name;
+  std::int64_t MctsScheduler::Stats::*field;
+};
+constexpr NamedCount kStatsCounts[] = {
+    {"mcts.decisions", &MctsScheduler::Stats::decisions},
+    {"mcts.forced_decisions", &MctsScheduler::Stats::forced_decisions},
+    {"mcts.iterations", &MctsScheduler::Stats::iterations},
+    {"mcts.rollouts", &MctsScheduler::Stats::rollouts},
+    {"mcts.nodes_expanded", &MctsScheduler::Stats::nodes_expanded},
+    {"mcts.env_copies", &MctsScheduler::Stats::env_copies},
+    {"mcts.deadline_cutoffs", &MctsScheduler::Stats::deadline_cutoffs},
+    {"mcts.degradations", &MctsScheduler::Stats::degradations},
+    {"mcts.task_failures", &MctsScheduler::Stats::task_failures},
+    {"mcts.task_retries", &MctsScheduler::Stats::task_retries},
+    {"mcts.search_failures", &MctsScheduler::Stats::search_failures},
+    {"mcts.search_retries", &MctsScheduler::Stats::search_retries},
+    {"mcts.search_aborts", &MctsScheduler::Stats::search_aborts},
+    {"mcts.batched_evals", &MctsScheduler::Stats::batched_evals},
+    {"mcts.batched_rows", &MctsScheduler::Stats::batched_rows},
+    {"mcts.guide_forwards", &MctsScheduler::Stats::guide_forwards},
+    {"mcts.guide_forward_rows", &MctsScheduler::Stats::guide_forward_rows},
+    {"mcts.leaf_ticks", &MctsScheduler::Stats::leaf_ticks},
+    {"mcts.tt_hits", &MctsScheduler::Stats::tt_hits},
+    {"mcts.tt_misses", &MctsScheduler::Stats::tt_misses},
+    {"mcts.vloss_collisions", &MctsScheduler::Stats::vloss_collisions},
+    {"mcts.rollout_cache_hits", &MctsScheduler::Stats::rollout_cache_hits},
+    {"mcts.rollout_cache_misses",
+     &MctsScheduler::Stats::rollout_cache_misses},
+};
+
 }  // namespace
+
+void MctsScheduler::Stats::for_each_count(
+    const std::function<void(const char* name, std::int64_t value)>& f)
+    const {
+  for (const NamedCount& c : kStatsCounts) f(c.name, this->*c.field);
+}
+
+MctsScheduler::Stats& MctsScheduler::Stats::operator+=(const Stats& other) {
+  for (const NamedCount& c : kStatsCounts) this->*c.field += other.*c.field;
+  search_seconds += other.search_seconds;
+  hist_add(batch_rows_hist, other.batch_rows_hist);
+  return *this;
+}
 
 Time greedy_makespan_estimate(const SchedulingEnv& env) {
   HeuristicDecisionPolicy greedy;
@@ -751,30 +797,20 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
     // Keys do not encode the DAG identity: never reuse entries across
     // schedule() calls.
     transpositions_->clear();
-    // Arm the workers' rollout action caches (greedy guides only — the
-    // calls are no-ops for sampling or cache-less guides).  Re-arming drops
-    // stale entries and zeroes the hit/miss tallies.  At num_threads > 1
-    // the workers share ONE cache: private per-worker caches miss
-    // independently on the same rollout states, so total forwards GREW
-    // with the worker count (the multi-thread throughput regression); hits
-    // stay bit-identical either way (greedy picks are pure functions of
-    // the state), only the hit/miss split becomes timing-dependent.
-    if (worker_guides_.size() > 1 && options_.transposition_capacity > 0) {
-      if (!shared_rollout_cache_ || shared_rollout_cache_->capacity() !=
-                                        options_.transposition_capacity) {
-        shared_rollout_cache_ = std::make_shared<SharedActionCache>(
-            options_.transposition_capacity);
-      }
-      shared_rollout_cache_->clear();
-      for (const auto& g : worker_guides_) {
-        g->share_rollout_cache(shared_rollout_cache_);
-      }
-    } else {
-      shared_rollout_cache_.reset();
-      for (const auto& g : worker_guides_) {
-        g->enable_rollout_cache(options_.transposition_capacity);
-      }
+    // Arm the workers' rollout action cache (greedy guides only — the call
+    // is a no-op for sampling or cache-less guides), fresh per schedule.
+    // All workers share ONE cache: private per-worker caches miss
+    // independently on the same rollout states, so total forwards grew with
+    // the worker count.  Hits are bit-identical either way (greedy picks
+    // are pure functions of the state).  One worker gets one shard, so FIFO
+    // eviction is global and the hit/miss counts are deterministic; with
+    // more workers the hit/miss split depends on timing.
+    std::shared_ptr<SharedActionCache> rollout_cache;
+    if (options_.transposition_capacity > 0) {
+      rollout_cache = std::make_shared<SharedActionCache>(
+          options_.transposition_capacity, worker_guides_.size() > 1 ? 8 : 1);
     }
+    for (const auto& g : worker_guides_) g->share_rollout_cache(rollout_cache);
   }
   // Zero every guide's physical-forward tallies so the end-of-schedule fold
   // reports THIS schedule only (clones persist across schedule() calls).
@@ -799,8 +835,7 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
     stats_.task_retries = env.fault_stats().retries;
   };
   // Worker rollout-cache tallies are folded ONCE per schedule() (each
-  // worker accumulates across every decision); the per-worker sums are
-  // deterministic for a fixed seed and worker count.
+  // worker accumulates across every decision).
   const auto fold_rollout_cache_stats = [this, leaf_mode]() {
     if (!leaf_mode) return;
     for (const auto& g : worker_guides_) {
@@ -816,13 +851,8 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
     const auto fold_one = [this](const DecisionPolicy& g) {
       stats_.guide_forwards += g.forward_calls();
       stats_.guide_forward_rows += g.forward_rows();
-      const std::vector<std::int64_t>* hist = g.forward_hist();
-      if (!hist) return;
-      if (stats_.batch_rows_hist.size() < hist->size()) {
-        stats_.batch_rows_hist.resize(hist->size(), 0);
-      }
-      for (std::size_t w = 0; w < hist->size(); ++w) {
-        stats_.batch_rows_hist[w] += (*hist)[w];
+      if (const std::vector<std::int64_t>* hist = g.forward_hist()) {
+        hist_add(stats_.batch_rows_hist, *hist);
       }
     };
     if (guide_) fold_one(*guide_);
@@ -832,29 +862,8 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
   const auto flush_metrics = [this]() {
     if (!obs::enabled()) return;
     obs::count("mcts.schedules");
-    obs::count("mcts.decisions", stats_.decisions);
-    obs::count("mcts.forced_decisions", stats_.forced_decisions);
-    obs::count("mcts.iterations", stats_.iterations);
-    obs::count("mcts.rollouts", stats_.rollouts);
-    obs::count("mcts.nodes_expanded", stats_.nodes_expanded);
-    obs::count("mcts.env_copies", stats_.env_copies);
-    obs::count("mcts.deadline_cutoffs", stats_.deadline_cutoffs);
-    obs::count("mcts.degradations", stats_.degradations);
-    obs::count("mcts.task_failures", stats_.task_failures);
-    obs::count("mcts.task_retries", stats_.task_retries);
-    obs::count("mcts.search_failures", stats_.search_failures);
-    obs::count("mcts.search_retries", stats_.search_retries);
-    obs::count("mcts.search_aborts", stats_.search_aborts);
-    obs::count("mcts.batched_evals", stats_.batched_evals);
-    obs::count("mcts.batched_rows", stats_.batched_rows);
-    obs::count("mcts.guide_forwards", stats_.guide_forwards);
-    obs::count("mcts.guide_forward_rows", stats_.guide_forward_rows);
-    obs::count("mcts.leaf_ticks", stats_.leaf_ticks);
-    obs::count("mcts.tt_hits", stats_.tt_hits);
-    obs::count("mcts.tt_misses", stats_.tt_misses);
-    obs::count("mcts.vloss_collisions", stats_.vloss_collisions);
-    obs::count("mcts.rollout_cache_hits", stats_.rollout_cache_hits);
-    obs::count("mcts.rollout_cache_misses", stats_.rollout_cache_misses);
+    stats_.for_each_count(
+        [](const char* name, std::int64_t value) { obs::count(name, value); });
     obs::gauge("mcts.last_search_seconds", stats_.search_seconds);
   };
 

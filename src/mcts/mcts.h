@@ -49,6 +49,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -236,10 +237,19 @@ class MctsScheduler : public Scheduler {
                                         ///< already holding virtual loss
                                         ///< (another descent in flight)
     std::int64_t rollout_cache_hits = 0;    ///< greedy rollout steps served
-                                            ///< from the workers' action
-                                            ///< caches (no forward)
+                                            ///< from the shared rollout
+                                            ///< action cache (no forward)
     std::int64_t rollout_cache_misses = 0;  ///< rollout steps that paid the
                                             ///< batched forward
+
+    /// Visits every int64_t counter above once, with its metric name
+    /// ("mcts.<field>").  The one list of counters: flush_metrics and
+    /// operator+= are both derived from it.
+    void for_each_count(
+        const std::function<void(const char* name, std::int64_t value)>& f)
+        const;
+    /// Sums every counter, search_seconds and batch_rows_hist.
+    Stats& operator+=(const Stats& other);
 
     double seconds_per_decision() const {
       return decisions > 0 ? search_seconds / static_cast<double>(decisions)
@@ -334,10 +344,6 @@ class MctsScheduler : public Scheduler {
   /// Leaf-mode prior cache, reset per schedule() call (its keys do not
   /// encode the DAG identity); null outside leaf mode.
   std::unique_ptr<TranspositionCache> transpositions_;
-  /// Leaf-mode rollout action cache shared across ALL worker guides at
-  /// num_threads > 1 (per-worker private caches fragment — the multi-thread
-  /// throughput regression); reset per schedule() call like transpositions_.
-  std::shared_ptr<SharedActionCache> shared_rollout_cache_;
   /// Rollout value assigned to simulated trajectories that abort under the
   /// retry policy — a deterministic penalty worse than any completion.
   double abort_value_ = 0.0;

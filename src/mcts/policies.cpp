@@ -114,6 +114,24 @@ int DecisionPolicy::pick(const SchedulingEnv& env, Rng& rng) {
   return weights.back().first;  // unreachable: total > 0
 }
 
+std::int64_t DecisionPolicy::forward_calls() const {
+  std::int64_t calls = 0;
+  if (const std::vector<std::int64_t>* hist = forward_hist()) {
+    for (const std::int64_t c : *hist) calls += c;
+  }
+  return calls;
+}
+
+std::int64_t DecisionPolicy::forward_rows() const {
+  std::int64_t rows = 0;
+  if (const std::vector<std::int64_t>* hist = forward_hist()) {
+    for (std::size_t w = 0; w < hist->size(); ++w) {
+      rows += static_cast<std::int64_t>(w) * (*hist)[w];
+    }
+  }
+  return rows;
+}
+
 void DecisionPolicy::pick_batch(const SchedulingEnv* const* envs,
                                 std::size_t n, Rng* const* rngs, int* out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = pick(*envs[i], *rngs[i]);
@@ -224,8 +242,6 @@ void DrlDecisionPolicy::forward_batch(const SchedulingEnv* const* envs,
 }
 
 void DrlDecisionPolicy::record_forward(std::size_t rows) {
-  ++forward_calls_;
-  forward_rows_ += static_cast<std::int64_t>(rows);
   if (forward_hist_.size() <= rows) forward_hist_.resize(rows + 1, 0);
   ++forward_hist_[rows];
 }
@@ -279,35 +295,22 @@ int DrlDecisionPolicy::pick(const SchedulingEnv& env, Rng& rng) {
   return policy_->to_env_action(policy_->sample_output(env, rng));
 }
 
-void DrlDecisionPolicy::enable_rollout_cache(std::size_t capacity) {
-  rollout_cache_hits_ = 0;
-  rollout_cache_misses_ = 0;
-  shared_rollout_cache_.reset();
-  if (capacity == 0 || !greedy_) {
-    rollout_cache_.reset();
-    return;
-  }
-  rollout_cache_ = std::make_unique<ActionCache>(capacity);
-}
-
 void DrlDecisionPolicy::share_rollout_cache(
     std::shared_ptr<SharedActionCache> cache) {
   rollout_cache_hits_ = 0;
   rollout_cache_misses_ = 0;
-  rollout_cache_.reset();
-  if (!greedy_) return;  // sampling rollouts never cache (RNG stream shift)
-  shared_rollout_cache_ = std::move(cache);
+  // Sampling rollouts never cache (a skipped draw would shift the stream).
+  rollout_cache_ = greedy_ ? std::move(cache) : nullptr;
 }
 
 void DrlDecisionPolicy::pick_batch(const SchedulingEnv* const* envs,
                                    std::size_t n, Rng* const* rngs, int* out) {
   if (n == 0) return;
-  if (rollout_cache_ || shared_rollout_cache_) {
-    // Greedy mode with a cache armed (private per-worker, or one shared
-    // across all workers): probe every row's canonical key and forward only
-    // the misses.  A hit is bit-identical to a fresh argmax (the cached
-    // action WAS a fresh argmax of the same state), and greedy rows consume
-    // no RNG, so skipping the forward shifts nothing.
+  if (rollout_cache_) {
+    // Greedy mode with the cache armed: probe every row's canonical key and
+    // forward only the misses.  A hit is bit-identical to a fresh argmax
+    // (the cached action WAS a fresh argmax of the same state), and greedy
+    // rows consume no RNG, so skipping the forward shifts nothing.
     miss_keys_.clear();
     miss_envs_.clear();
     miss_rows_.clear();
@@ -315,15 +318,7 @@ void DrlDecisionPolicy::pick_batch(const SchedulingEnv* const* envs,
       key_buf_.clear();
       envs[i]->append_canonical_key(key_buf_);
       int cached = 0;
-      const bool hit =
-          rollout_cache_
-              ? [&] {
-                  const int* action = rollout_cache_->find(key_buf_);
-                  if (action) cached = *action;
-                  return action != nullptr;
-                }()
-              : shared_rollout_cache_->find(key_buf_, &cached);
-      if (hit) {
+      if (rollout_cache_->find(key_buf_, &cached)) {
         out[i] = cached;
         ++rollout_cache_hits_;
       } else {
@@ -342,11 +337,7 @@ void DrlDecisionPolicy::pick_batch(const SchedulingEnv* const* envs,
           std::max_element(probs.begin(), probs.end()) - probs.begin());
       const int action = policy_->to_env_action(output);
       out[miss_rows_[j]] = action;
-      if (rollout_cache_) {
-        rollout_cache_->insert(miss_keys_[j], action);
-      } else {
-        shared_rollout_cache_->insert(miss_keys_[j], action);
-      }
+      rollout_cache_->insert(miss_keys_[j], action);
     }
     return;
   }

@@ -68,37 +68,33 @@ class DecisionPolicy {
   /// MCTS then falls back to the serial search path.
   virtual std::shared_ptr<DecisionPolicy> clone() const { return nullptr; }
 
-  /// Arms (capacity > 0) or disarms (capacity == 0) a canonical-state ->
-  /// action cache for deterministic pick_batch rows, dropping any cached
-  /// entries and zeroing the hit/miss counters.  The leaf-parallel search
-  /// calls this per schedule() on every worker guide (keys do not encode
-  /// the DAG identity, so entries must never cross schedules).  Default:
-  /// no-op — only guides whose picks are pure functions of the state can
-  /// cache them.
+  /// No-op; kept only because the benchmark's guide decorator overrides it.
   virtual void enable_rollout_cache(std::size_t capacity) { (void)capacity; }
-  virtual std::int64_t rollout_cache_hits() const { return 0; }
-  virtual std::int64_t rollout_cache_misses() const { return 0; }
 
-  /// Points the guide's deterministic pick_batch rows at a rollout action
-  /// cache SHARED with other workers' guides (leaf-parallel search at >1
-  /// workers), replacing any private cache and zeroing the hit/miss
-  /// counters.  Hits stay bit-identical (the cached action is a pure
-  /// function of the state) but the hit/miss split becomes
-  /// timing-dependent.  nullptr detaches.  Default: no-op, like
-  /// enable_rollout_cache — only cache-capable guides opt in.
+  /// Points the guide's deterministic pick_batch rows at a canonical-state
+  /// -> action cache shared with the other workers' guides, zeroing the
+  /// hit/miss counters; nullptr detaches.  The leaf-parallel search calls
+  /// this per schedule() on every worker guide (keys do not encode the DAG
+  /// identity, so entries must never cross schedules).  Hits stay
+  /// bit-identical (the cached action is a pure function of the state).
+  /// Default: no-op — only guides whose picks are pure functions of the
+  /// state can cache them.
   virtual void share_rollout_cache(std::shared_ptr<SharedActionCache> cache) {
     (void)cache;
   }
+  virtual std::int64_t rollout_cache_hits() const { return 0; }
+  virtual std::int64_t rollout_cache_misses() const { return 0; }
 
   /// Physical network forwards this guide executed with its PRIVATE weights
-  /// since the last reset_forward_stats(): kernel invocations and total
-  /// rows, plus the per-call row-count histogram (hist[k] = calls with k
-  /// rows).  Default: zero — guides without a network never forward.
-  virtual std::int64_t forward_calls() const { return 0; }
-  virtual std::int64_t forward_rows() const { return 0; }
+  /// since the last reset_forward_stats(), as the per-call row-count
+  /// histogram (hist[k] = calls with k rows); nullptr = never forwards.
+  /// forward_calls() and forward_rows() are derived from it: Σ hist[k] and
+  /// Σ k·hist[k].
   virtual const std::vector<std::int64_t>* forward_hist() const {
     return nullptr;
   }
+  virtual std::int64_t forward_calls() const;
+  virtual std::int64_t forward_rows() const;
   virtual void reset_forward_stats() {}
 };
 
@@ -160,11 +156,8 @@ class DrlDecisionPolicy : public DecisionPolicy {
                   Rng* const* rngs, int* out) override;
 
   /// Greedy picks are deterministic and consume no RNG, so they are safe to
-  /// cache; in sampling mode the cache stays disarmed (a skipped draw would
+  /// cache; in sampling mode the cache stays detached (a skipped draw would
   /// shift the rollout's RNG stream) and the counters stay zero.
-  void enable_rollout_cache(std::size_t capacity) override;
-  /// Greedy mode only (sampling guides stay cold, as with the private
-  /// cache); replaces the private cache until the next enable/share call.
   void share_rollout_cache(std::shared_ptr<SharedActionCache> cache) override;
   std::int64_t rollout_cache_hits() const override {
     return rollout_cache_hits_;
@@ -172,16 +165,10 @@ class DrlDecisionPolicy : public DecisionPolicy {
   std::int64_t rollout_cache_misses() const override {
     return rollout_cache_misses_;
   }
-  std::int64_t forward_calls() const override { return forward_calls_; }
-  std::int64_t forward_rows() const override { return forward_rows_; }
   const std::vector<std::int64_t>* forward_hist() const override {
     return &forward_hist_;
   }
-  void reset_forward_stats() override {
-    forward_calls_ = 0;
-    forward_rows_ = 0;
-    forward_hist_.clear();
-  }
+  void reset_forward_stats() override { forward_hist_.clear(); }
   /// Clones with a private copy of the wrapped Policy (the network keeps a
   /// mutable inference workspace, so sharing one across threads races).
   std::shared_ptr<DecisionPolicy> clone() const override;
@@ -217,19 +204,15 @@ class DrlDecisionPolicy : public DecisionPolicy {
   std::vector<double> probs_buf_;
   std::vector<std::vector<bool>> batch_masks_;
   std::vector<std::vector<double>> batch_probs_;
-  /// Rollout cache (greedy mode only; see enable_rollout_cache) plus the
-  /// pick_batch probe scratch and hit/miss tallies.  At most one of the
-  /// private/shared caches is armed at a time.
-  std::unique_ptr<ActionCache> rollout_cache_;
-  std::shared_ptr<SharedActionCache> shared_rollout_cache_;
+  /// Rollout cache (greedy mode only; see share_rollout_cache) plus the
+  /// pick_batch probe scratch and hit/miss tallies.
+  std::shared_ptr<SharedActionCache> rollout_cache_;
   std::int64_t rollout_cache_hits_ = 0;
   std::int64_t rollout_cache_misses_ = 0;
-  /// Private-weights physical forward tallies (see DecisionPolicy docs).
-  std::int64_t forward_calls_ = 0;
-  std::int64_t forward_rows_ = 0;
+  /// Private-weights physical forward histogram (see DecisionPolicy docs).
   std::vector<std::int64_t> forward_hist_;
-  ActionCache::Key key_buf_;
-  std::vector<ActionCache::Key> miss_keys_;
+  SharedActionCache::Key key_buf_;
+  std::vector<SharedActionCache::Key> miss_keys_;
   std::vector<const SchedulingEnv*> miss_envs_;
   std::vector<std::size_t> miss_rows_;
 };

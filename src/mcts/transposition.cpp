@@ -38,28 +38,6 @@ void TranspositionCache::clear() {
   order_.clear();
 }
 
-const int* ActionCache::find(const Key& key) const {
-  if (capacity_ == 0) return nullptr;
-  const auto it = entries_.find(key);
-  return it != entries_.end() ? &it->second : nullptr;
-}
-
-void ActionCache::insert(const Key& key, int action) {
-  if (capacity_ == 0) return;
-  if (entries_.count(key) != 0) return;
-  while (entries_.size() >= capacity_) {
-    entries_.erase(order_.front());
-    order_.pop_front();
-  }
-  order_.push_back(key);
-  entries_.emplace(key, action);
-}
-
-void ActionCache::clear() {
-  entries_.clear();
-  order_.clear();
-}
-
 SharedActionCache::SharedActionCache(std::size_t capacity, std::size_t shards)
     : capacity_(capacity) {
   std::size_t n = 1;

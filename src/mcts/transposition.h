@@ -78,8 +78,8 @@ class TranspositionCache {
   std::deque<Key> order_;
 };
 
-/// Canonical-state -> greedy-rollout-action cache for the leaf evaluator's
-/// batched rollout steps.
+/// Canonical-state -> greedy-rollout-action cache shared by ALL
+/// leaf-search workers (DESIGN.md §11/§15).
 ///
 /// Greedy rollouts are pure functions of the state: the same canonical key
 /// always resolves to the same argmax action, so repeated rollout states
@@ -92,63 +92,24 @@ class TranspositionCache {
 /// a sampled step consumes RNG, so skipping the draw would shift every
 /// later draw in that rollout's stream.
 ///
-/// Same key scheme, full-key compare, FIFO eviction, and 0-disables
-/// contract as TranspositionCache; single-threaded by design (each search
-/// worker owns a private instance).
-class ActionCache {
- public:
-  using Key = TranspositionCache::Key;
-
-  explicit ActionCache(std::size_t capacity) : capacity_(capacity) {}
-
-  std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return entries_.size(); }
-
-  /// Cached env-level action for `key`, or nullptr on a miss.  The pointer
-  /// is valid until the next insert() (which may evict).
-  const int* find(const Key& key) const;
-
-  /// Inserts (evicting the oldest entry when full).  Duplicate keys keep
-  /// the existing entry.
-  void insert(const Key& key, int action);
-
-  void clear();
-
- private:
-  struct KeyHash {
-    std::uint64_t operator()(const Key& key) const {
-      return TranspositionCache::hash_key(key);
-    }
-  };
-
-  std::size_t capacity_;
-  std::unordered_map<Key, int, KeyHash> entries_;
-  /// Insertion order for FIFO eviction.
-  std::deque<Key> order_;
-};
-
-/// Concurrent greedy-rollout action cache shared by ALL leaf-search
-/// workers (DESIGN.md §11/§15).
-///
-/// Per-worker private ActionCaches fragment as workers are added: the same
-/// rollout state missed independently in every worker's cache, so total
-/// forwards GREW with the worker count (the multi-thread throughput
-/// regression BENCH_mcts_leaf_parallel.json recorded — misses roughly
-/// tripled from 1 to 8 workers).  One shared cache restores the
-/// single-worker miss rate: whichever worker evaluates a state first
-/// serves every other worker's later probe.
+/// Shared rather than per-worker: private caches fragment as workers are
+/// added — the same rollout state missed independently in every worker's
+/// cache, so total forwards GREW with the worker count (misses roughly
+/// tripled from 1 to 8 workers in BENCH_mcts_leaf_parallel.json).  One
+/// shared cache keeps the single-worker miss rate: whichever worker
+/// evaluates a state first serves every other worker's later probe.
 ///
 /// Sharded: the key hash picks one of a power-of-two number of
 /// mutex-guarded shards, so concurrent probes rarely contend.  Within a
-/// shard the contract matches ActionCache (full-key compare, FIFO
-/// eviction per shard, duplicate inserts keep the first entry).
+/// shard: full-key compare, FIFO eviction, duplicate inserts keep the first
+/// entry, capacity 0 disables — the TranspositionCache contract.  With one
+/// shard, eviction is one global FIFO and the cache is fully deterministic.
 ///
-/// Determinism: greedy picks are pure functions of the canonical state, so
-/// a hit is bit-identical to the forward it skipped — which worker
-/// inserted first is timing-dependent, but every possible cache content
-/// yields the same actions.  Placements therefore stay bit-identical
-/// across worker counts and runs; only the hit/miss SPLIT (never the
-/// probe total) varies at >1 workers.
+/// Determinism at several workers: a hit is bit-identical to the forward
+/// it skipped — which worker inserted first is timing-dependent, but every
+/// possible cache content yields the same actions.  Placements therefore
+/// stay bit-identical across worker counts and runs; only the hit/miss
+/// SPLIT (never the probe total) varies at >1 workers.
 class SharedActionCache {
  public:
   using Key = TranspositionCache::Key;
@@ -161,7 +122,7 @@ class SharedActionCache {
   std::size_t size() const;
 
   /// Looks up `key`; on a hit copies the action into *action and returns
-  /// true.  (By value, unlike ActionCache::find — the shard lock is
+  /// true.  (By value, unlike TranspositionCache::find — the shard lock is
   /// released before returning, so a pointer into the map would race.)
   bool find(const Key& key, int* action) const;
 

@@ -24,6 +24,10 @@ void RunReport::set(const std::string& key, bool value) {
   meta_.emplace_back(key, value ? "true" : "false");
 }
 
+void RunReport::set_json(const std::string& key, std::string rendered_json) {
+  meta_.emplace_back(key, std::move(rendered_json));
+}
+
 std::string RunReport::to_json(const MetricsSnapshot* metrics) const {
   std::ostringstream os;
   os << "{\"name\":\"" << json_escape(name_) << "\",\"meta\":{";

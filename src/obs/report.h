@@ -27,6 +27,8 @@ class RunReport {
   void set(const std::string& key, std::int64_t value);
   void set(const std::string& key, double value);
   void set(const std::string& key, bool value);
+  /// Adds an already-rendered JSON value (object, array, ...) verbatim.
+  void set_json(const std::string& key, std::string rendered_json);
 
   /// {"name":...,"meta":{...},"metrics":{...}} (metrics omitted when null).
   std::string to_json(const MetricsSnapshot* metrics = nullptr) const;

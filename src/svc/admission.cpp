@@ -117,14 +117,12 @@ std::optional<Rejection> AdmissionQueue::try_push(Job job) {
         (normal_it != normal_.tenants.end() ? normal_it->second.jobs.size()
                                             : 0);
     if (limits.max_queued > 0 && queued >= limits.max_queued) {
-      ++shed_;
       return Rejection{ErrorCode::kQuotaExceeded,
                        "tenant '" + job.tenant + "' queue quota (" +
                            std::to_string(limits.max_queued) + ") exhausted",
                        retry_hint_locked()};
     }
     if (high_.total + normal_.total >= options_.capacity) {
-      ++shed_;
       return Rejection{ErrorCode::kQueueFull,
                        "admission queue at capacity (" +
                            std::to_string(options_.capacity) + ")",
@@ -313,17 +311,6 @@ std::size_t AdmissionQueue::size() const {
   return high_.total + normal_.total;
 }
 
-std::size_t AdmissionQueue::tenant_depth(const std::string& tenant) const {
-  const std::string name = tenant.empty() ? kDefaultTenant : tenant;
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t depth = 0;
-  for (const Lane* lane : {&high_, &normal_}) {
-    const auto it = lane->tenants.find(name);
-    if (it != lane->tenants.end()) depth += it->second.jobs.size();
-  }
-  return depth;
-}
-
 std::map<std::string, std::size_t> AdmissionQueue::depths() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::map<std::string, std::size_t> out;
@@ -333,11 +320,6 @@ std::map<std::string, std::size_t> AdmissionQueue::depths() const {
     }
   }
   return out;
-}
-
-std::int64_t AdmissionQueue::shed_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return shed_;
 }
 
 }  // namespace spear::svc

@@ -181,13 +181,8 @@ class AdmissionQueue {
   bool closed() const;
   std::size_t size() const;
   std::size_t capacity() const { return options_.capacity; }
-  /// Queued requests for one tenant (both lanes), for gauges.
-  std::size_t tenant_depth(const std::string& tenant) const;
   /// Queued depth per tenant with at least one request ever queued.
   std::map<std::string, std::size_t> depths() const;
-
-  /// Total requests shed since construction (queue_full + quota_exceeded).
-  std::int64_t shed_count() const;
 
  private:
   struct SubQueue {
@@ -228,7 +223,6 @@ class AdmissionQueue {
   std::vector<InFlight> in_flight_;
   std::map<std::string, std::size_t> in_flight_per_tenant_;
   bool closed_ = false;
-  std::int64_t shed_ = 0;
   double service_ms_ewma_ = 0.0;  ///< seeded in the constructor
 };
 

@@ -48,7 +48,7 @@ FairQueueOptions fair_options(const ServiceOptions& options) {
   return fair;
 }
 
-/// Tenant names become map keys, metric names, and JSON keys — keep them
+/// Tenant names become map keys and JSON keys — keep them
 /// short and boring.  (The wire default "" was resolved before this.)
 bool valid_tenant_name(const std::string& name) {
   if (name.empty() || name.size() > 64) return false;
@@ -170,12 +170,7 @@ struct SchedulerService::Ledger {
     // Physical kernel invocations (batched AND single-row guide calls).
     c.search_forwards += stats.guide_forwards;
     c.search_forward_rows += stats.guide_forward_rows;
-    if (c.forward_hist.size() < stats.batch_rows_hist.size()) {
-      c.forward_hist.resize(stats.batch_rows_hist.size(), 0);
-    }
-    for (std::size_t w = 0; w < stats.batch_rows_hist.size(); ++w) {
-      c.forward_hist[w] += stats.batch_rows_hist[w];
-    }
+    hist_add(c.forward_hist, stats.batch_rows_hist);
   }
 
   ServiceCounters snapshot() const {
@@ -243,17 +238,12 @@ void SchedulerService::start() {
 
 void SchedulerService::submit(const SubmitRequest& request,
                               Responder respond) {
-  if (obs::enabled()) obs::count("svc.submitted");
   const std::string tenant =
       request.tenant.empty() ? kDefaultTenant : request.tenant;
 
   const auto reject = [&](const std::string& charged_tenant,
                           const Rejection& rejection) {
     ledger_->submit_rejected(charged_tenant, rejection.code);
-    if (obs::enabled()) {
-      obs::count(std::string("svc.rejected.") +
-                 error_code_name(rejection.code));
-    }
     try {
       respond(false, SubmitResult{}, rejection);
     } catch (...) {
@@ -323,26 +313,11 @@ void SchedulerService::submit(const SubmitRequest& request,
   ledger_->submit_admitted(tenant);
   if (auto verdict = queue_.try_push(std::move(job))) {
     ledger_->admitted_to_rejected(tenant, verdict->code);
-    if (obs::enabled()) {
-      obs::count(std::string("svc.rejected.") +
-                 error_code_name(verdict->code));
-      if (is_shed(verdict->code)) {
-        obs::count("svc.shed");
-        obs::count("svc.tenant." + tenant + ".shed");
-      }
-    }
     try {
       on_reject(false, SubmitResult{}, *verdict);
     } catch (...) {
     }
     return;
-  }
-  if (obs::enabled()) {
-    obs::count("svc.admitted");
-    obs::count("svc.tenant." + tenant + ".submitted");
-    obs::gauge("svc.queue_depth", static_cast<double>(queue_.size()));
-    obs::gauge("svc.tenant." + tenant + ".queue_depth",
-               static_cast<double>(queue_.tenant_depth(tenant)));
   }
 }
 
@@ -356,11 +331,6 @@ CancelState SchedulerService::cancel(const std::string& tenant,
     // The job never reached a worker: resolve its submit here, exactly
     // once, from the cancelling thread.
     ledger_->resolve_cancelled(name);
-    if (obs::enabled()) {
-      obs::count("svc.cancelled");
-      obs::gauge("svc.tenant." + name + ".queue_depth",
-                 static_cast<double>(queue_.tenant_depth(name)));
-    }
     if (removed.respond) {
       try {
         removed.respond(false, SubmitResult{},
@@ -415,7 +385,6 @@ void SchedulerService::serve(Worker& worker, Job& job) {
   };
   const auto respond_cancelled = [&] {
     ledger_->resolve_cancelled(job.tenant);
-    if (obs::enabled()) obs::count("svc.cancelled");
     respond_error(job, Rejection{ErrorCode::kCancelled, "request cancelled",
                                  -1});
   };
@@ -430,7 +399,6 @@ void SchedulerService::serve(Worker& worker, Job& job) {
                                                             start)
           .count();
   if (remaining_ms <= 0) {
-    if (obs::enabled()) obs::count("svc.deadline_expired");
     reject_in_flight(job,
                      Rejection{ErrorCode::kDeadlineExpired,
                                "budget of " + std::to_string(job.budget_ms) +
@@ -451,7 +419,6 @@ void SchedulerService::serve(Worker& worker, Job& job) {
       result.mode = ServeMode::kHeuristic;
       result.degraded = true;
       ledger_->count_degraded(ServeMode::kHeuristic);
-      if (obs::enabled()) obs::count("svc.degraded_heuristic");
       FaultRunResult run = run_policy_under_faults(
           worker.heuristic, *job.dag, options_.capacity,
           /*faults=*/nullptr, RetryOptions{}, options_.seed);
@@ -467,7 +434,6 @@ void SchedulerService::serve(Worker& worker, Job& job) {
         result.mode = ServeMode::kReduced;
         result.degraded = true;
         ledger_->count_degraded(ServeMode::kReduced);
-        if (obs::enabled()) obs::count("svc.degraded_reduced");
         iterations = std::min(iterations, options_.min_iterations);
         worker.scheduler->set_anytime_budgets(iterations, iterations,
                                               remaining_ms);
@@ -488,14 +454,9 @@ void SchedulerService::serve(Worker& worker, Job& job) {
         // A cancelled search's degradations are an artifact of the cutoff,
         // not of load — only count stats for answered searches.
         ledger_->count_search_stats(stats);
-        if (stats.degradations > 0) {
-          // The anytime search itself fell back (not one iteration finished
-          // before the deadline on some decision) — degraded even on rung 0.
-          if (obs::enabled()) {
-            obs::count("svc.search_degradations", stats.degradations);
-          }
-          result.degraded = true;
-        }
+        // The anytime search itself fell back (not one iteration finished
+        // before the deadline on some decision) — degraded even on rung 0.
+        if (stats.degradations > 0) result.degraded = true;
       }
     }
 
@@ -512,22 +473,16 @@ void SchedulerService::serve(Worker& worker, Job& job) {
     result.placements = placement_names(schedule, *job.dag);
     ledger_->resolve_placed(job.tenant);
     queue_.record_service_ms(result.search_ms);
-    if (obs::enabled()) {
-      obs::count("svc.placed");
-      obs::count("svc.tenant." + job.tenant + ".placed");
-      obs::observe("svc.search_ms", result.search_ms);
-    }
+    if (obs::enabled()) obs::observe("svc.search_ms", result.search_ms);
     if (job.respond) job.respond(true, result, Rejection{});
   } catch (const std::exception& e) {
     // Request isolation: whatever this job did, only this job fails.
     worker.scheduler->set_cancel_token(nullptr);
-    if (obs::enabled()) obs::count("svc.internal_errors");
     reject_in_flight(job, Rejection{ErrorCode::kInternal,
                                     std::string("request failed: ") + e.what(),
                                     -1});
   } catch (...) {
     worker.scheduler->set_cancel_token(nullptr);
-    if (obs::enabled()) obs::count("svc.internal_errors");
     reject_in_flight(job, Rejection{ErrorCode::kInternal,
                                     "request failed: unknown error", -1});
   }
@@ -549,9 +504,6 @@ void SchedulerService::respond_error(Job& job, const Rejection& rejection) {
 
 void SchedulerService::count_rejection(ErrorCode code) {
   ledger_->submit_rejected("", code);
-  if (obs::enabled()) {
-    obs::count(std::string("svc.rejected.") + error_code_name(code));
-  }
 }
 
 ServiceCounters SchedulerService::counters() const {

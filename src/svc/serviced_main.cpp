@@ -21,7 +21,6 @@
 
 #include "common/flags.h"
 #include "common/logging.h"
-#include "common/stats.h"
 #include "common/supervisor.h"
 #include "core/spear.h"
 #include "nn/serialize.h"
@@ -292,24 +291,7 @@ int main(int argc, char** argv) {
     report.set("workers", static_cast<std::int64_t>(options.workers));
     report.set("queue_capacity",
                static_cast<std::int64_t>(options.limits.queue_capacity));
-    report.set("submitted", counters.submitted);
-    report.set("admitted", counters.admitted);
-    report.set("placed", counters.placed);
-    report.set("cancelled", counters.cancelled);
-    report.set("rejected_total", counters.rejected_total());
-    report.set("rejected_queue_full", counters.rejected_queue_full);
-    report.set("rejected_quota_exceeded", counters.rejected_quota_exceeded);
-    report.set("rejected_deadline_expired", counters.rejected_deadline_expired);
-    report.set("degraded_reduced", counters.degraded_reduced);
-    report.set("degraded_heuristic", counters.degraded_heuristic);
-    report.set("search_degradations", counters.search_degradations);
-    report.set("search_deadline_cutoffs", counters.search_deadline_cutoffs);
-    report.set("search_forwards", counters.search_forwards);
-    report.set("search_forward_rows", counters.search_forward_rows);
-    report.set("batch_rows_p50",
-               hist_percentile(counters.forward_hist, 50.0));
-    report.set("batch_rows_p99",
-               hist_percentile(counters.forward_hist, 99.0));
+    report.set_json("service", service.counters_json());
     const obs::MetricsSnapshot snapshot = obs::metrics()->snapshot();
     report.write(*metrics_out, &snapshot);
     std::fprintf(stderr, "spear_serviced: wrote %s\n", metrics_out->c_str());

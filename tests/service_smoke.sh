@@ -11,7 +11,7 @@
 #      deterministic two-tenant cancel exchange (a long search pins the
 #      single worker, a queued submit behind it is cancelled), then
 #      SIGTERM while a request may be in flight -> supervised drain,
-#      exit code 0.
+#      exit code 0, and a run report whose "service" counters reconcile.
 #
 # Usage: service_smoke.sh <path-to-spear_serviced>
 
@@ -19,7 +19,9 @@ set -u
 
 DAEMON="${1:?usage: service_smoke.sh <path-to-spear_serviced>}"
 WORKDIR="$(mktemp -d)"
-trap 'rm -rf "$WORKDIR"' EXIT
+DPID=""
+# A failed check exits early: never leave the socket daemon running.
+trap '[ -n "$DPID" ] && kill "$DPID" 2>/dev/null; rm -rf "$WORKDIR"' EXIT
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
 
@@ -75,7 +77,7 @@ for _ in $(seq 1 50); do [ -S "$SOCK" ] && break; sleep 0.1; done
 [ -S "$SOCK" ] || { cat "$WORKDIR/sock.err" >&2; fail "socket never appeared"; }
 
 python3 - "$SOCK" >"$WORKDIR/client.out" <<'EOF' || fail "socket client errored"
-import json, socket, sys
+import json, socket, sys, time
 
 s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 s.connect(sys.argv[1])
@@ -109,6 +111,22 @@ slow = "dims 2\n" + "".join(
 dag_chain = dag
 f.write(json.dumps({"id": "jslow", "method": "submit", "dag": slow,
                     "tenant": "alice", "budget_ms": 3000}) + "\n")
+f.flush()
+# Submit "jq" only once the worker holds "jslow": a high-priority job that
+# is queued next to "jslow" would be served first.  Polled over a second
+# connection so this one's reply order stays as asserted below.
+probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+probe.connect(sys.argv[1])
+pf = probe.makefile("rw")
+for _ in range(1000):
+    pf.write(json.dumps({"id": "poll", "method": "stats"}) + "\n")
+    pf.flush()
+    st = json.loads(pf.readline())["stats"]
+    if st["queue_depth"] == 0 and st["in_flight"] == 1:
+        break
+    time.sleep(0.005)
+else:
+    raise AssertionError("jslow never reached the worker: %r" % st)
 f.write(json.dumps({"id": "jq", "method": "submit", "dag": dag_chain,
                     "tenant": "alice", "priority": "high",
                     "budget_ms": 3000}) + "\n")
@@ -149,7 +167,15 @@ rc=$?
 grep -q "LAST_ANSWERED" "$WORKDIR/client.out" || fail "in-flight request lost in drain"
 [ -e "$SOCK" ] && fail "socket file not cleaned up"
 [ -s "$WORKDIR/report.json" ] || fail "run report not flushed on shutdown"
-grep -q '"submitted"' "$WORKDIR/report.json" || fail "report missing counters"
+python3 - "$WORKDIR/report.json" <<'EOF' || fail "report service counters do not reconcile"
+import json, sys
+
+c = json.load(open(sys.argv[1]))["meta"]["service"]
+# g1, bad, w, jslow, jq, last: every one answered before the SIGTERM.
+assert c["submitted"] == 6 and c["in_flight"] == 0, c
+assert c["submitted"] == (c["placed"] + c["rejected"]["total"] +
+                          c["cancelled"] + c["in_flight"]), c
+EOF
 echo "socket transport + drain OK"
 
 echo "PASS: service smoke"

@@ -23,8 +23,8 @@
 #include "ckpt/checkpoint.h"
 #include "ckpt/crc32.h"
 #include "ckpt/manager.h"
-#include "ckpt/supervisor.h"
 #include "common/csv.h"
+#include "common/supervisor.h"
 #include "dag/generator.h"
 #include "rl/imitation.h"
 #include "rl/reinforce.h"
@@ -370,24 +370,24 @@ TEST(CheckpointManager, SurvivesMissingManifest) {
 // Supervision: stop flag + watchdog
 
 TEST(Supervisor, StopFlagLifecycle) {
-  ckpt::reset_stop_flag();
-  EXPECT_FALSE(ckpt::stop_requested());
-  ckpt::request_stop();
-  EXPECT_TRUE(ckpt::stop_requested());
-  ckpt::reset_stop_flag();
-  EXPECT_FALSE(ckpt::stop_requested());
+  reset_stop_flag();
+  EXPECT_FALSE(stop_requested());
+  request_stop();
+  EXPECT_TRUE(stop_requested());
+  reset_stop_flag();
+  EXPECT_FALSE(stop_requested());
 }
 
 TEST(Supervisor, SigtermSetsStopFlag) {
-  ckpt::reset_stop_flag();
-  ASSERT_TRUE(ckpt::install_signal_handlers());
+  reset_stop_flag();
+  ASSERT_TRUE(install_signal_handlers());
   std::raise(SIGTERM);
-  EXPECT_TRUE(ckpt::stop_requested());
-  ckpt::reset_stop_flag();
+  EXPECT_TRUE(stop_requested());
+  reset_stop_flag();
 }
 
 TEST(Watchdog, ReportsOverrunOncePerArm) {
-  ckpt::Watchdog dog("test");
+  Watchdog dog("test");
   dog.arm(std::chrono::milliseconds(5), "slow unit");
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(5);
@@ -402,18 +402,18 @@ TEST(Watchdog, ReportsOverrunOncePerArm) {
 }
 
 TEST(Watchdog, DisarmBeforeDeadlineIsQuiet) {
-  ckpt::Watchdog dog("test");
+  Watchdog dog("test");
   {
-    ckpt::WatchdogScope scope(dog, std::chrono::milliseconds(250), "fast");
+    WatchdogScope scope(dog, std::chrono::milliseconds(250), "fast");
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   EXPECT_EQ(dog.overruns(), 0u);
 }
 
 TEST(Watchdog, ZeroDeadlineScopeIsDisabled) {
-  ckpt::Watchdog dog("test");
+  Watchdog dog("test");
   {
-    ckpt::WatchdogScope scope(dog, std::chrono::milliseconds(0), "off");
+    WatchdogScope scope(dog, std::chrono::milliseconds(0), "off");
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_EQ(dog.overruns(), 0u);

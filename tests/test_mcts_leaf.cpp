@@ -200,6 +200,44 @@ TEST(LeafMcts, CachesOffMatchCachesOnBitForBit) {
   expect_same_placements(on_placements, off_placements);
 }
 
+TEST(LeafMcts, OneWorkerStatsMatchGolden) {
+  // One worker = one rollout-cache shard = one global FIFO, so every Stats
+  // counter, the cache hit/miss split included, is a pure function of the
+  // inputs.  The golden placements and counts (in for_each_count order)
+  // were recorded with the per-worker private rollout cache this shared
+  // cache replaced; capacity 24 forces heavy FIFO eviction.
+  struct Golden {
+    std::size_t capacity;
+    std::vector<std::int64_t> counts;
+  };
+  const std::vector<Golden> goldens = {
+      {8192, {31, 0, 536, 519, 141, 660, 0, 0, 0, 0, 0, 0, 0, 30, 140, 336,
+              973, 32, 0, 140, 440, 7547, 832}},
+      {24, {31, 0, 536, 519, 141, 660, 0, 0, 0, 0, 0, 0, 0, 30, 140, 492,
+            2649, 32, 0, 140, 440, 5871, 2508}},
+  };
+  const std::vector<std::pair<TaskId, Time>> placements = {
+      {1, 0},   {0, 0},   {2, 11},  {3, 11},  {4, 12},  {5, 22},
+      {7, 28},  {6, 28},  {10, 39}, {8, 41},  {9, 52},  {11, 52},
+      {12, 56}, {15, 56}, {13, 65}, {14, 67}};
+  const Dag dag = test_dag(40);
+  for (const Golden& golden : goldens) {
+    MctsOptions options = leaf_options(1);
+    options.transposition_capacity = golden.capacity;
+    MctsScheduler mcts(options, make_guide());
+    const auto got = mcts.schedule(dag, cap()).placements();
+    ASSERT_EQ(got.size(), placements.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].task, placements[i].first) << "placement " << i;
+      EXPECT_EQ(got[i].start, placements[i].second) << "placement " << i;
+    }
+    std::vector<std::int64_t> counts;
+    mcts.last_stats().for_each_count(
+        [&counts](const char*, std::int64_t value) { counts.push_back(value); });
+    EXPECT_EQ(counts, golden.counts) << "capacity " << golden.capacity;
+  }
+}
+
 TEST(LeafMcts, SamplingGuideKeepsRolloutCacheCold) {
   // Sampled picks consume RNG, so the action cache must stay disarmed for
   // them — a cached action would skip the draw and shift the stream.

@@ -10,9 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include "dag/generator.h"
+#include "exec/engine.h"
+#include "mcts/mcts.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "rl/policy.h"
+#include "sched/critical_path.h"
 
 namespace spear::obs {
 namespace {
@@ -232,6 +237,7 @@ TEST(RunReport, RendersMetaAndMetrics) {
   report.set("rate", 0.25);
   report.set("label", "trial \"A\"");
   report.set("paper", true);
+  report.set_json("service", "{\"submitted\":3,\"tenants\":{}}");
 
   MetricsRegistry registry;
   registry.add("runs", 2);
@@ -243,6 +249,8 @@ TEST(RunReport, RendersMetaAndMetrics) {
   EXPECT_NE(json.find("\"rate\":0.25"), std::string::npos);
   EXPECT_NE(json.find("\"label\":\"trial \\\"A\\\"\""), std::string::npos);
   EXPECT_NE(json.find("\"paper\":true"), std::string::npos);
+  EXPECT_NE(json.find("\"service\":{\"submitted\":3,\"tenants\":{}}"),
+            std::string::npos);
   EXPECT_NE(json.find("\"metrics\":"), std::string::npos);
   EXPECT_NE(json.find("\"runs\":2"), std::string::npos);
   // Without metrics the key is omitted entirely.
@@ -260,6 +268,109 @@ TEST(RunReport, WriteProducesReadableFile) {
   std::remove(path.c_str());
   EXPECT_THROW(report.write("/nonexistent-dir/report.json"),
                std::runtime_error);
+}
+
+// --- Counter flushes derived from their owners ---------------------------
+
+Dag flush_dag(std::uint64_t seed) {
+  DagGeneratorOptions gen;
+  gen.num_tasks = 14;
+  Rng rng(seed);
+  return generate_random_dag(gen, rng);
+}
+
+/// Every int64_t Stats counter in for_each_count order.
+std::vector<std::int64_t> counts_of(const MctsScheduler::Stats& stats) {
+  std::vector<std::int64_t> out;
+  stats.for_each_count(
+      [&out](const char*, std::int64_t value) { out.push_back(value); });
+  return out;
+}
+
+TEST(ObsFlush, MctsCountersEqualSummedStats) {
+  Rng rng(5);
+  const auto policy = std::make_shared<const Policy>(
+      Policy::make(FeaturizerOptions{}, 2, rng, {16}));
+  const ResourceVector capacity{1.0, 1.0};
+  MctsOptions serial_options;
+  serial_options.initial_budget = 40;
+  serial_options.min_budget = 12;
+  MctsOptions leaf_options = serial_options;
+  leaf_options.search_mode = SearchMode::kLeaf;
+  leaf_options.num_threads = 2;
+  MctsScheduler serial(serial_options,
+                       std::make_shared<DrlDecisionPolicy>(policy, true));
+  MctsScheduler leaf(leaf_options,
+                     std::make_shared<DrlDecisionPolicy>(policy, true));
+
+  shutdown();
+  install_metrics(std::make_shared<MetricsRegistry>());
+  serial.schedule(flush_dag(1), capacity);
+  const MctsScheduler::Stats a = serial.last_stats();
+  leaf.schedule(flush_dag(2), capacity);
+  const MctsScheduler::Stats b = leaf.last_stats();
+  const MetricsSnapshot snap = metrics()->snapshot();
+  shutdown();
+
+  ASSERT_GT(a.guide_forwards, 0);
+  ASSERT_GT(b.leaf_ticks, 0);
+  EXPECT_EQ(snap.counters.at("mcts.schedules"), 2);
+  std::size_t named = 0;
+  MctsScheduler::Stats sum = a;
+  sum += b;
+  const std::vector<std::int64_t> b_counts = counts_of(b);
+  const std::vector<std::int64_t> sum_counts = counts_of(sum);
+  a.for_each_count([&](const char* name, std::int64_t value) {
+    ASSERT_EQ(snap.counters.count(name), 1u) << name;
+    EXPECT_EQ(snap.counters.at(name), value + b_counts[named]) << name;
+    EXPECT_EQ(sum_counts[named], value + b_counts[named]) << name;
+    ++named;
+  });
+  EXPECT_EQ(named, b_counts.size());
+  EXPECT_EQ(sum.search_seconds, a.search_seconds + b.search_seconds);
+
+  // Summing into an empty Stats reproduces every field.
+  MctsScheduler::Stats zero;
+  zero += b;
+  EXPECT_EQ(counts_of(zero), b_counts);
+  EXPECT_EQ(zero.search_seconds, b.search_seconds);
+  EXPECT_EQ(zero.batch_rows_hist, b.batch_rows_hist);
+  ASSERT_FALSE(b.batch_rows_hist.empty());
+}
+
+TEST(ObsFlush, ExecCountersEqualSummedExecStats) {
+  const Dag dag = flush_dag(3);
+  const ResourceVector capacity{1.0, 1.0};
+  const Schedule plan = make_critical_path_scheduler()->schedule(dag, capacity);
+
+  shutdown();
+  install_metrics(std::make_shared<MetricsRegistry>());
+  exec::ExecStats sum;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    exec::ExecOptions options;
+    options.perturb.sigma = 0.8;
+    options.perturb.straggler_rate = 0.25;
+    options.perturb.seed = seed;
+    options.seed = seed;
+    options.research_cooldown = 0;
+    options.research_factor = 0.3;
+    options.research_min_pending = 2;
+    exec::ExecutionEngine engine(std::make_shared<Dag>(dag), capacity,
+                                 options);
+    const exec::ExecStats s = engine.run(plan).stats;
+    sum.local_repairs += s.local_repairs;
+    sum.researches += s.researches;
+    sum.speculations += s.speculations;
+  }
+  const MetricsSnapshot snap = metrics()->snapshot();
+  shutdown();
+
+  ASSERT_GT(sum.researches, 0);
+  ASSERT_GT(sum.local_repairs + sum.speculations, 0);
+  EXPECT_EQ(snap.counters.at("exec.runs"), 4);
+  EXPECT_EQ(snap.counters.at("exec.researches"), sum.researches);
+  EXPECT_EQ(snap.counters.at("exec.local_repairs"), sum.local_repairs);
+  EXPECT_EQ(snap.counters.at("exec.speculations"), sum.speculations);
 }
 
 }  // namespace

