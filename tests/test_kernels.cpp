@@ -6,8 +6,10 @@
 
 #include "nn/kernels.h"
 
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -431,6 +433,58 @@ TEST(BatchEval, BatchHandlesZeroAndOneStates) {
   policy.action_probs_batch(&one, 1, masks, probs);
   ASSERT_EQ(probs.size(), 1u);
   EXPECT_TRUE(bits_equal(probs[0], policy.action_probs(env)));
+}
+
+TEST(BatchEval, PickBatchMatchesPickPerRow) {
+  // The search advances every rollout through pick_batch, one row per slot;
+  // each row must pick exactly what pick() would from the same RNG state
+  // and consume exactly the same draws.
+  Rng rng(34);
+  const auto policy = std::make_shared<const Policy>(tiny_policy(rng));
+  std::vector<SchedulingEnv> states;
+  SchedulingEnv env = tiny_env(
+      testing::make_independent(9, 3, ResourceVector{0.3, 0.3}));
+  Rng walk(35);
+  while (!env.done()) {
+    states.push_back(env);
+    const auto actions = env.valid_actions();
+    const int action = actions[walk.uniform_int(
+        0, static_cast<std::int64_t>(actions.size()) - 1)];
+    if (action == SchedulingEnv::kProcessAction) {
+      env.process_to_next_finish();
+    } else {
+      env.step(action);
+    }
+  }
+  ASSERT_GE(states.size(), 7u);
+
+  const std::vector<std::pair<const char*, std::shared_ptr<DecisionPolicy>>>
+      guides = {
+          {"drl-greedy", std::make_shared<DrlDecisionPolicy>(policy, true)},
+          {"drl-sampling", std::make_shared<DrlDecisionPolicy>(policy, false)},
+          {"random", std::make_shared<RandomDecisionPolicy>()},
+      };
+  for (const auto& [name, guide] : guides) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{7}}) {
+      std::vector<const SchedulingEnv*> envs;
+      std::vector<Rng> batch_rngs;
+      for (std::size_t i = 0; i < n; ++i) {
+        envs.push_back(&states[i]);
+        batch_rngs.emplace_back(100 + i);
+      }
+      std::vector<Rng> row_rngs = batch_rngs;
+      std::vector<Rng*> rng_ptrs;
+      for (Rng& r : batch_rngs) rng_ptrs.push_back(&r);
+      std::vector<int> out(n, -2);
+      guide->pick_batch(envs.data(), n, rng_ptrs.data(), out.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(out[i], guide->pick(*envs[i], row_rngs[i]))
+            << name << ", batch " << n << ", row " << i;
+        EXPECT_EQ(batch_rngs[i].next_u64(), row_rngs[i].next_u64())
+            << name << ", batch " << n << ", row " << i;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

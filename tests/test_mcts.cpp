@@ -1,10 +1,15 @@
 #include "mcts/mcts.h"
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dag/generator.h"
+#include "fault/fault.h"
+#include "rl/policy.h"
 #include "sched/random_scheduler.h"
 #include "sched/tetris.h"
 #include "support/brute_force.h"
@@ -486,6 +491,121 @@ TEST(DecisionPolicies, PickFallsBackToUniformOnZeroWeights) {
   Rng rng(2);
   const int action = policy.pick(env, rng);
   EXPECT_TRUE(action == 0 || action == 1);
+}
+
+// Serial-search golden: placements (as an FNV-1a hash of the (task, start)
+// sequence) and search counters of one-thread SearchMode::kRoot schedules
+// over 4 DAGs x 4 guides x {no faults, fault_rate 0.15}.  Any change to the
+// serial search's RNG draws, expansion order or accounting shows up here.
+std::uint64_t placement_hash(const std::vector<Placement>& placements) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::int64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * b)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const Placement& p : placements) {
+    mix(p.task);
+    mix(p.start);
+  }
+  return h;
+}
+
+TEST(SerialSearchGolden, PlacementsAndCountsMatchParent) {
+  // {placement hash, decisions, iterations, rollouts, nodes_expanded,
+  //  env_copies, search_failures, search_retries, search_aborts,
+  //  task_failures}, in (dag, guide, faults) order.
+  struct Golden {
+    std::uint64_t hash;
+    std::vector<std::int64_t> counts;
+  };
+  const std::vector<Golden> goldens = {
+      {0xcea4ac9eaed22e24ULL, {39, 610, 598, 601, 1199, 0, 0, 0, 0}},
+      {0x12300ba9bbd7b30aULL, {58, 850, 832, 836, 1668, 3374, 3374, 0, 7}},
+      {0x978f72368a1e7870ULL, {39, 550, 538, 541, 1079, 0, 0, 0, 0}},
+      {0x273474797c1efac2ULL, {57, 770, 762, 765, 1527, 3020, 3020, 0, 7}},
+      {0xdff130065d22aa03ULL, {40, 610, 598, 601, 1199, 0, 0, 0, 0}},
+      {0x4fabbec1f7d62cadULL, {59, 870, 865, 866, 1731, 3308, 3308, 0, 7}},
+      {0xf6d87987dccf12aeULL, {39, 590, 577, 581, 1158, 0, 0, 0, 0}},
+      {0xf6dbed9c644d2121ULL, {58, 870, 862, 865, 1727, 3735, 3735, 0, 7}},
+      {0xb9bd1dc9f0a71ebbULL, {38, 570, 558, 561, 1119, 0, 0, 0, 0}},
+      {0xfd93e022c6bc61d3ULL, {60, 870, 858, 861, 1719, 3654, 3654, 0, 7}},
+      {0xfa91365a4428b774ULL, {38, 570, 558, 561, 1119, 0, 0, 0, 0}},
+      {0xb1b4b6c3c5c35c6fULL, {54, 770, 758, 761, 1519, 2990, 2990, 0, 7}},
+      {0xe358516fd9d74cd7ULL, {39, 570, 558, 561, 1119, 0, 0, 0, 0}},
+      {0x859bd808424e4d7aULL, {57, 730, 718, 721, 1439, 2919, 2919, 0, 7}},
+      {0x990baf0b6931a8bcULL, {37, 594, 582, 585, 1167, 0, 0, 0, 0}},
+      {0x4b50c353250f8406ULL, {58, 730, 718, 721, 1439, 2880, 2880, 0, 7}},
+      {0x6a272d51d446fa89ULL, {38, 540, 514, 520, 1034, 0, 0, 0, 0}},
+      {0x2d0d1272e69f1551ULL, {58, 710, 691, 695, 1386, 3074, 3074, 0, 7}},
+      {0x0554e85a672f39ebULL, {37, 530, 504, 510, 1014, 0, 0, 0, 0}},
+      {0x962000c1b5870d98ULL, {60, 750, 726, 731, 1457, 2951, 2951, 0, 7}},
+      {0x2625c7c0a0d2f660ULL, {39, 590, 564, 570, 1134, 0, 0, 0, 0}},
+      {0x0e6519a9fb197e58ULL, {59, 870, 851, 855, 1706, 3079, 3079, 0, 7}},
+      {0xdb5cf31bd0101c9dULL, {38, 530, 504, 510, 1014, 0, 0, 0, 0}},
+      {0x9cebe39572b8050cULL, {59, 730, 711, 715, 1426, 3030, 3030, 0, 7}},
+      {0xb0e170972addd3b6ULL, {39, 624, 607, 610, 1217, 0, 0, 0, 0}},
+      {0x187368fdbca2104fULL, {60, 764, 746, 750, 1496, 2758, 2758, 0, 7}},
+      {0x7bc5cfc020984397ULL, {40, 584, 567, 570, 1137, 0, 0, 0, 0}},
+      {0x8d9be4f4016ee357ULL, {58, 780, 762, 766, 1528, 2732, 2732, 0, 7}},
+      {0x75260fdd05951355ULL, {38, 624, 598, 604, 1202, 0, 0, 0, 0}},
+      {0x4507d4c567fa2313ULL, {61, 770, 753, 756, 1509, 3035, 3035, 0, 7}},
+      {0xd2cc56efb5da4984ULL, {39, 624, 605, 608, 1213, 0, 0, 0, 0}},
+      {0xcdd0d4fa204cf319ULL, {61, 720, 702, 706, 1408, 2892, 2892, 0, 7}},
+  };
+  const char* const guides[] = {"random", "heuristic", "drl-greedy",
+                                "drl-sampling"};
+  std::size_t index = 0;
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    DagGeneratorOptions gen;
+    gen.num_tasks = 20;
+    Rng dag_rng(300 + k);
+    const Dag dag = generate_random_dag(gen, dag_rng);
+    for (const char* guide_name : guides) {
+      for (const bool faulty : {false, true}) {
+        std::shared_ptr<DecisionPolicy> guide;
+        const std::string name = guide_name;
+        if (name == "heuristic") {
+          guide = std::make_shared<HeuristicDecisionPolicy>();
+        } else if (name != "random") {
+          Rng policy_rng(5);
+          guide = std::make_shared<DrlDecisionPolicy>(
+              std::make_shared<const Policy>(
+                  Policy::make(FeaturizerOptions{}, 2, policy_rng, {16})),
+              /*greedy=*/name == "drl-greedy");
+        }
+        MctsOptions options;
+        options.initial_budget = 120;
+        options.min_budget = 20;
+        options.seed = 9 + k;
+        if (faulty) {
+          FaultOptions fault_options;
+          fault_options.fault_rate = 0.15;
+          fault_options.seed = 11;
+          options.faults =
+              std::make_shared<const FaultInjector>(fault_options, cap());
+          // The fewest retries under which this fault trace lets every
+          // real trajectory finish.
+          options.retry.max_retries = 4;
+        }
+        MctsScheduler mcts(options, guide);
+        const auto placements = mcts.schedule(dag, cap()).placements();
+        const auto& s = mcts.last_stats();
+        const std::vector<std::int64_t> counts = {
+            s.decisions,       s.iterations,      s.rollouts,
+            s.nodes_expanded,  s.env_copies,      s.search_failures,
+            s.search_retries,  s.search_aborts,   s.task_failures};
+        const std::string where = "dag " + std::to_string(k) + ", " + name +
+                                  (faulty ? ", faults" : "");
+        ASSERT_LT(index, goldens.size()) << where;
+        EXPECT_EQ(placement_hash(placements), goldens[index].hash) << where;
+        EXPECT_EQ(counts, goldens[index].counts) << where;
+        ++index;
+      }
+    }
+  }
+  EXPECT_EQ(index, goldens.size());
 }
 
 }  // namespace
