@@ -43,11 +43,12 @@ std::uint64_t leaf_stream_seed(std::uint64_t seed, std::uint64_t decision,
   return inner.next();
 }
 
-/// One in-flight descent of a leaf-parallel evaluator tick (DESIGN.md §11).
-/// The coordinator fills the descent fields under virtual loss; a worker
-/// thread fills the child/rollout results (each worker owns a disjoint
-/// contiguous slot range, so jobs are written race-free); the coordinator
-/// consumes everything at backup, in slot order.
+/// One in-flight descent of an evaluator tick (DESIGN.md §11).  The
+/// coordinator fills the descent fields under virtual loss; a worker thread
+/// fills the child/rollout results (each worker owns a disjoint contiguous
+/// slot range, so jobs are written race-free); the coordinator consumes
+/// everything at backup, in slot order.  Jobs are reused tick after tick:
+/// reset() clears every field but keeps the buffers' capacity.
 struct LeafJob {
   enum class Kind {
     kExpand,    ///< pop a reserved untried action of `node` and expand it
@@ -77,48 +78,36 @@ struct LeafJob {
   // Evaluation-queue bookkeeping (coordinator side).
   std::vector<std::pair<int, double>> priors;  ///< new child's ordering
   std::chrono::steady_clock::time_point enqueued;  ///< obs: queue wait
+
+  void reset() {
+    kind = Kind::kTerminal;
+    node = kNoNode;
+    action = 0;
+    path.clear();
+    child.reset();
+    aborted = false;
+    terminal = false;
+    value = 0.0;
+    key.clear();
+    env_copies = rollouts = fault_failures = fault_retries = fault_aborts = 0;
+    priors.clear();
+  }
 };
 
-/// Constructs every candidate child of `parent` up front and scores all
-/// non-terminal ones with ONE fused guide evaluation (DESIGN.md §10).
-/// prepared[i] corresponds to untried[i]; expansion pops both in lockstep.
-/// Environment copies and fault deltas are NOT counted here — the expansion
-/// pop accounts for them, so Stats match the lazy path exactly.
-std::vector<PreparedChild> prepare_children(
-    const SchedulingEnv& parent,
-    const std::vector<std::pair<int, double>>& untried, DecisionPolicy& guide,
-    MctsScheduler::Stats& stats) {
-  std::vector<PreparedChild> out;
-  out.reserve(untried.size());
-  for (const auto& [action, weight] : untried) {
-    PreparedChild pc(action, parent);
-    const EnvFaultStats pre = pc.state.fault_stats();
-    try {
-      apply_action(pc.state, action);
-    } catch (const JobAbortedError&) {
-      pc.aborted = true;
-    }
-    pc.fault_failures = pc.state.fault_stats().failures - pre.failures;
-    pc.fault_retries = pc.state.fault_stats().retries - pre.retries;
-    pc.terminal = pc.aborted || pc.state.done();
-    out.push_back(std::move(pc));
-  }
-  std::vector<const SchedulingEnv*> pending;
-  pending.reserve(out.size());
-  for (const PreparedChild& pc : out) {
-    if (!pc.terminal) pending.push_back(&pc.state);
-  }
-  if (!pending.empty()) {
-    auto lists = guide.action_weights_batch(pending.data(), pending.size());
-    std::size_t next = 0;
-    for (PreparedChild& pc : out) {
-      if (!pc.terminal) pc.untried = std::move(lists[next++]);
-    }
-    ++stats.batched_evals;
-    stats.batched_rows += static_cast<std::int64_t>(pending.size());
-  }
-  return out;
-}
+/// One rollout a worker advances in lockstep with its other rollouts.
+struct ActiveRollout {
+  std::size_t slot;
+  SchedulingEnv env;
+  EnvFaultStats pre;
+};
+
+/// A worker's rollout scratch, reused across the ticks of a decision.
+struct WorkerScratch {
+  std::vector<ActiveRollout> active;
+  std::vector<const SchedulingEnv*> envs;
+  std::vector<Rng*> rngs;
+  std::vector<int> picks;
+};
 
 /// Every int64_t Stats counter with its metric name, in declaration order.
 struct NamedCount {
@@ -184,7 +173,9 @@ Time greedy_makespan_estimate(const SchedulingEnv& env) {
 
 MctsScheduler::MctsScheduler(MctsOptions options,
                              std::shared_ptr<DecisionPolicy> guide)
-    : options_(std::move(options)), guide_(std::move(guide)) {
+    : options_(std::move(options)),
+      guide_(std::move(guide)),
+      transpositions_(options_.transposition_capacity) {
   if (options_.initial_budget <= 0 || options_.min_budget <= 0) {
     throw std::invalid_argument("MctsScheduler: budgets must be positive");
   }
@@ -227,162 +218,14 @@ void MctsScheduler::set_anytime_budgets(std::int64_t initial_budget,
   options_.time_budget_ms = time_budget_ms;
 }
 
-void MctsScheduler::search_once(SearchTree& tree, Rng& rng,
-                                double exploration_c) {
-  // --- Selection: descend while fully expanded. ---
-  NodeId current = tree.root();
-  while (true) {
-    SearchNode& n = tree.node(current);
-    if (n.terminal || !n.untried.empty() || n.children.empty()) break;
-    NodeId best = kNoNode;
-    double best_score = -std::numeric_limits<double>::infinity();
-    double best_mean = -std::numeric_limits<double>::infinity();
-    const double log_n =
-        std::log(static_cast<double>(std::max<std::int64_t>(n.visits, 1)));
-    for (NodeId child_id : n.children) {
-      const SearchNode& child = tree.node(child_id);
-      const double explore =
-          exploration_c *
-          std::sqrt(log_n / static_cast<double>(std::max<std::int64_t>(
-                                child.visits, 1)));
-      const double exploit =
-          options_.max_backprop ? child.max_value : child.mean_value();
-      const double score = exploit + explore;  // Eq. 5
-      const double mean = child.mean_value();
-      if (score > best_score ||
-          (score == best_score && mean > best_mean)) {
-        best_score = score;
-        best_mean = mean;
-        best = child_id;
-      }
-    }
-    current = best;
-  }
-
-  // --- Expansion: try the most promising untried action (the guide
-  // pre-orders untried, so the front is the best candidate).  add_child may
-  // grow the arena, so each branch is done with `selected` before it. ---
-  SearchNode& selected = tree.node(current);
-  if (!selected.terminal && !selected.untried.empty()) {
-    NodeId child_id;
-    if (selected.prepared_ready && !selected.prepared.empty()) {
-      // Batched fast path (DESIGN.md §10): the child state and its guide
-      // ordering were precomputed by one fused batch evaluation.  All
-      // accounting happens here, at pop time, so Stats are identical to
-      // the lazy path below (unpopped speculation is never counted).
-      PreparedChild pc = std::move(selected.prepared.front());
-      selected.prepared.erase(selected.prepared.begin());
-      selected.untried.erase(selected.untried.begin());
-      ++stats_.env_copies;
-      if (options_.faults) {
-        stats_.search_failures += pc.fault_failures;
-        stats_.search_retries += pc.fault_retries;
-        if (pc.aborted) ++stats_.search_aborts;
-      }
-      child_id = tree.add_child(current, pc.action, std::move(pc.state));
-      SearchNode& child = tree.node(child_id);
-      child.aborted = pc.aborted;
-      child.terminal = pc.terminal;
-      child.untried = std::move(pc.untried);
-    } else {
-      const int action = selected.untried.front().first;
-      selected.untried.erase(selected.untried.begin());
-      SchedulingEnv child_state = selected.state;
-      ++stats_.env_copies;
-      const EnvFaultStats pre_expand = child_state.fault_stats();
-      bool aborted = false;
-      try {
-        apply_action(child_state, action);
-      } catch (const JobAbortedError&) {
-        // Fault mode: this action path exhausts a retry budget.  Keep the
-        // node (with its fixed penalty) so the search learns to avoid it.
-        aborted = true;
-      }
-      if (options_.faults) {
-        stats_.search_failures +=
-            child_state.fault_stats().failures - pre_expand.failures;
-        stats_.search_retries +=
-            child_state.fault_stats().retries - pre_expand.retries;
-        if (aborted) ++stats_.search_aborts;
-      }
-      child_id = tree.add_child(current, action, std::move(child_state));
-      SearchNode& child = tree.node(child_id);
-      child.aborted = aborted;
-      child.terminal = aborted || child.state.done();
-      if (!child.terminal) {
-        child.untried = guide_->action_weights(child.state);
-      }
-    }
-    current = child_id;
-    ++stats_.nodes_expanded;
-  }
-  ++stats_.iterations;
-
-  // --- Simulation: rollout to termination with the guide policy. ---
-  double value;
-  const SearchNode& leaf = tree.node(current);
-  if (leaf.aborted) {
-    value = abort_value_;
-  } else if (leaf.terminal) {
-    value = -static_cast<double>(leaf.state.makespan());
-  } else {
-    SchedulingEnv rollout = leaf.state;
-    ++stats_.env_copies;
-    const EnvFaultStats pre_rollout = rollout.fault_stats();
-    try {
-      while (!rollout.done()) {
-        apply_action(rollout, guide_->pick(rollout, rng));
-      }
-      value = -static_cast<double>(rollout.makespan());
-    } catch (const JobAbortedError&) {
-      value = abort_value_;  // penalize the abort, never kill the search
-      if (options_.faults) ++stats_.search_aborts;
-    }
-    if (options_.faults) {
-      stats_.search_failures +=
-          rollout.fault_stats().failures - pre_rollout.failures;
-      stats_.search_retries +=
-          rollout.fault_stats().retries - pre_rollout.retries;
-    }
-    ++stats_.rollouts;
-  }
-
-  // --- Backpropagation (max + mean, §III-C). ---
-  tree.backpropagate(current, value);
-}
-
-SearchTree MctsScheduler::make_tree(const SchedulingEnv& env,
-                                    DecisionPolicy& guide) {
+SearchTree MctsScheduler::make_tree(const SchedulingEnv& env) {
   SearchTree tree(env);
   SearchNode& root = tree.node(tree.root());
-  root.untried = guide.action_weights(env);
+  root.untried = guide_->action_weights(env);
   if (root.untried.empty()) {
     throw std::logic_error("MctsScheduler: no valid action at decision root");
   }
   return tree;
-}
-
-void MctsScheduler::maybe_prepare_root(SearchTree& tree) {
-  SearchNode& root = tree.node(tree.root());
-  if (!options_.batch_expansion || !guide_->supports_batch_eval()) return;
-  if (root.prepared_ready || root.terminal || root.untried.empty()) return;
-  root.prepared = prepare_children(root.state, root.untried, *guide_, stats_);
-  root.prepared_ready = true;
-}
-
-NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget, Rng& rng,
-                             double exploration_c, const Deadline& deadline,
-                             bool& ran_any) {
-  ran_any = false;
-  for (std::int64_t i = 0; i < budget; ++i) {
-    if (deadline_reached(deadline)) {
-      ++stats_.deadline_cutoffs;
-      break;
-    }
-    search_once(tree, rng, exploration_c);
-    ran_any = true;
-  }
-  return best_root_child(tree);
 }
 
 NodeId MctsScheduler::best_root_child(const SearchTree& tree) const {
@@ -406,27 +249,29 @@ NodeId MctsScheduler::best_root_child(const SearchTree& tree) const {
   return best;
 }
 
-NodeId MctsScheduler::decide_leaf(SearchTree& tree, std::int64_t budget,
-                                  std::int64_t decision_depth,
-                                  double exploration_c,
-                                  const Deadline& deadline, bool& ran_any) {
+NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
+                             std::int64_t decision_depth, Rng& rng,
+                             double exploration_c, const Deadline& deadline,
+                             bool& ran_any) {
   ran_any = false;
   // The arena only grows in the backup loop below, after the workers have
   // joined: descents and workers address nodes by id while it is fixed.
   const auto workers = static_cast<std::int64_t>(worker_guides_.size());
-  // Absolute, worker-count-independent tick size (see MctsOptions): the
-  // same seed and budget descend the same tree no matter how many workers
-  // split the slots.
+  // The serial search is one slot per tick, drawing from the schedule-wide
+  // `rng`.  Leaf mode uses the absolute, worker-count-independent tick size
+  // (see MctsOptions): the same seed and budget descend the same tree no
+  // matter how many workers split the slots.
+  const bool serial = serial_search();
   const std::int64_t per_tick =
-      std::max<std::int64_t>(options_.leaf_batch_size, 1);
+      std::min<std::int64_t>(serial ? 1 : options_.leaf_batch_size, budget);
 
-  // One sequential descent under virtual loss; returns the reserved job.
-  // Descents run on the coordinator thread — selection is a few float
-  // compares per level, negligible next to the network forwards the tick
-  // parallelizes — which is what keeps leaf mode deterministic: slot i's
-  // job depends only on the i-1 descents before it, never on OS timing.
-  const auto descend = [&]() -> LeafJob {
-    LeafJob job;
+  // One sequential descent under virtual loss, reserving `job`.  Descents
+  // run on the coordinator thread — selection is a few float compares per
+  // level, negligible next to the network forwards the tick parallelizes —
+  // which is what keeps leaf mode deterministic: slot i's job depends only
+  // on the i-1 descents before it, never on OS timing.
+  const auto descend = [&](LeafJob& job) {
+    job.reset();
     NodeId current = tree.root();
     bool collided = false;
     while (true) {
@@ -489,8 +334,20 @@ NodeId MctsScheduler::decide_leaf(SearchTree& tree, std::int64_t budget,
     }
     if (collided) ++stats_.vloss_collisions;
     for (NodeId id : job.path) ++tree.node(id).vloss;
-    return job;
   };
+
+  // Tick buffers, sized once per decision and reused by every tick.
+  const auto tick_capacity = static_cast<std::size_t>(per_tick);
+  std::vector<LeafJob> jobs(tick_capacity);
+  // Per-slot rollout RNGs: the schedule-wide `rng` in the serial search;
+  // in leaf mode, streams keyed by the global iteration index so they do
+  // not depend on the worker partition.
+  std::vector<Rng> streams(serial ? 0 : tick_capacity);
+  std::vector<Rng*> slot_rngs(tick_capacity, &rng);
+  for (std::size_t s = 0; s < streams.size(); ++s) slot_rngs[s] = &streams[s];
+  std::vector<WorkerScratch> scratch(static_cast<std::size_t>(workers));
+  std::vector<const SchedulingEnv*> pending;
+  std::vector<LeafJob*> pending_jobs;
 
   std::int64_t completed = 0;
   while (completed < budget) {
@@ -499,129 +356,124 @@ NodeId MctsScheduler::decide_leaf(SearchTree& tree, std::int64_t budget,
       break;
     }
     const std::int64_t slots = std::min(per_tick, budget - completed);
-    obs::ScopedTimer tick_span("mcts.leaf.tick", "mcts");
+    // The serial search ticks once per iteration: it feeds the span
+    // histograms but writes no per-iteration trace events.
+    obs::ScopedTimer tick_span("mcts.leaf.tick", "mcts",
+                               /*with_trace=*/!serial);
     if (tick_span.active()) {
       tick_span.set_args("\"decision\":" + std::to_string(decision_depth) +
                          ",\"slots\":" + std::to_string(slots));
     }
 
     // --- Descend: reserve one leaf per slot under virtual loss. ---
-    std::vector<LeafJob> jobs;
-    jobs.reserve(static_cast<std::size_t>(slots));
-    for (std::int64_t s = 0; s < slots; ++s) jobs.push_back(descend());
-    // Per-slot rollout RNG streams, keyed by the global iteration index so
-    // they do not depend on the worker partition.
-    std::vector<Rng> rngs;
-    rngs.reserve(jobs.size());
-    for (std::int64_t s = 0; s < slots; ++s) {
-      rngs.emplace_back(leaf_stream_seed(
-          options_.seed, static_cast<std::uint64_t>(decision_depth),
-          static_cast<std::uint64_t>(completed + s)));
+    const auto tick_jobs = static_cast<std::size_t>(slots);
+    for (std::size_t s = 0; s < tick_jobs; ++s) descend(jobs[s]);
+    if (!serial) {
+      for (std::size_t s = 0; s < tick_jobs; ++s) {
+        streams[s] = Rng(leaf_stream_seed(
+            options_.seed, static_cast<std::uint64_t>(decision_depth),
+            static_cast<std::uint64_t>(completed) + s));
+      }
     }
 
     // --- Workers: construct child states, then advance all of their
     // rollouts in lockstep so batch-capable guides fuse one forward per
     // rollout STEP instead of one per rollout state. ---
-    const auto worker_body =
-        [&](std::size_t w) {
-          const auto lo = static_cast<std::size_t>(
-              slots * static_cast<std::int64_t>(w) / workers);
-          const auto hi = static_cast<std::size_t>(
-              slots * (static_cast<std::int64_t>(w) + 1) / workers);
-          if (lo >= hi) return;
-          DecisionPolicy& guide = *worker_guides_[w];
+    const auto worker_body = [&](std::size_t w) {
+      const auto lo = static_cast<std::size_t>(
+          slots * static_cast<std::int64_t>(w) / workers);
+      const auto hi = static_cast<std::size_t>(
+          slots * (static_cast<std::int64_t>(w) + 1) / workers);
+      if (lo >= hi) return;
+      DecisionPolicy& guide = *worker_guides_[w];
+      WorkerScratch& ws = scratch[w];
 
-          struct ActiveRollout {
-            std::size_t slot;
-            SchedulingEnv env;
-            EnvFaultStats pre;
-          };
-          std::vector<ActiveRollout> active;
-          active.reserve(hi - lo);
-          for (std::size_t s = lo; s < hi; ++s) {
-            LeafJob& job = jobs[s];
-            if (job.kind == LeafJob::Kind::kTerminal) continue;
-            const SearchNode& node = tree.node(job.node);
-            if (job.kind == LeafJob::Kind::kRollout) {
-              ++job.env_copies;
-              active.push_back({s, node.state, node.state.fault_stats()});
-              continue;
-            }
-            SchedulingEnv child = node.state;
-            ++job.env_copies;
-            const EnvFaultStats pre = child.fault_stats();
-            try {
-              apply_action(child, job.action);
-            } catch (const JobAbortedError&) {
-              job.aborted = true;
-            }
-            job.fault_failures = child.fault_stats().failures - pre.failures;
-            job.fault_retries = child.fault_stats().retries - pre.retries;
-            if (job.aborted) ++job.fault_aborts;
-            job.terminal = job.aborted || child.done();
-            if (job.aborted) {
-              job.value = abort_value_;
-            } else if (job.terminal) {
-              job.value = -static_cast<double>(child.makespan());
-            } else {
-              child.append_canonical_key(job.key);
-              if (obs::enabled()) {
-                job.enqueued = std::chrono::steady_clock::now();
-              }
-              ++job.env_copies;
-              active.push_back({s, child, child.fault_stats()});
-            }
-            job.child.emplace(std::move(child));
+      ws.active.clear();
+      for (std::size_t s = lo; s < hi; ++s) {
+        LeafJob& job = jobs[s];
+        if (job.kind == LeafJob::Kind::kTerminal) continue;
+        const SearchNode& node = tree.node(job.node);
+        if (job.kind == LeafJob::Kind::kRollout) {
+          ++job.env_copies;
+          ws.active.emplace_back(s, node.state, node.state.fault_stats());
+          continue;
+        }
+        SchedulingEnv& child = job.child.emplace(node.state);
+        ++job.env_copies;
+        const EnvFaultStats pre = child.fault_stats();
+        try {
+          apply_action(child, job.action);
+        } catch (const JobAbortedError&) {
+          // Fault mode: this action path exhausts a retry budget.  Keep the
+          // node (with its fixed penalty) so the search learns to avoid it.
+          job.aborted = true;
+        }
+        job.fault_failures = child.fault_stats().failures - pre.failures;
+        job.fault_retries = child.fault_stats().retries - pre.retries;
+        if (job.aborted) ++job.fault_aborts;
+        job.terminal = job.aborted || child.done();
+        if (job.aborted) {
+          job.value = abort_value_;
+        } else if (job.terminal) {
+          job.value = -static_cast<double>(child.makespan());
+        } else {
+          child.append_canonical_key(job.key);
+          if (obs::enabled()) {
+            job.enqueued = std::chrono::steady_clock::now();
           }
+          ++job.env_copies;
+          ws.active.emplace_back(s, child, child.fault_stats());
+        }
+      }
 
-          std::vector<const SchedulingEnv*> envs;
-          std::vector<Rng*> rng_ptrs;
-          std::vector<int> picks;
-          while (!active.empty()) {
-            envs.clear();
-            rng_ptrs.clear();
-            for (ActiveRollout& a : active) {
-              envs.push_back(&a.env);
-              rng_ptrs.push_back(&rngs[a.slot]);
-            }
-            picks.resize(active.size());
-            guide.pick_batch(envs.data(), active.size(), rng_ptrs.data(),
-                             picks.data());
-            std::size_t kept = 0;
-            for (std::size_t i = 0; i < active.size(); ++i) {
-              ActiveRollout& a = active[i];
-              LeafJob& job = jobs[a.slot];
-              bool finished = false;
-              try {
-                apply_action(a.env, picks[i]);
-                if (a.env.done()) {
-                  job.value = -static_cast<double>(a.env.makespan());
-                  finished = true;
-                }
-              } catch (const JobAbortedError&) {
-                job.value = abort_value_;
-                ++job.fault_aborts;
-                finished = true;
-              }
-              if (finished) {
-                job.fault_failures +=
-                    a.env.fault_stats().failures - a.pre.failures;
-                job.fault_retries +=
-                    a.env.fault_stats().retries - a.pre.retries;
-                ++job.rollouts;
-              } else {
-                if (kept != i) active[kept] = std::move(active[i]);
-                ++kept;
-              }
-            }
-            active.erase(active.begin() + static_cast<std::ptrdiff_t>(kept),
-                         active.end());
+      ws.envs.clear();
+      while (!ws.active.empty()) {
+        // The rollout envs only move when finished rollouts are compacted
+        // away, so the row pointers are rebuilt only then.
+        if (ws.envs.size() != ws.active.size()) {
+          ws.envs.clear();
+          ws.rngs.clear();
+          for (ActiveRollout& a : ws.active) {
+            ws.envs.push_back(&a.env);
+            ws.rngs.push_back(slot_rngs[a.slot]);
           }
-        };
+          ws.picks.resize(ws.active.size());
+        }
+        guide.pick_batch(ws.envs.data(), ws.active.size(), ws.rngs.data(),
+                         ws.picks.data());
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < ws.active.size(); ++i) {
+          ActiveRollout& a = ws.active[i];
+          LeafJob& job = jobs[a.slot];
+          bool finished = false;
+          try {
+            apply_action(a.env, ws.picks[i]);
+            if (a.env.done()) {
+              job.value = -static_cast<double>(a.env.makespan());
+              finished = true;
+            }
+          } catch (const JobAbortedError&) {
+            // Penalize the abort, never kill the search.
+            job.value = abort_value_;
+            ++job.fault_aborts;
+            finished = true;
+          }
+          if (finished) {
+            job.fault_failures += a.env.fault_stats().failures - a.pre.failures;
+            job.fault_retries += a.env.fault_stats().retries - a.pre.retries;
+            ++job.rollouts;
+          } else {
+            if (kept != i) ws.active[kept] = std::move(ws.active[i]);
+            ++kept;
+          }
+        }
+        ws.active.erase(ws.active.begin() + static_cast<std::ptrdiff_t>(kept),
+                        ws.active.end());
+      }
+    };
     // One worker runs the body inline: a one-lane pool dispatch would pay a
-    // submit/wake/join round trip per tick for zero parallelism — a
-    // measurable leaf-throughput tax at num_threads == 1 (and the pool is
-    // not even built then, see ensure_parallel_workers).
+    // submit/wake/join round trip per tick for zero parallelism (and the
+    // pool is not even built then, see ensure_workers).
     if (workers == 1) {
       worker_body(0);
     } else {
@@ -631,13 +483,15 @@ NodeId MctsScheduler::decide_leaf(SearchTree& tree, std::int64_t budget,
     // --- Evaluator: drain the queue of new leaf states through the
     // transposition cache, then ONE fused guide forward for the misses. ---
     {
-      obs::ScopedTimer drain_span("mcts.evaluator.drain", "mcts");
+      obs::ScopedTimer drain_span("mcts.evaluator.drain", "mcts",
+                                  /*with_trace=*/!serial);
       const bool obs_on = drain_span.active();
       const auto drain_start = obs_on ? std::chrono::steady_clock::now()
                                       : std::chrono::steady_clock::time_point();
-      std::vector<const SchedulingEnv*> pending;
-      std::vector<LeafJob*> pending_jobs;
-      for (LeafJob& job : jobs) {
+      pending.clear();
+      pending_jobs.clear();
+      for (std::size_t s = 0; s < tick_jobs; ++s) {
+        LeafJob& job = jobs[s];
         if (job.kind != LeafJob::Kind::kExpand || job.terminal) continue;
         if (obs_on) {
           obs::observe(
@@ -647,13 +501,13 @@ NodeId MctsScheduler::decide_leaf(SearchTree& tree, std::int64_t budget,
                   .count());
         }
         if (const TranspositionCache::Priors* hit =
-                transpositions_->find(job.key)) {
+                transpositions_.find(job.key)) {
           job.priors = *hit;  // copy: inserts below may evict the entry
           ++stats_.tt_hits;
         } else {
           // A disabled cache (capacity 0) is not "all misses": the probe
           // counters only track a cache that is actually in play.
-          if (transpositions_->capacity() > 0) ++stats_.tt_misses;
+          if (transpositions_.capacity() > 0) ++stats_.tt_misses;
           pending.push_back(&*job.child);
           pending_jobs.push_back(&job);
         }
@@ -668,7 +522,7 @@ NodeId MctsScheduler::decide_leaf(SearchTree& tree, std::int64_t budget,
                        static_cast<double>(pending.size()));
         }
         for (std::size_t i = 0; i < pending_jobs.size(); ++i) {
-          transpositions_->insert(pending_jobs[i]->key, lists[i]);
+          transpositions_.insert(pending_jobs[i]->key, lists[i]);
           pending_jobs[i]->priors = std::move(lists[i]);
         }
       }
@@ -676,7 +530,8 @@ NodeId MctsScheduler::decide_leaf(SearchTree& tree, std::int64_t budget,
 
     // --- Backup, in slot order (the deterministic tie-breaking order),
     // releasing each descent's virtual loss. ---
-    for (LeafJob& job : jobs) {
+    for (std::size_t s = 0; s < tick_jobs; ++s) {
+      LeafJob& job = jobs[s];
       NodeId backprop_from = job.node;
       if (job.kind == LeafJob::Kind::kExpand) {
         const NodeId child_id =
@@ -707,31 +562,22 @@ NodeId MctsScheduler::decide_leaf(SearchTree& tree, std::int64_t budget,
   return best_root_child(tree);
 }
 
-bool MctsScheduler::ensure_parallel_workers() {
-  const auto n = static_cast<std::size_t>(options_.num_threads);
-  if (worker_guides_.size() != n) {
-    worker_guides_.clear();
-    worker_guides_.reserve(n);
-    for (std::size_t w = 0; w < n; ++w) {
-      auto clone = guide_->clone();
-      if (!clone) {
-        // Uncloneable custom guide: stay serial rather than race on it.
-        worker_guides_.clear();
-        return false;
-      }
-      worker_guides_.push_back(std::move(clone));
-    }
+void MctsScheduler::ensure_workers() {
+  if (!worker_guides_.empty()) return;
+  // Worker 0 is the guide itself; only workers 1..n-1 run private clones.
+  // An uncloneable guide simply searches on one worker — results do not
+  // depend on the worker count, so this is the same search.
+  worker_guides_.push_back(guide_);
+  for (int w = 1; w < options_.num_threads; ++w) {
+    auto clone = guide_->clone();
+    if (!clone) break;
+    worker_guides_.push_back(std::move(clone));
   }
-  if (n > 1) {
-    if (!pool_ || pool_->size() != n) {
-      pool_ = std::make_unique<ThreadPool>(n);
-    }
-  } else {
-    // Single worker: every tick runs inline on the coordinator, so a pool
-    // would only add idle threads and a per-tick dispatch round trip.
-    pool_.reset();
+  // A single worker runs every tick inline on the coordinator, so a pool
+  // would only add idle threads and a per-tick dispatch round trip.
+  if (worker_guides_.size() > 1) {
+    pool_ = std::make_unique<ThreadPool>(worker_guides_.size());
   }
-  return true;
 }
 
 Schedule MctsScheduler::schedule(const Dag& dag,
@@ -780,42 +626,28 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
       options_.exploration_scale *
       static_cast<double>(std::max<Time>(greedy_makespan_estimate(env), 1));
 
-  // Leaf parallelism is the one parallel search: it runs at num_threads > 1,
-  // and also at one thread when selected (SearchMode::kLeaf), where the
-  // shared-evaluator batching, not thread scaling, is the win.  It needs a
-  // cloneable guide; an uncloneable custom guide falls back to the serial
-  // search.
-  const bool leaf_mode = (options_.search_mode == SearchMode::kLeaf ||
-                          options_.num_threads > 1) &&
-                         ensure_parallel_workers();
-  if (leaf_mode) {
-    if (!transpositions_ ||
-        transpositions_->capacity() != options_.transposition_capacity) {
-      transpositions_ = std::make_unique<TranspositionCache>(
-          options_.transposition_capacity);
-    }
-    // Keys do not encode the DAG identity: never reuse entries across
-    // schedule() calls.
-    transpositions_->clear();
-    // Arm the workers' rollout action cache (greedy guides only — the call
-    // is a no-op for sampling or cache-less guides), fresh per schedule.
-    // All workers share ONE cache: private per-worker caches miss
-    // independently on the same rollout states, so total forwards grew with
-    // the worker count.  Hits are bit-identical either way (greedy picks
-    // are pure functions of the state).  One worker gets one shard, so FIFO
-    // eviction is global and the hit/miss counts are deterministic; with
-    // more workers the hit/miss split depends on timing.
-    std::shared_ptr<SharedActionCache> rollout_cache;
-    if (options_.transposition_capacity > 0) {
-      rollout_cache = std::make_shared<SharedActionCache>(
-          options_.transposition_capacity, worker_guides_.size() > 1 ? 8 : 1);
-    }
-    for (const auto& g : worker_guides_) g->share_rollout_cache(rollout_cache);
+  ensure_workers();
+  // Keys do not encode the DAG identity: never reuse entries across
+  // schedule() calls.
+  transpositions_.clear();
+  // Arm the workers' rollout action cache (greedy guides only — the call is
+  // a no-op for sampling or cache-less guides), fresh per schedule.  All
+  // workers share ONE cache: private per-worker caches miss independently on
+  // the same rollout states, so total forwards grew with the worker count.
+  // Hits are bit-identical either way (greedy picks are pure functions of
+  // the state).  One worker gets one shard, so FIFO eviction is global and
+  // the hit/miss counts are deterministic; with more workers the hit/miss
+  // split depends on timing.  Forward tallies are zeroed so the
+  // end-of-schedule fold reports THIS schedule only.
+  std::shared_ptr<SharedActionCache> rollout_cache;
+  if (options_.transposition_capacity > 0) {
+    rollout_cache = std::make_shared<SharedActionCache>(
+        options_.transposition_capacity, worker_guides_.size() > 1 ? 8 : 1);
   }
-  // Zero every guide's physical-forward tallies so the end-of-schedule fold
-  // reports THIS schedule only (clones persist across schedule() calls).
-  if (guide_) guide_->reset_forward_stats();
-  for (const auto& g : worker_guides_) g->reset_forward_stats();
+  for (const auto& g : worker_guides_) {
+    g->share_rollout_cache(rollout_cache);
+    g->reset_forward_stats();
+  }
 
   // Anytime mode: every decision gets its own wall-clock deadline, started
   // BEFORE the root guide evaluation so an expensive guide counts against
@@ -825,38 +657,27 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
     return std::chrono::steady_clock::now() +
            std::chrono::milliseconds(options_.time_budget_ms);
   };
-  // Real-trajectory fault counters come from the ONE persistent env that
-  // both the serial and the leaf path step; the speculative counters
-  // (search_failures/search_retries/search_aborts) are added as the search
-  // runs.
+  // Real-trajectory fault counters come from the ONE persistent env the
+  // search steps; the speculative counters (search_failures/search_retries/
+  // search_aborts) are added as the search runs.
   const auto record_fault_stats = [this, &env]() {
     if (!options_.faults) return;
     stats_.task_failures = env.fault_stats().failures;
     stats_.task_retries = env.fault_stats().retries;
   };
-  // Worker rollout-cache tallies are folded ONCE per schedule() (each
-  // worker accumulates across every decision).
-  const auto fold_rollout_cache_stats = [this, leaf_mode]() {
-    if (!leaf_mode) return;
+  // Guide tallies (rollout cache and physical forwards) accumulate across
+  // every decision and are folded ONCE per schedule(), once per distinct
+  // guide: worker 0 is guide_ itself, so worker_guides_ lists each once.
+  const auto fold_guide_stats = [this]() {
     for (const auto& g : worker_guides_) {
       stats_.rollout_cache_hits += g->rollout_cache_hits();
       stats_.rollout_cache_misses += g->rollout_cache_misses();
-    }
-  };
-  // Physical forward telemetry: folded from EVERY guide that may have run
-  // a private-weights kernel this schedule (the root guide plus the leaf
-  // worker clones).  Counters were reset before the search
-  // loop, so the fold is this schedule's tally exactly once.
-  const auto fold_forward_stats = [this]() {
-    const auto fold_one = [this](const DecisionPolicy& g) {
-      stats_.guide_forwards += g.forward_calls();
-      stats_.guide_forward_rows += g.forward_rows();
-      if (const std::vector<std::int64_t>* hist = g.forward_hist()) {
+      stats_.guide_forwards += g->forward_calls();
+      stats_.guide_forward_rows += g->forward_rows();
+      if (const std::vector<std::int64_t>* hist = g->forward_hist()) {
         hist_add(stats_.batch_rows_hist, *hist);
       }
-    };
-    if (guide_) fold_one(*guide_);
-    for (const auto& g : worker_guides_) fold_one(*g);
+    }
   };
   // One registry push per schedule() call — hot loops only touch stats_.
   const auto flush_metrics = [this]() {
@@ -867,12 +688,13 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
     obs::gauge("mcts.last_search_seconds", stats_.search_seconds);
   };
 
+  const bool serial = serial_search();
   std::optional<SearchTree> tree;
   std::int64_t depth = 1;  // 1-based decision depth d_i of Eq. 4
   try {
     while (!env.done()) {
       const Deadline deadline = make_deadline();
-      if (!tree) tree.emplace(make_tree(env, *guide_));
+      if (!tree) tree.emplace(make_tree(env));
 
       const SearchNode& root = tree->node(tree->root());
       if (root.untried.size() == 1 && root.children.empty()) {
@@ -885,11 +707,6 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
         continue;
       }
 
-      // Batched root preparation is a serial-search optimization: the leaf
-      // descent pops `untried` without popping `prepared` in lockstep, and
-      // its evaluator batches child scoring anyway.
-      if (!leaf_mode) maybe_prepare_root(*tree);
-
       const std::int64_t budget =
           options_.decay_budget
               ? std::max(options_.initial_budget / depth, options_.min_budget)
@@ -899,15 +716,12 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
         decision_span.set_args(
             "\"depth\":" + std::to_string(depth) + ",\"budget\":" +
             std::to_string(budget) +
-            (leaf_mode ? ",\"mode\":\"leaf\"" : ",\"mode\":\"serial\""));
+            (serial ? ",\"mode\":\"serial\"" : ",\"mode\":\"leaf\""));
       }
       const auto start = std::chrono::steady_clock::now();
       bool ran_any = false;
       const NodeId best =
-          leaf_mode
-              ? decide_leaf(*tree, budget, depth, exploration_c, deadline,
-                            ran_any)
-              : decide(*tree, budget, rng, exploration_c, deadline, ran_any);
+          decide(*tree, budget, depth, rng, exploration_c, deadline, ran_any);
       stats_.search_seconds += seconds_since(start);
       decision_span.finish();
       if (best == kNoNode) {
@@ -924,9 +738,8 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
         tree.reset();
       } else {
         apply_action(env, tree->node(best).action_from_parent);
-        const bool reuse =
-            leaf_mode ? options_.leaf_tree_reuse : options_.reuse_tree;
-        if (reuse) {
+        // The serial search builds a fresh tree for every decision.
+        if (!serial && options_.leaf_tree_reuse) {
           tree = tree->reroot(best);
         } else {
           tree.reset();
@@ -939,15 +752,13 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
     // The REAL trajectory exhausted a retry budget: surface the stats the
     // caller will want in the error report, then let the abort propagate.
     record_fault_stats();
-    fold_rollout_cache_stats();
-    fold_forward_stats();
+    fold_guide_stats();
     if (obs::enabled()) obs::count("mcts.job_aborts");
     flush_metrics();
     throw;
   }
   record_fault_stats();
-  fold_rollout_cache_stats();
-  fold_forward_stats();
+  fold_guide_stats();
   flush_metrics();
   return env.cluster().schedule();
 }

@@ -19,15 +19,20 @@
 //  * Per-decision budget decay: budget(d) = max(b_initial / d, b_min)
 //    where d is the 1-based decision depth (Eq. 4).
 //
-// A fresh tree is built for every decision; the chosen action is applied to
-// the persistent environment and search repeats until the DAG completes.
+// The chosen action is applied to the persistent environment and search
+// repeats until the DAG completes.
 //
-// Parallel search (num_threads > 1) is leaf parallelism (DESIGN.md §6,
-// §11): one shared tree, descents under virtual loss, worker threads that
+// One search engine runs every mode (DESIGN.md §6, §11): a shared tree
+// searched in ticks — descents under virtual loss, worker threads that
 // build children and advance rollouts, and a central evaluator that scores
-// new leaves with one batched forward per tick.  Results do not depend on
-// the worker count.  num_threads == 1 with the default SearchMode::kRoot is
-// the serial search above, bit for bit.
+// new leaves with one batched forward per tick through a transposition
+// cache.  The serial search (SearchMode::kRoot at num_threads == 1) is its
+// one-slot configuration: ticks of one descent drawing from one
+// schedule-wide RNG and a fresh tree per decision, which is exactly the
+// paper's select-expand-rollout-backup loop.  Leaf mode (kLeaf, or any
+// num_threads > 1) runs leaf_batch_size-slot ticks with per-slot RNG
+// streams and reuses the chosen subtree; its results do not depend on the
+// worker count.
 
 // Anytime search (time_budget_ms > 0): every decision races a wall-clock
 // deadline.  When the deadline expires mid-decision the best root action
@@ -63,17 +68,19 @@
 
 namespace spear {
 
-/// Which search a ONE-thread scheduler runs; at num_threads > 1 the search
-/// is always leaf-parallel and the two values behave the same.
+/// Which configuration of the search engine a ONE-thread scheduler runs;
+/// at num_threads > 1 the search is always leaf mode and the two values
+/// behave the same.
 enum class SearchMode {
-  /// The serial search (the paper's algorithm, bit-identical to the
-  /// original implementation).
+  /// The serial search (the paper's algorithm): one-slot ticks drawing from
+  /// the schedule-wide RNG, a fresh tree per decision.
   kRoot,
-  /// Leaf parallelism (DESIGN.md §11): one shared tree, descents hold
-  /// virtual loss, leaf states park in an evaluation queue that a central
-  /// evaluator drains with ONE batched network forward per tick, and
-  /// worker threads advance the parked rollouts in lockstep batches.
-  /// Duplicate states share evaluations through a transposition cache.
+  /// Leaf parallelism (DESIGN.md §11): leaf_batch_size descents per tick
+  /// hold virtual loss, leaf states park in an evaluation queue that a
+  /// central evaluator drains with ONE batched network forward per tick,
+  /// and worker threads advance the parked rollouts in lockstep batches.
+  /// Each slot draws from its own RNG stream, and the chosen subtree is
+  /// reused across decisions (leaf_tree_reuse).
   kLeaf,
 };
 
@@ -87,9 +94,9 @@ struct MctsOptions {
   std::string name = "MCTS";
   /// Search threads.  1 (default) = the serial search (or one-thread leaf
   /// mode under SearchMode::kLeaf); N > 1 = leaf-parallel search on N
-  /// workers.  Parallel search requires the guide policy to be
-  /// clone()-able (all built-in policies are); otherwise the search stays
-  /// serial.
+  /// workers.  Worker 0 runs the guide itself, workers 1..N-1 private
+  /// clone()s; an uncloneable guide runs on one worker, which gives the
+  /// same results.
   int num_threads = 1;
 
   /// Anytime wall-clock budget per decision, in milliseconds; 0 (default) =
@@ -106,17 +113,6 @@ struct MctsOptions {
   std::shared_ptr<const FaultInjector> faults;
   RetryOptions retry;
 
-  /// Batched child evaluation at the decision root (DESIGN.md §10): when
-  /// the guide supports fused batch evaluation (the DRL policy), all of the
-  /// root's candidate children are constructed up front and scored with ONE
-  /// batched network forward instead of one single-row forward per
-  /// expansion.  Search results are bit-identical either way — batched
-  /// logits rows equal single-row forwards bit for bit and the expansion
-  /// order is unchanged — only wall clock improves.  Root-only on purpose:
-  /// root children are (virtually) always all expanded, so no speculative
-  /// work is wasted; deeper nodes keep the lazy path.
-  bool batch_expansion = true;
-
   // --- Ablation knobs (the paper's design choices; defaults = paper). ---
   /// Eq. 5 backpropagation: exploit the MAX rollout value with the mean as
   /// tiebreaker.  false = classic mean-value UCB (ablation).
@@ -124,18 +120,10 @@ struct MctsOptions {
   /// Eq. 4 budget decay: budget(d) = max(b_initial/d, b_min).
   /// false = flat b_initial at every decision (ablation).
   bool decay_budget = true;
-  /// Reuse the selected child's subtree as the next decision's root
-  /// (§III-C: "the selected action will point to a child node which will
-  /// become the new root node").  Off by default: with the decayed budget
-  /// the benefit is small and a fresh tree keeps memory flat; turn on to
-  /// match the paper's mechanism exactly.  Serial-only (leaf mode has its
-  /// own knob, leaf_tree_reuse below).
-  bool reuse_tree = false;
 
   // --- Leaf-parallel search (num_threads > 1 or kLeaf; DESIGN.md §11). ---
   /// kLeaf runs leaf mode even at num_threads == 1 (batched evaluation is a
-  /// win on its own); kRoot keeps one thread serial.  Either way leaf mode
-  /// needs a cloneable guide, and otherwise the search stays serial.
+  /// win on its own); kRoot keeps one thread serial.
   SearchMode search_mode = SearchMode::kRoot;
   /// Descents held in flight per evaluator tick (split across the workers;
   /// each tick is one descend -> evaluate -> backup round).  Deliberately
@@ -145,14 +133,16 @@ struct MctsOptions {
   /// but hold more virtual loss concurrently; ticks never exceed the
   /// decision's remaining budget.
   int leaf_batch_size = 32;
-  /// Max entries in the leaf-mode transposition cache; 0 disables it.
-  /// Cached priors are bitwise-identical to fresh evaluations, so this is
+  /// Max entries in the transposition cache and in the shared rollout
+  /// action cache (both modes); 0 disables them.  Cached priors and greedy
+  /// rollout actions are bitwise-identical to fresh evaluations, so this is
   /// purely a throughput knob.
   std::size_t transposition_capacity = 8192;
   /// Leaf mode reuses the chosen subtree across decisions by default
-  /// (SearchTree::reroot) — the shared tree makes reuse natural and it
-  /// compounds with the transposition cache.  The benches' --no-tree-reuse
-  /// clears this.
+  /// (SearchTree::reroot, §III-C: "the selected action will point to a
+  /// child node which will become the new root node") — it compounds with
+  /// the transposition cache.  The benches' --no-tree-reuse clears this.
+  /// The serial search always builds a fresh tree per decision.
   bool leaf_tree_reuse = true;
 };
 
@@ -178,9 +168,9 @@ class MctsScheduler : public Scheduler {
   /// (preloaded tasks appear as placements at t = 0).
   Schedule schedule_env(SchedulingEnv env);
 
-  /// Search telemetry for the most recent schedule() call.  Leaf-mode
-  /// counters are folded in slot order at each tick's backup, so they do
-  /// not depend on the worker count; wall time is measured around the
+  /// Search telemetry for the most recent schedule() call.  Counters are
+  /// folded in slot order at each tick's backup, so they do not depend on
+  /// the worker count; wall time is measured around the
   /// per-decision search only (tree setup + iterations), not around policy
   /// training or environment stepping outside the search.
   struct Stats {
@@ -205,10 +195,9 @@ class MctsScheduler : public Scheduler {
     std::int64_t search_retries = 0;   ///< retries in search states
     std::int64_t search_aborts = 0;    ///< simulated trajectories that
                                        ///< exhausted the retry budget
-    // Batched-evaluation telemetry: the serial search counts the fused
-    // forwards of batched child preparation (options.batch_expansion with a
-    // batch-capable guide); leaf mode counts the central evaluator's queue
-    // drains.  Zero otherwise.
+    // Batched-evaluation telemetry: the central evaluator's queue drains
+    // that reached the guide (ticks whose new leaves all hit the
+    // transposition cache issue none).
     std::int64_t batched_evals = 0;  ///< fused batch forwards issued
     std::int64_t batched_rows = 0;   ///< states scored by those batches
                                      ///< (rows per eval = batched_rows /
@@ -216,7 +205,7 @@ class MctsScheduler : public Scheduler {
     // Physical forward telemetry, folded from the guides once per
     // schedule(): every PRIVATE-weights kernel invocation the guide
     // policies executed (batched evaluations AND single-row calls — root
-    // priors, serial rollout picks), with its row count.  This is the
+    // priors, one-slot rollout steps), with its row count.  This is the
     // denominator batch occupancy is measured against; batched_evals above
     // only counts the fused calls.
     std::int64_t guide_forwards = 0;      ///< kernel invocations
@@ -227,7 +216,8 @@ class MctsScheduler : public Scheduler {
     /// as p50/p99 batch occupancy.  Sized on demand (empty when no guide
     /// forward ran).
     std::vector<std::int64_t> batch_rows_hist;
-    // Leaf-parallel telemetry (zero in the serial search).
+    // Search-engine telemetry.  The serial search runs one tick per
+    // iteration and never collides (one descent in flight).
     std::int64_t leaf_ticks = 0;  ///< evaluator ticks (descend -> evaluate
                                   ///< -> backup rounds)
     std::int64_t tt_hits = 0;     ///< transposition-cache prior hits
@@ -262,7 +252,7 @@ class MctsScheduler : public Scheduler {
     }
     /// Decisions that actually ran a search (every one of these consumes
     /// exactly its budget's iterations when no deadline truncates it, in
-    /// both the serial and the leaf mode).
+    /// every mode).
     std::int64_t searched_decisions() const {
       return decisions - forced_decisions;
     }
@@ -304,46 +294,44 @@ class MctsScheduler : public Scheduler {
     return deadline && std::chrono::steady_clock::now() >= *deadline;
   }
 
-  /// One serial MCTS iteration on `tree`: select, expand, roll out, back up.
-  void search_once(SearchTree& tree, Rng& rng, double exploration_c);
-  /// Runs up to `budget` iterations on `tree` (stopping at `deadline` if
-  /// set) and returns the chosen root child (kNoNode if nothing was ever
-  /// expanded — callers fall back).  `ran_any` reports whether at least one
-  /// iteration completed this call.
-  NodeId decide(SearchTree& tree, std::int64_t budget, Rng& rng,
-                double exploration_c, const Deadline& deadline,
-                bool& ran_any);
-  /// Leaf-parallel decision (DESIGN.md §11): runs up to `budget`
-  /// iterations on the SHARED `tree` in synchronized ticks —
-  /// descend with virtual loss, construct children and advance rollouts on
-  /// the worker pool, drain the evaluation queue through the transposition
-  /// cache and ONE batched guide forward, back up in slot order — and
-  /// returns the chosen root child exactly like decide().
-  NodeId decide_leaf(SearchTree& tree, std::int64_t budget,
-                     std::int64_t decision_depth, double exploration_c,
-                     const Deadline& deadline, bool& ran_any);
-  /// The final-move rule shared by decide() and decide_leaf(): best max
-  /// value among root children, mean as tiebreaker (mean only under the
-  /// ablation); kNoNode when the root has no children.
+  /// True for the serial search's one-slot configuration: SearchMode::kRoot
+  /// at num_threads == 1.
+  bool serial_search() const {
+    return options_.search_mode == SearchMode::kRoot &&
+           options_.num_threads == 1;
+  }
+
+  /// One decision (DESIGN.md §11): runs up to `budget` iterations on `tree`
+  /// in synchronized ticks — descend with virtual loss, construct children
+  /// and advance rollouts on the workers, drain the evaluation queue
+  /// through the transposition cache and ONE batched guide forward, back up
+  /// in slot order — stopping at `deadline` if set.  Serial ticks hold one
+  /// slot and roll out with `rng`; leaf ticks hold leaf_batch_size slots,
+  /// each with its own stream.  Returns the chosen root child (kNoNode if
+  /// nothing was ever expanded — callers fall back); `ran_any` reports
+  /// whether at least one iteration completed.
+  NodeId decide(SearchTree& tree, std::int64_t budget,
+                std::int64_t decision_depth, Rng& rng, double exploration_c,
+                const Deadline& deadline, bool& ran_any);
+  /// The final-move rule: best max value among root children, mean as
+  /// tiebreaker (mean only under the ablation); kNoNode when the root has
+  /// no children.
   NodeId best_root_child(const SearchTree& tree) const;
   /// Fresh single-node tree for `env` with guide-ordered untried actions.
-  SearchTree make_tree(const SchedulingEnv& env, DecisionPolicy& guide);
-  /// Batch-prepares the root's children (options_.batch_expansion with a
-  /// batch-capable guide): one fused guide evaluation scores every
-  /// candidate child, stored in root.prepared for expansion to pop.
-  void maybe_prepare_root(SearchTree& tree);
-  /// Lazily builds the thread pool and per-worker guide clones; false if
-  /// the guide is not cloneable (leaf mode disabled).
-  bool ensure_parallel_workers();
+  SearchTree make_tree(const SchedulingEnv& env);
+  /// On first use, lists the worker guides (guide_ itself, then clones)
+  /// and builds the thread pool when there is more than one worker.
+  void ensure_workers();
 
   MctsOptions options_;
   std::shared_ptr<DecisionPolicy> guide_;
   Stats stats_;
   std::unique_ptr<ThreadPool> pool_;
+  /// worker_guides_[0] is guide_; the rest are its clones.
   std::vector<std::shared_ptr<DecisionPolicy>> worker_guides_;
-  /// Leaf-mode prior cache, reset per schedule() call (its keys do not
-  /// encode the DAG identity); null outside leaf mode.
-  std::unique_ptr<TranspositionCache> transpositions_;
+  /// Prior cache, reset per schedule() call (its keys do not encode the DAG
+  /// identity).
+  TranspositionCache transpositions_;
   /// Rollout value assigned to simulated trajectories that abort under the
   /// retry policy — a deterministic penalty worse than any completion.
   double abort_value_ = 0.0;

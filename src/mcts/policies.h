@@ -43,17 +43,16 @@ class DecisionPolicy {
   virtual int pick(const SchedulingEnv& env, Rng& rng);
 
   /// Batched rollout step: out[i] == pick(*envs[i], *rngs[i]) for every i
-  /// (bit-identical — each row consumes only its own RNG stream).  The
-  /// leaf-parallel search advances many rollouts in lockstep through this
-  /// so batch-capable guides score one fused forward per step instead of
-  /// one single-row forward per rollout.  The default loops over pick().
+  /// (bit-identical — each row consumes only its own RNG draws, in the same
+  /// number as pick()).  MCTS advances every rollout through this — many in
+  /// lockstep in leaf mode, so batch-capable guides score one fused forward
+  /// per step instead of one single-row forward per rollout, and one row
+  /// at a time in the serial search.  The default loops over pick().
   virtual void pick_batch(const SchedulingEnv* const* envs, std::size_t n,
                           Rng* const* rngs, int* out);
 
-  /// True when action_weights_batch fuses its evaluations (one network
-  /// forward for all `n` states) instead of looping.  MCTS only
-  /// batch-prepares children for such guides — for everything else the
-  /// lazy one-state-at-a-time path is already optimal.
+  /// Unused by the search; kept only because the benchmark's guide
+  /// decorator overrides it.
   virtual bool supports_batch_eval() const { return false; }
 
   /// Evaluates `n` states at once; out[i] == action_weights(*envs[i]) for
@@ -62,10 +61,10 @@ class DecisionPolicy {
   virtual std::vector<std::vector<std::pair<int, double>>>
   action_weights_batch(const SchedulingEnv* const* envs, std::size_t n);
 
-  /// Deep, thread-independent copy for parallel search: each worker owns a
-  /// clone so concurrent action_weights/pick calls never share mutable
-  /// state.  Returns nullptr when the policy is not cloneable; parallel
-  /// MCTS then falls back to the serial search path.
+  /// Deep, thread-independent copy for parallel search: each worker past
+  /// the first owns a clone so concurrent action_weights/pick calls never
+  /// share mutable state.  Returns nullptr when the policy is not
+  /// cloneable; MCTS then searches on one worker (the guide itself).
   virtual std::shared_ptr<DecisionPolicy> clone() const { return nullptr; }
 
   /// No-op; kept only because the benchmark's guide decorator overrides it.
@@ -73,9 +72,9 @@ class DecisionPolicy {
 
   /// Points the guide's deterministic pick_batch rows at a canonical-state
   /// -> action cache shared with the other workers' guides, zeroing the
-  /// hit/miss counters; nullptr detaches.  The leaf-parallel search calls
-  /// this per schedule() on every worker guide (keys do not encode the DAG
-  /// identity, so entries must never cross schedules).  Hits stay
+  /// hit/miss counters; nullptr detaches.  MCTS calls this per schedule()
+  /// on every worker guide (keys do not encode the DAG identity, so entries
+  /// must never cross schedules).  Hits stay
   /// bit-identical (the cached action is a pure function of the state).
   /// Default: no-op — only guides whose picks are pure functions of the
   /// state can cache them.
@@ -175,7 +174,6 @@ class DrlDecisionPolicy : public DecisionPolicy {
 
   /// Fused batch evaluation: all `n` states featurized into one input
   /// matrix and scored by ONE network forward (DESIGN.md §10).
-  bool supports_batch_eval() const override { return true; }
   std::vector<std::vector<std::pair<int, double>>> action_weights_batch(
       const SchedulingEnv* const* envs, std::size_t n) override;
 

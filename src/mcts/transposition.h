@@ -1,4 +1,4 @@
-// Transposition cache for leaf-parallel MCTS (DESIGN.md §11).
+// Transposition cache for MCTS (DESIGN.md §11).
 //
 // Different action orders frequently reach the same scheduling state (e.g.
 // scheduling tasks A then B at the same instant vs B then A), and with

@@ -26,27 +26,6 @@ namespace spear {
 using NodeId = std::int32_t;
 inline constexpr NodeId kNoNode = -1;
 
-/// A speculatively constructed child awaiting expansion — the unit of the
-/// batched guide evaluation (DESIGN.md §10).  The child state was stepped
-/// and its own untried ordering scored up front (one fused network forward
-/// for ALL siblings); expansion then pops PreparedChild entries in lockstep
-/// with `untried`, bit-identical to constructing each child lazily.
-struct PreparedChild {
-  int action = 0;
-  SchedulingEnv state;
-  /// Guide ordering for the child (empty when terminal/aborted).
-  std::vector<std::pair<int, double>> untried;
-  bool terminal = false;
-  bool aborted = false;
-  /// Fault deltas observed while stepping into the child; folded into
-  /// Stats only when the child is actually expanded, so telemetry matches
-  /// the lazy path exactly.
-  std::int64_t fault_failures = 0;
-  std::int64_t fault_retries = 0;
-
-  PreparedChild(int a, SchedulingEnv s) : action(a), state(std::move(s)) {}
-};
-
 struct SearchNode {
   SchedulingEnv state;
   int action_from_parent = 0;
@@ -55,11 +34,6 @@ struct SearchNode {
   /// Untried actions in descending guidance weight; expansion pops from the
   /// front so the most promising action is tried first.
   std::vector<std::pair<int, double>> untried;
-  /// When prepared_ready, prepared[i] is the precomputed child for
-  /// untried[i]; both lists pop from the front together (root nodes only —
-  /// deeper nodes expand lazily, see MctsScheduler).
-  std::vector<PreparedChild> prepared;
-  bool prepared_ready = false;
   bool terminal = false;
   /// Fault mode: the action into this node aborted the simulated job
   /// (retry budget exhausted); evaluated with a fixed penalty, never
@@ -69,11 +43,11 @@ struct SearchNode {
   std::int64_t visits = 0;
   double max_value = -std::numeric_limits<double>::infinity();
   double sum_value = 0.0;
-  /// Virtual loss (leaf-parallel search only): number of in-flight descents
-  /// currently holding this node on their path.  Inflates the node's visit
-  /// count during selection so concurrent descents spread over siblings,
-  /// and is released when the descent's evaluation is backed up.  Always 0
-  /// outside a leaf-parallel tick, so the serial search never observes it.
+  /// Virtual loss: number of in-flight descents currently holding this node
+  /// on their path.  Inflates the node's visit count during selection so
+  /// concurrent descents spread over siblings, and is released when the
+  /// descent's evaluation is backed up.  Always 0 between ticks, so the
+  /// serial search's one-slot ticks never observe it.
   std::int32_t vloss = 0;
 
   explicit SearchNode(SchedulingEnv s) : state(std::move(s)) {}
@@ -137,8 +111,6 @@ class SearchTree {
     const SearchNode& from = node(src);
     SearchNode& to = out.node(dst);
     to.untried = from.untried;
-    to.prepared = from.prepared;
-    to.prepared_ready = from.prepared_ready;
     to.terminal = from.terminal;
     to.aborted = from.aborted;
     to.visits = from.visits;

@@ -1,6 +1,7 @@
 // The inference fast path's correctness contract (DESIGN.md §10): tiled
-// kernels, workspace forward/backward, featurize-into and batched policy
-// evaluation must all be BIT-identical to the seed code paths they replace.
+// kernels, workspace forward/backward, featurize-into, batched policy
+// evaluation and batched rollout picks must all be BIT-identical to the
+// seed code paths they replace.
 // Comparisons use memcmp, not EXPECT_DOUBLE_EQ, so even a -0.0/+0.0 or
 // last-ulp reassociation difference fails.
 
@@ -14,8 +15,7 @@
 
 #include <gtest/gtest.h>
 
-#include "dag/generator.h"
-#include "mcts/mcts.h"
+#include "mcts/policies.h"
 #include "nn/mlp.h"
 #include "rl/policy.h"
 #include "support/builders.h"
@@ -485,74 +485,6 @@ TEST(BatchEval, PickBatchMatchesPickPerRow) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// MCTS batched expansion: same search, same schedule, same telemetry.
-// ---------------------------------------------------------------------------
-
-std::shared_ptr<DecisionPolicy> drl_guide(std::uint64_t seed) {
-  Rng rng(seed);
-  return std::make_shared<DrlDecisionPolicy>(
-      std::make_shared<const Policy>(tiny_policy(rng)));
-}
-
-Dag batch_test_dag(std::uint64_t seed) {
-  DagGeneratorOptions gen;
-  gen.num_tasks = 12;
-  Rng rng(seed);
-  return generate_random_dag(gen, rng);
-}
-
-MctsOptions batch_test_options(bool batch) {
-  MctsOptions options;
-  options.initial_budget = 48;
-  options.min_budget = 12;
-  options.seed = 5;
-  options.batch_expansion = batch;
-  return options;
-}
-
-void expect_same_search(const MctsScheduler::Stats& a,
-                        const MctsScheduler::Stats& b) {
-  EXPECT_EQ(a.decisions, b.decisions);
-  EXPECT_EQ(a.forced_decisions, b.forced_decisions);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.rollouts, b.rollouts);
-  EXPECT_EQ(a.nodes_expanded, b.nodes_expanded);
-  EXPECT_EQ(a.env_copies, b.env_copies);
-}
-
-TEST(MctsBatch, SerialScheduleIdenticalWithBatchOnAndOff) {
-  const Dag dag = batch_test_dag(77);
-  const ResourceVector capacity{1.0, 1.0};
-
-  MctsScheduler batched(batch_test_options(true), drl_guide(9));
-  MctsScheduler lazy(batch_test_options(false), drl_guide(9));
-  const Schedule sb = batched.schedule(dag, capacity);
-  const Schedule sl = lazy.schedule(dag, capacity);
-
-  ASSERT_EQ(sb.size(), sl.size());
-  for (std::size_t i = 0; i < sb.size(); ++i) {
-    EXPECT_EQ(sb.placements()[i].task, sl.placements()[i].task);
-    EXPECT_EQ(sb.placements()[i].start, sl.placements()[i].start);
-  }
-  expect_same_search(batched.last_stats(), lazy.last_stats());
-  // The batched run actually took the fused path; the lazy run never does.
-  EXPECT_GT(batched.last_stats().batched_evals, 0);
-  EXPECT_GE(batched.last_stats().batched_rows,
-            batched.last_stats().batched_evals);
-  EXPECT_EQ(lazy.last_stats().batched_evals, 0);
-}
-
-TEST(MctsBatch, RandomGuideNeverTakesBatchPath) {
-  // The uniform guide has no fused evaluation: batch_expansion must be a
-  // no-op (this is what keeps the pure-MCTS golden CSVs byte-identical).
-  const Dag dag = batch_test_dag(79);
-  MctsScheduler mcts(batch_test_options(true));
-  mcts.schedule(dag, ResourceVector{1.0, 1.0});
-  EXPECT_EQ(mcts.last_stats().batched_evals, 0);
-  EXPECT_EQ(mcts.last_stats().batched_rows, 0);
 }
 
 }  // namespace

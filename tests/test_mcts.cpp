@@ -230,29 +230,14 @@ TEST(Mcts, FlatBudgetAblationUsesMoreIterations) {
             with_decay.last_stats().iterations);
 }
 
-TEST(Mcts, TreeReuseProducesValidSchedules) {
-  DagGeneratorOptions gen;
-  gen.num_tasks = 20;
-  Rng rng(14);
-  Dag dag = generate_random_dag(gen, rng);
-  MctsOptions options;
-  options.initial_budget = 60;
-  options.min_budget = 10;
-  options.reuse_tree = true;
-  MctsScheduler mcts(options);
-  DagFeatures features(dag);
-  const Time makespan = validated_makespan(mcts, dag, cap());
-  EXPECT_GE(makespan, features.critical_path());
-  EXPECT_LE(makespan, dag.total_runtime());
-  EXPECT_GT(mcts.last_stats().decisions, 0);
-}
-
 TEST(Mcts, TreeReuseStillFindsOptimalOnSmallInstance) {
+  // Subtree reuse is leaf mode's (leaf_tree_reuse, on by default), so this
+  // runs the one-thread leaf search.
   Dag dag = testing::make_independent(4, 5, ResourceVector{0.5, 0.5});
   MctsOptions options;
   options.initial_budget = 80;
   options.min_budget = 20;
-  options.reuse_tree = true;
+  options.search_mode = SearchMode::kLeaf;
   MctsScheduler mcts(options);
   EXPECT_EQ(validated_makespan(mcts, dag, cap()), 10);
 }

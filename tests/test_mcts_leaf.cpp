@@ -1,7 +1,7 @@
 // Leaf-parallel MCTS (DESIGN.md §11): seeded determinism across worker
 // counts, stats reconciliation, cache bit-identity, kRoot at several
-// threads running the same search, and the serial fallback for
-// uncloneable guides.
+// threads running the same search, and uncloneable guides running on one
+// worker.
 
 #include "mcts/mcts.h"
 
@@ -290,7 +290,9 @@ TEST(LeafMcts, RootModeAtSeveralThreadsRunsTheLeafSearch) {
   EXPECT_EQ(a.batched_rows, b.batched_rows);
 }
 
-TEST(LeafMcts, UncloneableGuideFallsBackToSerial) {
+TEST(LeafMcts, UncloneableGuideRunsOneWorker) {
+  // Uniform weights and the default sampling pick(): the same search as
+  // RandomDecisionPolicy, minus clone().
   class UncloneableGuide : public DecisionPolicy {
    public:
     std::vector<std::pair<int, double>> action_weights(
@@ -302,16 +304,14 @@ TEST(LeafMcts, UncloneableGuideFallsBackToSerial) {
     // clone() keeps the default nullptr: not safe to share across workers.
   };
 
+  // Worker 0 is the guide itself, so an uncloneable guide searches on one
+  // worker — and results do not depend on the worker count.
   const Dag dag = test_dag(31, 10);
-  MctsOptions options = leaf_options(2);
-  MctsScheduler mcts(options, std::make_shared<UncloneableGuide>());
-  DagFeatures features(dag);
-  const Time makespan = validated_makespan(mcts, dag, cap());
-  EXPECT_GE(makespan, features.critical_path());
-  EXPECT_LE(makespan, dag.total_runtime());
-  // The serial search ran instead: no ticks, no evaluator telemetry.
-  EXPECT_EQ(mcts.last_stats().leaf_ticks, 0);
-  EXPECT_EQ(mcts.last_stats().tt_hits + mcts.last_stats().tt_misses, 0);
+  const auto uncloneable =
+      run_leaf(leaf_options(2), dag, std::make_shared<UncloneableGuide>());
+  expect_same_placements(
+      run_leaf(leaf_options(2), dag, std::make_shared<RandomDecisionPolicy>()),
+      uncloneable);
 }
 
 }  // namespace
