@@ -337,13 +337,12 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
   };
 
   // Tick buffers, sized once per decision and reused by every tick.
-  const auto tick_capacity = static_cast<std::size_t>(per_tick);
-  std::vector<LeafJob> jobs(tick_capacity);
+  std::vector<LeafJob> jobs(static_cast<std::size_t>(per_tick));
   // Per-slot rollout RNGs: the schedule-wide `rng` in the serial search;
   // in leaf mode, streams keyed by the global iteration index so they do
   // not depend on the worker partition.
-  std::vector<Rng> streams(serial ? 0 : tick_capacity);
-  std::vector<Rng*> slot_rngs(tick_capacity, &rng);
+  std::vector<Rng> streams(serial ? 0 : jobs.size());
+  std::vector<Rng*> slot_rngs(jobs.size(), &rng);
   for (std::size_t s = 0; s < streams.size(); ++s) slot_rngs[s] = &streams[s];
   std::vector<WorkerScratch> scratch(static_cast<std::size_t>(workers));
   std::vector<const SchedulingEnv*> pending;

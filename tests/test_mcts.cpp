@@ -539,18 +539,17 @@ TEST(SerialSearchGolden, PlacementsAndCountsMatchParent) {
       {0xd2cc56efb5da4984ULL, {39, 624, 605, 608, 1213, 0, 0, 0, 0}},
       {0xcdd0d4fa204cf319ULL, {61, 720, 702, 706, 1408, 2892, 2892, 0, 7}},
   };
-  const char* const guides[] = {"random", "heuristic", "drl-greedy",
-                                "drl-sampling"};
+  const std::vector<std::string> guides = {"random", "heuristic",
+                                          "drl-greedy", "drl-sampling"};
   std::size_t index = 0;
   for (std::uint64_t k = 0; k < 4; ++k) {
     DagGeneratorOptions gen;
     gen.num_tasks = 20;
     Rng dag_rng(300 + k);
     const Dag dag = generate_random_dag(gen, dag_rng);
-    for (const char* guide_name : guides) {
+    for (const std::string& name : guides) {
       for (const bool faulty : {false, true}) {
         std::shared_ptr<DecisionPolicy> guide;
-        const std::string name = guide_name;
         if (name == "heuristic") {
           guide = std::make_shared<HeuristicDecisionPolicy>();
         } else if (name != "random") {
