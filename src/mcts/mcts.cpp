@@ -175,7 +175,8 @@ MctsScheduler::MctsScheduler(MctsOptions options,
                              std::shared_ptr<DecisionPolicy> guide)
     : options_(std::move(options)),
       guide_(std::move(guide)),
-      transpositions_(options_.transposition_capacity) {
+      // The serial search runs cache-less (see transposition_capacity).
+      transpositions_(serial_search() ? 0 : options_.transposition_capacity) {
   if (options_.initial_budget <= 0 || options_.min_budget <= 0) {
     throw std::invalid_argument("MctsScheduler: budgets must be positive");
   }
@@ -637,9 +638,10 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
   // the state).  One worker gets one shard, so FIFO eviction is global and
   // the hit/miss counts are deterministic; with more workers the hit/miss
   // split depends on timing.  Forward tallies are zeroed so the
-  // end-of-schedule fold reports THIS schedule only.
+  // end-of-schedule fold reports THIS schedule only.  The serial search
+  // arms neither cache (see transposition_capacity).
   std::shared_ptr<SharedActionCache> rollout_cache;
-  if (options_.transposition_capacity > 0) {
+  if (!serial_search() && options_.transposition_capacity > 0) {
     rollout_cache = std::make_shared<SharedActionCache>(
         options_.transposition_capacity, worker_guides_.size() > 1 ? 8 : 1);
   }

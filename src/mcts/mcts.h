@@ -28,9 +28,9 @@
 // new leaves with one batched forward per tick through a transposition
 // cache.  The serial search (SearchMode::kRoot at num_threads == 1) is its
 // one-slot configuration: ticks of one descent drawing from one
-// schedule-wide RNG and a fresh tree per decision, which is exactly the
-// paper's select-expand-rollout-backup loop.  Leaf mode (kLeaf, or any
-// num_threads > 1) runs leaf_batch_size-slot ticks with per-slot RNG
+// schedule-wide RNG, a fresh tree per decision and no caches, which is
+// exactly the paper's select-expand-rollout-backup loop.  Leaf mode (kLeaf,
+// or any num_threads > 1) runs leaf_batch_size-slot ticks with per-slot RNG
 // streams and reuses the chosen subtree; its results do not depend on the
 // worker count.
 
@@ -73,7 +73,7 @@ namespace spear {
 /// behave the same.
 enum class SearchMode {
   /// The serial search (the paper's algorithm): one-slot ticks drawing from
-  /// the schedule-wide RNG, a fresh tree per decision.
+  /// the schedule-wide RNG, a fresh tree per decision, no caches.
   kRoot,
   /// Leaf parallelism (DESIGN.md §11): leaf_batch_size descents per tick
   /// hold virtual loss, leaf states park in an evaluation queue that a
@@ -134,9 +134,11 @@ struct MctsOptions {
   /// decision's remaining budget.
   int leaf_batch_size = 32;
   /// Max entries in the transposition cache and in the shared rollout
-  /// action cache (both modes); 0 disables them.  Cached priors and greedy
+  /// action cache (leaf mode); 0 disables them.  Cached priors and greedy
   /// rollout actions are bitwise-identical to fresh evaluations, so this is
-  /// purely a throughput knob.
+  /// purely a throughput knob.  The serial search ignores it and runs
+  /// cache-less, at the paper's cost per iteration: arming the caches there
+  /// is a separate, measured change (ROADMAP).
   std::size_t transposition_capacity = 8192;
   /// Leaf mode reuses the chosen subtree across decisions by default
   /// (SearchTree::reroot, §III-C: "the selected action will point to a
