@@ -1,12 +1,9 @@
 #include "ckpt/manager.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "common/logging.h"
 #include "obs/obs.h"
@@ -17,7 +14,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kManifestHeader = "spear-ckpt-manifest v1";
 constexpr const char* kExtension = ".spearck";
 
 std::string generation_name(const std::string& basename, std::uint64_t gen) {
@@ -49,11 +45,7 @@ std::string CheckpointManager::path_for(std::uint64_t generation) const {
       .string();
 }
 
-std::string CheckpointManager::manifest_path() const {
-  return (fs::path(options_.dir) / "MANIFEST").string();
-}
-
-std::vector<std::uint64_t> CheckpointManager::scan_directory() const {
+std::vector<std::uint64_t> CheckpointManager::generations() const {
   std::vector<std::uint64_t> gens;
   const std::string prefix = options_.basename + "-";
   std::error_code ec;
@@ -78,67 +70,6 @@ std::vector<std::uint64_t> CheckpointManager::scan_directory() const {
   return gens;
 }
 
-std::vector<std::uint64_t> CheckpointManager::generations() const {
-  std::ifstream in(manifest_path());
-  if (!in) return scan_directory();
-  std::string header;
-  if (!std::getline(in, header) || header != kManifestHeader) {
-    SPEAR_LOG(Warn) << "checkpoint manifest " << manifest_path()
-                    << " is corrupt; falling back to a directory scan";
-    if (obs::enabled()) obs::count("ckpt.manifest_failures");
-    return scan_directory();
-  }
-  std::vector<std::uint64_t> gens;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::uint64_t gen = 0;
-    std::string name;
-    if (!(ls >> gen >> name)) {
-      SPEAR_LOG(Warn) << "checkpoint manifest " << manifest_path()
-                      << " has a malformed line; falling back to a "
-                         "directory scan";
-      if (obs::enabled()) obs::count("ckpt.manifest_failures");
-      return scan_directory();
-    }
-    gens.push_back(gen);
-  }
-  std::sort(gens.begin(), gens.end());
-  gens.erase(std::unique(gens.begin(), gens.end()), gens.end());
-  return gens;
-}
-
-void CheckpointManager::write_manifest(
-    const std::vector<std::uint64_t>& generations) const {
-  std::ostringstream os;
-  os << kManifestHeader << "\n";
-  for (std::uint64_t gen : generations) {
-    os << gen << " " << generation_name(options_.basename, gen) << "\n";
-  }
-  const std::string text = os.str();
-
-  const std::string path = manifest_path();
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (!f) {
-    throw CheckpointError("CheckpointManager: cannot open " + tmp + ": " +
-                          std::strerror(errno));
-  }
-  const bool ok =
-      std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-      std::fflush(f) == 0;
-  if (std::fclose(f) != 0 || !ok) {
-    std::remove(tmp.c_str());
-    throw CheckpointError("CheckpointManager: write failed for " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw CheckpointError("CheckpointManager: rename to " + path +
-                          " failed: " + std::strerror(errno));
-  }
-}
-
 std::uint64_t CheckpointManager::save(const TrainerState& state) {
   std::vector<std::uint64_t> gens = generations();
   const std::uint64_t next = gens.empty() ? 1 : gens.back() + 1;
@@ -146,16 +77,14 @@ std::uint64_t CheckpointManager::save(const TrainerState& state) {
   write_checkpoint_file(path_for(next), state);
   gens.push_back(next);
 
-  // Prune beyond `keep`, oldest first, then publish the manifest.  Pruning
-  // before the manifest write keeps the manifest a subset of what is on
-  // disk at every instant.
+  // Prune beyond `keep`, oldest first, only once the new generation is on
+  // disk: a crash at any instant leaves at least the newest complete file.
   while (gens.size() > options_.keep) {
     const std::uint64_t victim = gens.front();
     gens.erase(gens.begin());
     std::error_code ec;
-    fs::remove(path_for(victim), ec);  // best-effort; scan tolerates leftovers
+    fs::remove(path_for(victim), ec);  // best-effort; the next scan retries
   }
-  write_manifest(gens);
 
   if (obs::enabled()) {
     obs::count("ckpt.saves");

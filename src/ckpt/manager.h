@@ -1,19 +1,19 @@
 // Checkpoint rotation and recovery (DESIGN.md §9).
 //
-// A checkpoint directory holds up to `keep` generations plus a manifest:
+// A checkpoint directory holds up to `keep` generations, and the directory
+// itself is the only index:
 //
-//   <dir>/MANIFEST            text index, newest generation last
 //   <dir>/<basename>-000012.spearck
 //   <dir>/<basename>-000013.spearck
 //   ...
 //
-// save() writes the next generation atomically, rewrites the manifest
-// (also atomically) and prunes generations beyond `keep`.  load_latest()
-// walks generations newest-first: a missing, truncated or CRC-corrupt file
-// logs a warning, bumps the "ckpt.load_failures" counter and falls back to
-// the previous generation — exactly the recovery contract the resume tests
-// exercise.  A missing or corrupt manifest degrades to a directory scan, so
-// losing the manifest never loses the checkpoints.
+// save() writes the next generation atomically (tmp file + rename) and then
+// prunes generations beyond `keep`.  load_latest() walks generations
+// newest-first: a missing, truncated or CRC-corrupt file logs a warning,
+// bumps the "ckpt.load_failures" counter and falls back to the previous
+// generation — exactly the recovery contract the resume tests exercise.
+// Every generation file that reached the directory is found, whatever
+// instant a crash interrupted save() at.
 
 #pragma once
 
@@ -57,17 +57,12 @@ class CheckpointManager {
   /// directory holds no checkpoints at all).
   std::optional<LoadedCheckpoint> load_latest();
 
-  /// Generations currently on disk, ascending (from the manifest, falling
-  /// back to a directory scan).
+  /// Generations currently on disk, ascending (a directory scan).
   std::vector<std::uint64_t> generations() const;
 
   std::string path_for(std::uint64_t generation) const;
-  std::string manifest_path() const;
 
  private:
-  void write_manifest(const std::vector<std::uint64_t>& generations) const;
-  std::vector<std::uint64_t> scan_directory() const;
-
   CheckpointManagerOptions options_;
 };
 

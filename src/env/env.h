@@ -123,13 +123,6 @@ class SchedulingEnv {
   /// can_process().  Returns -(elapsed slots).
   double process_to_next_finish();
 
-  /// Runs `policy(env)` until done; returns the resulting makespan.
-  template <typename Policy>
-  Time rollout(Policy&& policy) {
-    while (!done()) step(policy(*this));
-    return makespan();
-  }
-
  private:
   struct PendingRetry {
     TaskId task = kInvalidTask;

@@ -71,7 +71,7 @@ struct ExecutionEngine::RunState {
   std::vector<TaskId> pending;          // not started, in priority order
   std::vector<char> done;
   std::vector<int> attempts;        // next attempt index per task
-  std::vector<int> spec_launched;   // duplicates launched per task
+  std::vector<char> speculated;     // a task gets at most one duplicate
   std::vector<Time> first_start;    // -1 until first dispatch
   std::vector<Time> planned;        // committed plan's start per task
   std::size_t completed = 0;
@@ -100,8 +100,7 @@ ExecutionEngine::ExecutionEngine(std::shared_ptr<const Dag> dag,
     throw std::invalid_argument(
         "ExecutionEngine: re-search options out of range");
   }
-  if (options_.speculation_factor < 1.0 ||
-      options_.max_speculations_per_task < 0) {
+  if (options_.speculation_factor < 1.0) {
     throw std::invalid_argument(
         "ExecutionEngine: speculation options out of range");
   }
@@ -171,14 +170,14 @@ void ExecutionEngine::maybe_speculate(RunState& s) const {
     const Time started = s.running[i].start;
     if (s.running[i].speculative) continue;
     const auto idx = static_cast<std::size_t>(id);
-    if (s.spec_launched[idx] >= options_.max_speculations_per_task) continue;
+    if (s.speculated[idx]) continue;
     const Task& task = dag_->task(id);
     const Time trigger = std::max<Time>(
         1, static_cast<Time>(std::ceil(static_cast<double>(task.runtime) *
                                        options_.speculation_factor)));
     if (s.now < started + trigger) continue;
     if (!(task.demand + loss).fits_within(s.avail)) continue;
-    ++s.spec_launched[idx];
+    s.speculated[idx] = 1;
     ++s.stats.speculations;
     const int attempt = s.attempts[idx]++;
     const Time realized = s.duration(task, attempt);
@@ -198,8 +197,7 @@ Time ExecutionEngine::next_event_time(const RunState& s) const {
     consider(r.finish);
     // A pending speculation trigger is a wake-up instant too.
     if (options_.speculate && !r.speculative &&
-        s.spec_launched[static_cast<std::size_t>(r.task)] <
-            options_.max_speculations_per_task) {
+        !s.speculated[static_cast<std::size_t>(r.task)]) {
       const Task& task = dag_->task(r.task);
       consider(r.start +
                std::max<Time>(1, static_cast<Time>(std::ceil(
@@ -376,7 +374,7 @@ ExecResult ExecutionEngine::run(const Schedule& plan) {
   s.avail = capacity_;
   s.done.assign(n, 0);
   s.attempts.assign(n, 0);
-  s.spec_launched.assign(n, 0);
+  s.speculated.assign(n, 0);
   s.first_start.assign(n, -1);
   s.planned.resize(n);
   for (const Task& t : dag_->tasks()) {

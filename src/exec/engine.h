@@ -132,14 +132,13 @@ struct ExecOptions {
   /// across values (leaf mode), so this is purely a latency knob.
   int research_threads = 1;
 
-  /// Straggler speculation master switch.
+  /// Straggler speculation master switch.  Each task gets at most one
+  /// duplicate (first-finish-wins between the two attempts).
   bool speculate = true;
   /// Duplicate once an attempt has run speculation_factor * estimate slots
   /// without finishing (the p-quantile proxy: under the default lognormal
   /// noise, 2x the mean estimate sits past p95).
   double speculation_factor = 2.0;
-  /// Duplicates allowed per task (first-finish-wins among all attempts).
-  int max_speculations_per_task = 1;
 
   /// Capacity-loss windows gate new dispatches (running work is unaffected,
   /// matching ClusterSim).  Fail/straggler rates of the injector are NOT

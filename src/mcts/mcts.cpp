@@ -65,7 +65,7 @@ struct LeafJob {
   bool aborted = false;
   bool terminal = false;
   double value = 0.0;
-  TranspositionCache::Key key;  ///< canonical key (nonterminal kExpand)
+  StateKey key;  ///< canonical key (nonterminal kExpand)
 
   // Per-job telemetry, folded into Stats at backup in slot order so the
   // totals are independent of the worker partition.
@@ -76,7 +76,7 @@ struct LeafJob {
   std::int64_t fault_aborts = 0;
 
   // Evaluation-queue bookkeeping (coordinator side).
-  std::vector<std::pair<int, double>> priors;  ///< new child's ordering
+  Priors priors;  ///< new child's ordering
   std::chrono::steady_clock::time_point enqueued;  ///< obs: queue wait
 
   void reset() {
@@ -173,10 +173,7 @@ Time greedy_makespan_estimate(const SchedulingEnv& env) {
 
 MctsScheduler::MctsScheduler(MctsOptions options,
                              std::shared_ptr<DecisionPolicy> guide)
-    : options_(std::move(options)),
-      guide_(std::move(guide)),
-      // The serial search runs cache-less (see transposition_capacity).
-      transpositions_(serial_search() ? 0 : options_.transposition_capacity) {
+    : options_(std::move(options)), guide_(std::move(guide)) {
   if (options_.initial_budget <= 0 || options_.min_budget <= 0) {
     throw std::invalid_argument("MctsScheduler: budgets must be positive");
   }
@@ -500,14 +497,12 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
                                                         job.enqueued)
                   .count());
         }
-        if (const TranspositionCache::Priors* hit =
-                transpositions_.find(job.key)) {
-          job.priors = *hit;  // copy: inserts below may evict the entry
+        if (transpositions_ && transpositions_->find(job.key, &job.priors)) {
           ++stats_.tt_hits;
         } else {
-          // A disabled cache (capacity 0) is not "all misses": the probe
-          // counters only track a cache that is actually in play.
-          if (transpositions_.capacity() > 0) ++stats_.tt_misses;
+          // No cache (serial search, capacity 0) is not "all misses": the
+          // probe counters only track a cache that is actually in play.
+          if (transpositions_) ++stats_.tt_misses;
           pending.push_back(&*job.child);
           pending_jobs.push_back(&job);
         }
@@ -522,7 +517,9 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
                        static_cast<double>(pending.size()));
         }
         for (std::size_t i = 0; i < pending_jobs.size(); ++i) {
-          transpositions_.insert(pending_jobs[i]->key, lists[i]);
+          if (transpositions_) {
+            transpositions_->insert(pending_jobs[i]->key, lists[i]);
+          }
           pending_jobs[i]->priors = std::move(lists[i]);
         }
       }
@@ -627,21 +624,20 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
       static_cast<double>(std::max<Time>(greedy_makespan_estimate(env), 1));
 
   ensure_workers();
-  // Keys do not encode the DAG identity: never reuse entries across
-  // schedule() calls.
-  transpositions_.clear();
-  // Arm the workers' rollout action cache (greedy guides only — the call is
-  // a no-op for sampling or cache-less guides), fresh per schedule.  All
-  // workers share ONE cache: private per-worker caches miss independently on
-  // the same rollout states, so total forwards grew with the worker count.
-  // Hits are bit-identical either way (greedy picks are pure functions of
-  // the state).  One worker gets one shard, so FIFO eviction is global and
-  // the hit/miss counts are deterministic; with more workers the hit/miss
-  // split depends on timing.  Forward tallies are zeroed so the
-  // end-of-schedule fold reports THIS schedule only.  The serial search
-  // arms neither cache (see transposition_capacity).
+  // Both state caches are built here, fresh per schedule — their keys do not
+  // encode the DAG identity — and the serial search arms neither (see
+  // transposition_capacity).  The prior cache has one shard: only this
+  // thread probes it.  The rollout action cache is shared by every worker
+  // guide (arming is a no-op for sampling or cache-less guides): private
+  // per-worker caches would miss independently on the same rollout states.
+  // One worker gets one shard, so FIFO eviction is global and the hit/miss
+  // counts are deterministic; with more workers the split depends on
+  // timing.  Forward tallies are zeroed so the end-of-schedule fold reports
+  // THIS schedule only.
   std::shared_ptr<SharedActionCache> rollout_cache;
   if (!serial_search() && options_.transposition_capacity > 0) {
+    transpositions_ =
+        std::make_unique<TranspositionCache>(options_.transposition_capacity);
     rollout_cache = std::make_shared<SharedActionCache>(
         options_.transposition_capacity, worker_guides_.size() > 1 ? 8 : 1);
   }
@@ -658,18 +654,20 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
     return std::chrono::steady_clock::now() +
            std::chrono::milliseconds(options_.time_budget_ms);
   };
-  // Real-trajectory fault counters come from the ONE persistent env the
-  // search steps; the speculative counters (search_failures/search_retries/
-  // search_aborts) are added as the search runs.
-  const auto record_fault_stats = [this, &env]() {
-    if (!options_.faults) return;
-    stats_.task_failures = env.fault_stats().failures;
-    stats_.task_retries = env.fault_stats().retries;
-  };
-  // Guide tallies (rollout cache and physical forwards) accumulate across
-  // every decision and are folded ONCE per schedule(), once per distinct
-  // guide: worker 0 is guide_ itself, so worker_guides_ lists each once.
-  const auto fold_guide_stats = [this]() {
+  // Runs once whether the schedule returns or throws.  Real-trajectory
+  // fault counters come from the ONE persistent env the search steps (the
+  // speculative search_* counters are added as the search runs).  Guide
+  // tallies (rollout cache and physical forwards) accumulate across every
+  // decision and are folded once per distinct guide — worker 0 is guide_
+  // itself, so worker_guides_ lists each once — BEFORE the caches are
+  // released: detaching zeroes the guides' hit/miss counters, and a guide
+  // reused outside the search must not probe this schedule's cache.  Then
+  // one registry push — hot loops only touch stats_.
+  const auto finish = [this, &env]() {
+    if (options_.faults) {
+      stats_.task_failures = env.fault_stats().failures;
+      stats_.task_retries = env.fault_stats().retries;
+    }
     for (const auto& g : worker_guides_) {
       stats_.rollout_cache_hits += g->rollout_cache_hits();
       stats_.rollout_cache_misses += g->rollout_cache_misses();
@@ -678,10 +676,9 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
       if (const std::vector<std::int64_t>* hist = g->forward_hist()) {
         hist_add(stats_.batch_rows_hist, *hist);
       }
+      g->share_rollout_cache(nullptr);
     }
-  };
-  // One registry push per schedule() call — hot loops only touch stats_.
-  const auto flush_metrics = [this]() {
+    transpositions_.reset();
     if (!obs::enabled()) return;
     obs::count("mcts.schedules");
     stats_.for_each_count(
@@ -752,15 +749,14 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
   } catch (const JobAbortedError&) {
     // The REAL trajectory exhausted a retry budget: surface the stats the
     // caller will want in the error report, then let the abort propagate.
-    record_fault_stats();
-    fold_guide_stats();
     if (obs::enabled()) obs::count("mcts.job_aborts");
-    flush_metrics();
+    finish();
+    throw;
+  } catch (...) {
+    finish();
     throw;
   }
-  record_fault_stats();
-  fold_guide_stats();
-  flush_metrics();
+  finish();
   return env.cluster().schedule();
 }
 

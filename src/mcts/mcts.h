@@ -26,11 +26,15 @@
 // searched in ticks — descents under virtual loss, worker threads that
 // build children and advance rollouts, and a central evaluator that scores
 // new leaves with one batched forward per tick through a transposition
-// cache.  The serial search (SearchMode::kRoot at num_threads == 1) is its
-// one-slot configuration: ticks of one descent drawing from one
-// schedule-wide RNG, a fresh tree per decision and no caches, which is
-// exactly the paper's select-expand-rollout-backup loop.  Leaf mode (kLeaf,
-// or any num_threads > 1) runs leaf_batch_size-slot ticks with per-slot RNG
+// cache.  Greedy guides' rollout steps go through a rollout action cache
+// shared by the workers.  schedule_env() builds both caches (one
+// StateCache class, mcts/transposition.h) fresh for each schedule and
+// detaches them when the schedule returns or throws.  The serial search
+// (SearchMode::kRoot at num_threads == 1) is the one-slot configuration:
+// ticks of one descent drawing from one schedule-wide RNG, a fresh tree
+// per decision and no caches, which is exactly the paper's
+// select-expand-rollout-backup loop.  Leaf mode (kLeaf, or any
+// num_threads > 1) runs leaf_batch_size-slot ticks with per-slot RNG
 // streams and reuses the chosen subtree; its results do not depend on the
 // worker count.
 
@@ -206,10 +210,10 @@ class MctsScheduler : public Scheduler {
                                      ///< batched_evals)
     // Physical forward telemetry, folded from the guides once per
     // schedule(): every PRIVATE-weights kernel invocation the guide
-    // policies executed (batched evaluations AND single-row calls — root
+    // policies executed (evaluator batches AND one-row calls — decision-root
     // priors, one-slot rollout steps), with its row count.  This is the
     // denominator batch occupancy is measured against; batched_evals above
-    // only counts the fused calls.
+    // only counts the evaluator's calls.
     std::int64_t guide_forwards = 0;      ///< kernel invocations
     std::int64_t guide_forward_rows = 0;  ///< rows across those calls
     /// batch_rows_hist[w] = private-weights kernel invocations that scored
@@ -331,9 +335,10 @@ class MctsScheduler : public Scheduler {
   std::unique_ptr<ThreadPool> pool_;
   /// worker_guides_[0] is guide_; the rest are its clones.
   std::vector<std::shared_ptr<DecisionPolicy>> worker_guides_;
-  /// Prior cache, reset per schedule() call (its keys do not encode the DAG
-  /// identity).
-  TranspositionCache transpositions_;
+  /// Prior cache of the running schedule_env() call; null when no cache is
+  /// in play (the serial search, or transposition_capacity 0) and between
+  /// calls.
+  std::unique_ptr<TranspositionCache> transpositions_;
   /// Rollout value assigned to simulated trajectories that abort under the
   /// retry policy — a deterministic penalty worse than any completion.
   double abort_value_ = 0.0;

@@ -237,13 +237,9 @@ DrlDecisionPolicy::DrlDecisionPolicy(std::shared_ptr<const Policy> policy,
 
 void DrlDecisionPolicy::forward_batch(const SchedulingEnv* const* envs,
                                       std::size_t n) {
-  record_forward(n);
+  if (forward_hist_.size() <= n) forward_hist_.resize(n + 1, 0);
+  ++forward_hist_[n];
   policy_->action_probs_batch(envs, n, batch_masks_, batch_probs_);
-}
-
-void DrlDecisionPolicy::record_forward(std::size_t rows) {
-  if (forward_hist_.size() <= rows) forward_hist_.resize(rows + 1, 0);
-  ++forward_hist_[rows];
 }
 
 std::vector<std::pair<int, double>> DrlDecisionPolicy::weights_from_probs(
@@ -260,12 +256,8 @@ std::vector<std::pair<int, double>> DrlDecisionPolicy::weights_from_probs(
 
 std::vector<std::pair<int, double>> DrlDecisionPolicy::action_weights(
     const SchedulingEnv& env) {
-  // Allocation-free inference: features land straight in the network
-  // workspace and the probabilities in a reused buffer; only the returned
-  // weight list is materialized.
-  record_forward(1);
-  policy_->action_probs_into(env, mask_buf_, probs_buf_);
-  return weights_from_probs(probs_buf_);
+  const SchedulingEnv* one = &env;
+  return std::move(action_weights_batch(&one, 1).front());
 }
 
 std::vector<std::vector<std::pair<int, double>>>
@@ -288,11 +280,11 @@ std::shared_ptr<DecisionPolicy> DrlDecisionPolicy::clone() const {
 }
 
 int DrlDecisionPolicy::pick(const SchedulingEnv& env, Rng& rng) {
-  record_forward(1);
-  if (greedy_) {
-    return policy_->to_env_action(policy_->greedy_output(env));
-  }
-  return policy_->to_env_action(policy_->sample_output(env, rng));
+  const SchedulingEnv* one = &env;
+  Rng* one_rng = &rng;
+  int action = 0;
+  pick_batch(&one, 1, &one_rng, &action);
+  return action;
 }
 
 void DrlDecisionPolicy::share_rollout_cache(
@@ -305,54 +297,40 @@ void DrlDecisionPolicy::share_rollout_cache(
 
 void DrlDecisionPolicy::pick_batch(const SchedulingEnv* const* envs,
                                    std::size_t n, Rng* const* rngs, int* out) {
-  if (n == 0) return;
-  if (rollout_cache_) {
-    // Greedy mode with the cache armed: probe every row's canonical key and
-    // forward only the misses.  A hit is bit-identical to a fresh argmax
-    // (the cached action WAS a fresh argmax of the same state), and greedy
-    // rows consume no RNG, so skipping the forward shifts nothing.
-    miss_keys_.clear();
-    miss_envs_.clear();
-    miss_rows_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
+  // With the cache armed (greedy mode only) every row probes its canonical
+  // key first: a hit is bit-identical to a fresh argmax (the cached action
+  // WAS a fresh argmax of the same state), and greedy rows consume no RNG,
+  // so skipping the forward shifts nothing.  Unarmed, every row misses.
+  miss_keys_.clear();
+  miss_envs_.clear();
+  miss_rows_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rollout_cache_) {
       key_buf_.clear();
       envs[i]->append_canonical_key(key_buf_);
-      int cached = 0;
-      if (rollout_cache_->find(key_buf_, &cached)) {
-        out[i] = cached;
+      if (rollout_cache_->find(key_buf_, &out[i])) {
         ++rollout_cache_hits_;
-      } else {
-        miss_keys_.push_back(key_buf_);
-        miss_envs_.push_back(envs[i]);
-        miss_rows_.push_back(i);
-        ++rollout_cache_misses_;
+        continue;
       }
+      ++rollout_cache_misses_;
+      miss_keys_.push_back(key_buf_);
     }
-    if (miss_envs_.empty()) return;
-    forward_batch(miss_envs_.data(), miss_envs_.size());
-    for (std::size_t j = 0; j < miss_envs_.size(); ++j) {
-      const std::vector<double>& probs = batch_probs_[j];
-      // Same argmax (first maximum) as Policy::greedy_output.
-      const auto output = static_cast<std::size_t>(
-          std::max_element(probs.begin(), probs.end()) - probs.begin());
-      const int action = policy_->to_env_action(output);
-      out[miss_rows_[j]] = action;
-      rollout_cache_->insert(miss_keys_[j], action);
-    }
-    return;
+    miss_envs_.push_back(envs[i]);
+    miss_rows_.push_back(i);
   }
-  forward_batch(envs, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<double>& probs = batch_probs_[i];
-    std::size_t output;
-    if (greedy_) {
-      // Same argmax (first maximum) as Policy::greedy_output.
-      output = static_cast<std::size_t>(
-          std::max_element(probs.begin(), probs.end()) - probs.begin());
-    } else {
-      output = rngs[i]->categorical(probs);
-    }
-    out[i] = policy_->to_env_action(output);
+  if (miss_envs_.empty()) return;
+  forward_batch(miss_envs_.data(), miss_envs_.size());
+  for (std::size_t j = 0; j < miss_rows_.size(); ++j) {
+    const std::vector<double>& probs = batch_probs_[j];
+    const std::size_t row = miss_rows_[j];
+    // Greedy takes the first maximum; sampling draws from the row's own RNG.
+    const std::size_t output =
+        greedy_ ? static_cast<std::size_t>(
+                      std::max_element(probs.begin(), probs.end()) -
+                      probs.begin())
+                : rngs[row]->categorical(probs);
+    out[row] = policy_->to_env_action(output);
+    if (rollout_cache_) rollout_cache_->insert(miss_keys_[j], out[row]);
   }
 }
 

@@ -46,8 +46,8 @@ class DecisionPolicy {
   /// (bit-identical — each row consumes only its own RNG draws, in the same
   /// number as pick()).  MCTS advances every rollout through this — many in
   /// lockstep in leaf mode, so batch-capable guides score one fused forward
-  /// per step instead of one single-row forward per rollout, and one row
-  /// at a time in the serial search.  The default loops over pick().
+  /// per step instead of one forward per rollout, and one row at a time in
+  /// the serial search.  The default loops over pick().
   virtual void pick_batch(const SchedulingEnv* const* envs, std::size_t n,
                           Rng* const* rngs, int* out);
 
@@ -72,10 +72,12 @@ class DecisionPolicy {
 
   /// Points the guide's deterministic pick_batch rows at a canonical-state
   /// -> action cache shared with the other workers' guides, zeroing the
-  /// hit/miss counters; nullptr detaches.  MCTS calls this per schedule()
-  /// on every worker guide (keys do not encode the DAG identity, so entries
-  /// must never cross schedules).  Hits stay
-  /// bit-identical (the cached action is a pure function of the state).
+  /// hit/miss counters; nullptr detaches.  MCTS arms a fresh cache on every
+  /// worker guide when a schedule starts and detaches it when the schedule
+  /// returns or throws (keys do not encode the DAG identity, so entries
+  /// must never cross schedules, nor reach calls outside the search).  Hits
+  /// stay bit-identical (the cached action is a pure function of the
+  /// state).
   /// Default: no-op — only guides whose picks are pure functions of the
   /// state can cache them.
   virtual void share_rollout_cache(std::shared_ptr<SharedActionCache> cache) {
@@ -137,20 +139,24 @@ class TetrisDecisionPolicy : public DecisionPolicy {
 
 /// The trained DRL policy.  Weights are the masked softmax probabilities;
 /// rollout picks sample from them (set `greedy` for argmax rollouts).
+/// Every call runs through one batched forward path (forward_batch): the
+/// single-state calls are one-row batches.
 class DrlDecisionPolicy : public DecisionPolicy {
  public:
   explicit DrlDecisionPolicy(std::shared_ptr<const Policy> policy,
                              bool greedy = false);
 
+  /// Row 0 of action_weights_batch over this one state.
   std::vector<std::pair<int, double>> action_weights(
       const SchedulingEnv& env) override;
+  /// pick_batch over this one row.
   int pick(const SchedulingEnv& env, Rng& rng) override;
-  /// Fused rollout step: ONE batched forward scores all `n` states, then
-  /// each row resolves exactly as pick() would (greedy argmax or a
-  /// categorical draw from that row's own RNG) — bit-identical results by
-  /// the action_probs_batch row contract.  With the rollout cache armed
-  /// (greedy picks only) cached rows skip the forward entirely; the argmax
-  /// is a pure function of the state, so hits stay bit-identical too.
+  /// Fused rollout step: ONE batched forward scores the rows, then each
+  /// row resolves to the first-maximum argmax (greedy) or a categorical
+  /// draw from that row's own RNG (sampling) — bit-identical at any batch
+  /// size by the action_probs_batch row contract.  With the rollout cache
+  /// armed (greedy picks only) cached rows skip the forward entirely; the
+  /// argmax is a pure function of the state, so hits stay bit-identical.
   void pick_batch(const SchedulingEnv* const* envs, std::size_t n,
                   Rng* const* rngs, int* out) override;
 
@@ -187,19 +193,16 @@ class DrlDecisionPolicy : public DecisionPolicy {
   /// action_weights form.
   std::vector<std::pair<int, double>> weights_from_probs(
       const std::vector<double>& probs) const;
-  /// The batched forward funnel: fills batch_masks_/batch_probs_ for `n`
-  /// states through the wrapped Policy's workspace, tallying the call.
+  /// The one forward funnel: fills batch_masks_/batch_probs_ for `n`
+  /// states through the wrapped Policy's workspace and tallies the call in
+  /// forward_hist_.
   void forward_batch(const SchedulingEnv* const* envs, std::size_t n);
-  /// Tallies one private-weights kernel invocation of `rows` rows.
-  void record_forward(std::size_t rows);
 
   std::shared_ptr<const Policy> policy_;
   bool greedy_;
   /// Reused scratch: one guide serves one thread (parallel search clones),
   /// so holding the buffers across calls makes the steady state
   /// allocation-free.
-  std::vector<bool> mask_buf_;
-  std::vector<double> probs_buf_;
   std::vector<std::vector<bool>> batch_masks_;
   std::vector<std::vector<double>> batch_probs_;
   /// Rollout cache (greedy mode only; see share_rollout_cache) plus the
@@ -209,8 +212,8 @@ class DrlDecisionPolicy : public DecisionPolicy {
   std::int64_t rollout_cache_misses_ = 0;
   /// Private-weights physical forward histogram (see DecisionPolicy docs).
   std::vector<std::int64_t> forward_hist_;
-  SharedActionCache::Key key_buf_;
-  std::vector<SharedActionCache::Key> miss_keys_;
+  StateKey key_buf_;
+  std::vector<StateKey> miss_keys_;
   std::vector<const SchedulingEnv*> miss_envs_;
   std::vector<std::size_t> miss_rows_;
 };

@@ -99,15 +99,14 @@ class SearchTree {
   /// the new root" tree reuse, compacting away the discarded siblings.
   SearchTree reroot(NodeId new_root) const {
     SearchTree out(node(new_root).state);
-    copy_node_into(out, new_root, out.root(), /*copy_children=*/true);
+    copy_node_into(out, new_root, out.root());
     return out;
   }
 
  private:
   /// Copies statistics/untried of `src` onto `dst` in `out`, then clones
   /// the children subtrees.
-  void copy_node_into(SearchTree& out, NodeId src, NodeId dst,
-                      bool copy_children) const {
+  void copy_node_into(SearchTree& out, NodeId src, NodeId dst) const {
     const SearchNode& from = node(src);
     SearchNode& to = out.node(dst);
     to.untried = from.untried;
@@ -117,11 +116,10 @@ class SearchTree {
     to.max_value = from.max_value;
     to.sum_value = from.sum_value;
     to.vloss = from.vloss;
-    if (!copy_children) return;
     for (NodeId child : from.children) {
       const NodeId cloned = out.add_child(
           dst, node(child).action_from_parent, node(child).state);
-      copy_node_into(out, child, cloned, true);
+      copy_node_into(out, child, cloned);
     }
   }
 

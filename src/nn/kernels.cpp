@@ -59,20 +59,19 @@ void matmul_into(const double* SPEAR_RESTRICT a, std::size_t rows,
 
 namespace {
 
-// The grouped sweep behind both sparse matmuls, over the column span
-// [j0, j1).  always_inline so each SIMD clone of its callers vectorizes
-// the sweeps at its own ISA — a plain out-of-line helper would be
-// compiled once, at the portable ISA.  Within one output element the +=
-// chain executes in ascending-k order from a +0.0 accumulator, so bits
-// match the dense kernel exactly.
+// The grouped sweep of matmul_compressed_into over one output row.
+// always_inline so each SIMD clone of the caller vectorizes the sweeps at
+// its own ISA — a plain out-of-line helper would be compiled once, at the
+// portable ISA.  Within one output element the += chain executes in
+// ascending-k order from a +0.0 accumulator, so bits match the dense
+// kernel exactly.
 SPEAR_ALWAYS_INLINE
 inline void apply_compressed_row(const std::int32_t* SPEAR_RESTRICT kidx,
                                  const double* SPEAR_RESTRICT kval,
                                  std::size_t nnz,
                                  const double* SPEAR_RESTRICT b,
                                  std::size_t cols,
-                                 double* SPEAR_RESTRICT orow,
-                                 std::size_t j0, std::size_t j1) {
+                                 double* SPEAR_RESTRICT orow) {
   std::size_t g = 0;
   if (nnz >= 4) {
     // The first group seeds the output span from the +0.0 accumulator, so
@@ -86,7 +85,7 @@ inline void apply_compressed_row(const std::int32_t* SPEAR_RESTRICT kidx,
         b + static_cast<std::size_t>(kidx[2]) * cols;
     const double* SPEAR_RESTRICT b3 =
         b + static_cast<std::size_t>(kidx[3]) * cols;
-    for (std::size_t j = j0; j < j1; ++j) {
+    for (std::size_t j = 0; j < cols; ++j) {
       double acc = 0.0;
       acc += a0 * b0[j];
       acc += a1 * b1[j];
@@ -96,7 +95,7 @@ inline void apply_compressed_row(const std::int32_t* SPEAR_RESTRICT kidx,
     }
     g = 4;
   } else {
-    std::fill(orow + j0, orow + j1, 0.0);
+    std::fill(orow, orow + cols, 0.0);
   }
   for (; g + 8 <= nnz; g += 8) {
     const double a0 = kval[g], a1 = kval[g + 1];
@@ -119,7 +118,7 @@ inline void apply_compressed_row(const std::int32_t* SPEAR_RESTRICT kidx,
         b + static_cast<std::size_t>(kidx[g + 6]) * cols;
     const double* SPEAR_RESTRICT b7 =
         b + static_cast<std::size_t>(kidx[g + 7]) * cols;
-    for (std::size_t j = j0; j < j1; ++j) {
+    for (std::size_t j = 0; j < cols; ++j) {
       double acc = orow[j];
       acc += a0 * b0[j];
       acc += a1 * b1[j];
@@ -143,7 +142,7 @@ inline void apply_compressed_row(const std::int32_t* SPEAR_RESTRICT kidx,
         b + static_cast<std::size_t>(kidx[g + 2]) * cols;
     const double* SPEAR_RESTRICT b3 =
         b + static_cast<std::size_t>(kidx[g + 3]) * cols;
-    for (std::size_t j = j0; j < j1; ++j) {
+    for (std::size_t j = 0; j < cols; ++j) {
       double acc = orow[j];
       acc += a0 * b0[j];
       acc += a1 * b1[j];
@@ -156,40 +155,11 @@ inline void apply_compressed_row(const std::int32_t* SPEAR_RESTRICT kidx,
     const double av = kval[g];
     const double* SPEAR_RESTRICT brow =
         b + static_cast<std::size_t>(kidx[g]) * cols;
-    for (std::size_t j = j0; j < j1; ++j) orow[j] += av * brow[j];
+    for (std::size_t j = 0; j < cols; ++j) orow[j] += av * brow[j];
   }
 }
 
 }  // namespace
-
-SPEAR_SIMD_CLONES
-void matmul_sparse_lhs_into(const double* SPEAR_RESTRICT a, std::size_t rows,
-                            std::size_t inner,
-                            const double* SPEAR_RESTRICT b, std::size_t cols,
-                            double* SPEAR_RESTRICT out,
-                            std::int32_t* SPEAR_RESTRICT kidx,
-                            double* SPEAR_RESTRICT kval) {
-  // Untiled on purpose: column tiles would rescan the LHS row once per
-  // tile without ever making the B-panel L1-resident at NN widths.  The
-  // nonzero compression keeps the branchy scan out of the sweeps, and the
-  // grouped B-rows cut the output-row load/store traffic by the group
-  // width.
-  for (std::size_t i = 0; i < rows; ++i) {
-    const double* SPEAR_RESTRICT arow = a + i * inner;
-    // Branchless compression: store unconditionally, advance the cursor
-    // only past nonzeros — zero entries are overwritten by the next k, and
-    // the ~80%-zero feature rows cause no mispredicts.
-    std::size_t nnz = 0;
-    for (std::size_t k = 0; k < inner; ++k) {
-      const double av = arow[k];
-      kidx[nnz] = static_cast<std::int32_t>(k);
-      kval[nnz] = av;
-      nnz += static_cast<std::size_t>(av != 0.0);
-    }
-    apply_compressed_row(kidx, kval, nnz, b, cols, out + i * cols, 0,
-                         cols);
-  }
-}
 
 void compress_rows_into(const double* SPEAR_RESTRICT a, std::size_t rows,
                         std::size_t inner, std::size_t stride,
@@ -221,16 +191,16 @@ void matmul_compressed_into(const std::int32_t* SPEAR_RESTRICT kidx,
                             std::size_t rows, std::size_t stride,
                             const double* SPEAR_RESTRICT b, std::size_t cols,
                             double* SPEAR_RESTRICT out) {
-  // Untiled like matmul_sparse_lhs_into — and column tiling measures
-  // WORSE here: NN widths make the B row stride a power of two (2 KB at
-  // 256 cols), so a narrow column panel maps onto ~2 of the 64 L1 sets
-  // and conflict-misses instead of staying resident.  The full-width
+  // Untiled on purpose — column tiling measures WORSE here: NN widths make
+  // the B row stride a power of two (2 KB at 256 cols), so a narrow column
+  // panel maps onto ~2 of the 64 L1 sets and conflict-misses instead of
+  // staying resident.  The full-width
   // sweep streams each B row once per batch row, which the prefetcher
   // handles well.
   for (std::size_t i = 0; i < rows; ++i) {
     apply_compressed_row(kidx + i * stride, kval + i * stride,
                          static_cast<std::size_t>(row_nnz[i]), b, cols,
-                         out + i * cols, 0, cols);
+                         out + i * cols);
   }
 }
 
@@ -327,7 +297,7 @@ void add_bias_relu_compress(double* SPEAR_RESTRICT m, std::size_t rows,
     double* SPEAR_RESTRICT rrow = relu_out + i * cols;
     std::int32_t* SPEAR_RESTRICT ki = kidx + i * cols;
     double* SPEAR_RESTRICT kv = kval + i * cols;
-    // The same branchless compression as matmul_sparse_lhs_into, folded
+    // The same branchless compression as compress_rows_into, folded
     // into the bias+ReLU sweep so the next layer's matmul reads the
     // activations precompressed instead of re-scanning ~50%-zero rows.
     std::size_t nnz = 0;

@@ -29,13 +29,22 @@ inline constexpr std::size_t kColTile = 64;
 void matmul_into(const double* a, std::size_t rows, std::size_t inner,
                  const double* b, std::size_t cols, double* out);
 
+/// Compresses each row of A (rows x inner) into (index, value) pairs at
+/// kidx/kval + i * stride with counts in row_nnz — the form
+/// matmul_compressed_into consumes.  Branchless, one pass.
+void compress_rows_into(const double* a, std::size_t rows, std::size_t inner,
+                        std::size_t stride, std::int32_t* kidx, double* kval,
+                        std::int32_t* row_nnz);
+
 /// The inference matmul: exploits exact zeros in the LHS rows (policy
-/// feature rows are ~80% zero padding, post-ReLU activations ~50% zero).
-/// Per row, the nonzero (k, value) pairs are first compressed into the
-/// caller-provided kidx/kval scratch (each at least `inner` long), then
-/// applied in groups of four B-rows per output sweep — one load/store of
-/// the output row amortizes four multiply-adds, which lifts the kernel off
-/// the store-bandwidth ceiling the one-row-at-a-time sweep sits on.
+/// feature rows are ~80% zero padding, post-ReLU activations ~50% zero),
+/// taking the LHS in compressed row form: row i's nonzeros sit at
+/// kidx/kval + i * stride, row_nnz[i] of them (compress_rows_into /
+/// add_bias_relu_compress emit this), so layers never re-scan their
+/// inputs.  The nonzeros are applied in groups of four or eight B-rows per
+/// output sweep — one load/store of the output row amortizes several
+/// multiply-adds, which lifts the kernel off the store-bandwidth ceiling
+/// the one-row-at-a-time sweep sits on.
 ///
 /// Bit-identical to matmul_into for finite inputs: within each output
 /// element the products are still added one at a time in ascending-k
@@ -44,23 +53,6 @@ void matmul_into(const double* a, std::size_t rows, std::size_t inner,
 /// round-to-nearest) accumulator absorbs without changing bits.  Dense
 /// general-purpose callers (Matrix::matmul) stay on the branchless tiled
 /// kernel.
-void matmul_sparse_lhs_into(const double* a, std::size_t rows,
-                            std::size_t inner, const double* b,
-                            std::size_t cols, double* out,
-                            std::int32_t* kidx, double* kval);
-
-/// Compresses each row of A (rows x inner) into (index, value) pairs at
-/// kidx/kval + i * stride with counts in row_nnz — the form
-/// matmul_compressed_into consumes.  Branchless, one pass.
-void compress_rows_into(const double* a, std::size_t rows, std::size_t inner,
-                        std::size_t stride, std::int32_t* kidx, double* kval,
-                        std::int32_t* row_nnz);
-
-/// matmul_sparse_lhs_into for an LHS already in compressed row form:
-/// row i's nonzeros sit at kidx/kval + i * stride, row_nnz[i] of them
-/// (compress_rows_into / add_bias_relu_compress emit this), so layers
-/// never re-scan their inputs.  Same grouped ascending-k sweeps, same
-/// bit-identity.
 void matmul_compressed_into(const std::int32_t* kidx, const double* kval,
                             const std::int32_t* row_nnz, std::size_t rows,
                             std::size_t stride, const double* b,

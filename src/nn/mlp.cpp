@@ -189,7 +189,6 @@ Matrix& Mlp::begin_forward(ForwardWorkspace& ws, std::size_t rows) const {
   }
   grown += reshape_tracked(ws.dw_scratch, 1, max_params, false);
   grown += resize_tracked(ws.db_scratch, max_width);
-  grown += resize_tracked(ws.probs, output_dim());
   grown += resize_tracked(ws.kidx, rows * max_width);
   grown += resize_tracked(ws.kval, rows * max_width);
   grown += resize_tracked(ws.row_nnz, rows);

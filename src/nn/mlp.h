@@ -64,7 +64,6 @@ class Mlp {
     Matrix delta_prev; // backward scratch (next delta, ping-ponged)
     Matrix dw_scratch; // per-layer weight-gradient staging
     std::vector<double> db_scratch;  // per-layer bias-gradient staging
-    std::vector<double> probs;       // caller scratch (masked softmax etc.)
     std::vector<std::int32_t> kidx;  // compressed-activation indices
     std::vector<double> kval;        // compressed-activation values
     std::vector<std::int32_t> row_nnz;  // nonzeros per compressed row

@@ -85,25 +85,15 @@ std::vector<double> Policy::masked_softmax(const std::vector<double>& logits,
   return probs;
 }
 
-void Policy::action_probs_into(const SchedulingEnv& env,
-                               std::vector<bool>& mask,
-                               std::vector<double>& out) const {
-  Matrix& input = net_.begin_forward(ws_, 1);
-  featurizer_.featurize_compress_into(env, input.data().data(),
-                                      ws_.kidx.data(), ws_.kval.data(),
-                                      ws_.row_nnz.data());
-  ws_.input_compressed = true;
-  net_.forward_ws(ws_);
-  fill_valid_mask(env, featurizer_, mask);
-  out.assign(num_outputs(), 0.0);
-  masked_softmax_into(ws_.logits().data().data(), mask, num_outputs(),
-                      out.data());
+const std::vector<double>& Policy::one_row_probs(
+    const SchedulingEnv& env) const {
+  const SchedulingEnv* one = &env;
+  action_probs_batch(&one, 1, batch_masks_, batch_probs_);
+  return batch_probs_.front();
 }
 
 std::vector<double> Policy::action_probs(const SchedulingEnv& env) const {
-  std::vector<double> out;
-  action_probs_into(env, scratch_mask_, out);
-  return out;
+  return one_row_probs(env);
 }
 
 void Policy::action_probs_batch(const SchedulingEnv* const* envs,
@@ -137,15 +127,13 @@ void Policy::action_probs_batch(const SchedulingEnv* const* envs,
 }
 
 std::size_t Policy::sample_output(const SchedulingEnv& env, Rng& rng) const {
-  action_probs_into(env, scratch_mask_, ws_.probs);
-  return rng.categorical(ws_.probs);
+  return rng.categorical(one_row_probs(env));
 }
 
 std::size_t Policy::greedy_output(const SchedulingEnv& env) const {
-  action_probs_into(env, scratch_mask_, ws_.probs);
+  const std::vector<double>& probs = one_row_probs(env);
   return static_cast<std::size_t>(
-      std::max_element(ws_.probs.begin(), ws_.probs.end()) -
-      ws_.probs.begin());
+      std::max_element(probs.begin(), probs.end()) - probs.begin());
 }
 
 int Policy::to_env_action(std::size_t output) const {

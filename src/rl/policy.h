@@ -40,22 +40,16 @@ class Policy {
   std::vector<bool> valid_output_mask(const SchedulingEnv& env) const;
 
   /// Masked softmax action distribution (size num_outputs; zeros at invalid
-  /// outputs).  Requires at least one valid action (i.e. !env.done()).
+  /// outputs): row 0 of action_probs_batch over this one state.  Requires
+  /// at least one valid action (i.e. !env.done()).
   std::vector<double> action_probs(const SchedulingEnv& env) const;
 
-  /// Allocation-free variant: features go straight into the network
-  /// workspace (featurize_into), one single-row forward_ws pass, masked
-  /// softmax into `out` (resized to num_outputs).  Identical values to
-  /// action_probs(); the steady-state path performs no heap allocation
-  /// beyond the caller's reused `out`/`mask` buffers.
-  void action_probs_into(const SchedulingEnv& env, std::vector<bool>& mask,
-                         std::vector<double>& out) const;
-
-  /// Batched evaluation: featurizes all `n` states as rows of one input
-  /// matrix, runs ONE forward pass, and emits each row's masked softmax
-  /// into probs[i] (and its mask into masks[i]).  Row results are
-  /// bit-identical to n action_probs() calls — each logits row depends
-  /// only on its own input row and the kernels never mix rows.
+  /// The one inference path: featurizes all `n` states straight into the
+  /// network workspace as rows of one input matrix, runs ONE forward pass,
+  /// and emits each row's masked softmax into probs[i] (and its mask into
+  /// masks[i]).  Row results do not depend on the batch size — each logits
+  /// row depends only on its own input row and the kernels never mix rows.
+  /// With reused masks/probs the steady state performs no heap allocation.
   void action_probs_batch(const SchedulingEnv* const* envs, std::size_t n,
                           std::vector<std::vector<bool>>& masks,
                           std::vector<std::vector<double>>& probs) const;
@@ -63,7 +57,7 @@ class Policy {
   /// Samples a network output index from action_probs.
   std::size_t sample_output(const SchedulingEnv& env, Rng& rng) const;
 
-  /// Highest-probability valid output.
+  /// Highest-probability valid output (the first maximum).
   std::size_t greedy_output(const SchedulingEnv& env) const;
 
   /// Translates a network output index to a SchedulingEnv action.
@@ -91,10 +85,16 @@ class Policy {
   Featurizer featurizer_;
   Mlp net_;
   std::size_t resource_dims_;
-  /// Per-policy inference workspace (one thread per Policy instance; the
-  /// parallel search clones the whole Policy per worker).
+  /// action_probs_batch over the one state `env`, into the reused
+  /// batch_masks_/batch_probs_; returns row 0.
+  const std::vector<double>& one_row_probs(const SchedulingEnv& env) const;
+
+  /// Per-policy inference workspace and single-state output buffers (one
+  /// thread per Policy instance; the parallel search clones the whole
+  /// Policy per worker).
   mutable Mlp::ForwardWorkspace ws_;
-  mutable std::vector<bool> scratch_mask_;
+  mutable std::vector<std::vector<bool>> batch_masks_;
+  mutable std::vector<std::vector<double>> batch_probs_;
 };
 
 }  // namespace spear

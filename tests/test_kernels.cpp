@@ -133,40 +133,14 @@ TEST(KernelBitIdentity, FusedBiasReluMatchesBroadcastThenRelu) {
   EXPECT_TRUE(bits_equal(relu_out, expect_relu));
 }
 
-TEST(KernelBitIdentity, SparseLhsMatmulMatchesSeedReference) {
-  Rng rng(15);
+TEST(KernelBitIdentity, CompressedMatmulMatchesSeedReference) {
+  Rng rng(16);
   // Row nonzero counts straddle the group boundaries (first-4 seed, the
   // 8-wide and 4-wide sweeps, singles): densities from all-zero rows to
   // fully dense, with inner sizes hitting every nnz % 8 remainder.
-  const double zero_prob[] = {1.0, 0.9, 0.5, 0.2, 0.0};
-  const std::size_t inner_set[] = {1, 2, 3, 4, 5, 7, 8, 9, 12, 17, 163};
-  const std::size_t col_set[] = {1, 25, 32, 256};
-  for (double p : zero_prob) {
-    for (std::size_t inner : inner_set) {
-      for (std::size_t cols : col_set) {
-        const std::size_t rows = 3;
-        std::vector<double> a(rows * inner);
-        for (auto& x : a) x = rng.uniform() < p ? 0.0 : rng.normal();
-        const auto b = random_operand(inner * cols, rng);
-        std::vector<double> fast(rows * cols), seed(rows * cols);
-        std::vector<std::int32_t> kidx(inner);
-        std::vector<double> kval(inner);
-        kernels::matmul_sparse_lhs_into(a.data(), rows, inner, b.data(),
-                                        cols, fast.data(), kidx.data(),
-                                        kval.data());
-        kernels::reference_matmul_into(a.data(), rows, inner, b.data(), cols,
-                                       seed.data());
-        ASSERT_TRUE(bits_equal(fast, seed))
-            << "p=" << p << " inner=" << inner << " cols=" << cols;
-      }
-    }
-  }
-}
-
-TEST(KernelBitIdentity, CompressedMatmulMatchesSeedReference) {
-  Rng rng(16);
-  const double zero_prob[] = {1.0, 0.8, 0.5, 0.0};
-  const std::size_t inner_set[] = {1, 5, 9, 13, 32, 163};
+  const double zero_prob[] = {1.0, 0.9, 0.8, 0.5, 0.2, 0.0};
+  const std::size_t inner_set[] = {1, 2,  3,  4,  5,  7,  8,
+                                   9, 12, 13, 17, 32, 163};
   const std::size_t col_set[] = {1, 25, 32, 256};
   for (double p : zero_prob) {
     for (std::size_t inner : inner_set) {

@@ -1,7 +1,7 @@
 // Leaf-parallel MCTS (DESIGN.md §11): seeded determinism across worker
-// counts, stats reconciliation, cache bit-identity, kRoot at several
-// threads running the same search, and uncloneable guides running on one
-// worker.
+// counts, stats reconciliation, cache bit-identity, the rollout-cache
+// detach after a schedule, kRoot at several threads running the same
+// search, and uncloneable guides running on one worker.
 
 #include "mcts/mcts.h"
 
@@ -246,6 +246,50 @@ TEST(LeafMcts, SamplingGuideKeepsRolloutCacheCold) {
   mcts.schedule(dag, cap());
   EXPECT_EQ(mcts.last_stats().rollout_cache_hits, 0);
   EXPECT_EQ(mcts.last_stats().rollout_cache_misses, 0);
+}
+
+TEST(LeafMcts, ScheduleDetachesTheRolloutCache) {
+  // Canonical keys do not encode the DAG, so a guide reused after a search
+  // must not probe that search's rollout cache: schedule() folds the
+  // guide's cache counters into its stats and then detaches the cache.
+  const Dag searched = test_dag(41);
+  auto guide = make_guide();
+  MctsScheduler mcts(leaf_options(1), guide);
+  mcts.schedule(searched, cap());
+  ASSERT_GT(mcts.last_stats().rollout_cache_hits, 0);
+
+  // The same shape and runtimes with the demands reversed: its early states
+  // share canonical keys with the searched DAG's, not their best actions.
+  DagBuilder builder;
+  const auto n = static_cast<TaskId>(searched.num_tasks());
+  for (TaskId t = 0; t < n; ++t) {
+    builder.add_task(searched.task(t).runtime, searched.task(n - 1 - t).demand);
+  }
+  for (TaskId t = 0; t < n; ++t) {
+    for (TaskId p : searched.parents(t)) builder.add_edge(p, t);
+  }
+  // Walk its states with a fresh guide's picks; the searched guide must
+  // pick the same actions without a single cache hit.
+  auto fresh = make_guide();
+  EnvOptions env_options;
+  env_options.max_ready = fresh->max_ready();
+  SchedulingEnv env(std::make_shared<Dag>(std::move(builder).build()), cap(),
+                    env_options);
+  Rng rng(3);
+  std::size_t steps = 0;
+  while (!env.done()) {
+    const int action = fresh->pick(env, rng);
+    EXPECT_EQ(guide->pick(env, rng), action) << "step " << steps;
+    if (action == SchedulingEnv::kProcessAction) {
+      env.process_to_next_finish();
+    } else {
+      env.step(action);
+    }
+    ++steps;
+  }
+  ASSERT_GT(steps, 0u);
+  EXPECT_EQ(guide->rollout_cache_hits(), 0);
+  EXPECT_EQ(guide->rollout_cache_misses(), 0);
 }
 
 TEST(LeafMcts, NoTreeReuseStillValid) {

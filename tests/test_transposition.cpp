@@ -22,48 +22,56 @@ SchedulingEnv make_env(Dag dag) {
   return SchedulingEnv(std::make_shared<Dag>(std::move(dag)), cap(), options);
 }
 
-TranspositionCache::Key key_of(const SchedulingEnv& env) {
-  TranspositionCache::Key key;
+StateKey key_of(const SchedulingEnv& env) {
+  StateKey key;
   env.append_canonical_key(key);
   return key;
 }
 
+bool has(const TranspositionCache& cache, const StateKey& key) {
+  Priors priors;
+  return cache.find(key, &priors);
+}
+
 TEST(TranspositionCache, HitReturnsBitwiseIdenticalPriors) {
   TranspositionCache cache(8);
-  const TranspositionCache::Key key = {1, 2, 3};
+  const StateKey key = {1, 2, 3};
   // Exactly representable and deliberately awkward doubles: a hit must
   // return the stored words bit for bit, not a recomputed approximation.
-  const TranspositionCache::Priors priors = {
-      {2, 0.625}, {0, 0.3125}, {5, 1.0 / 3.0}};
+  const Priors priors = {{2, 0.625}, {0, 0.3125}, {5, 1.0 / 3.0}};
   cache.insert(key, priors);
 
-  const TranspositionCache::Priors* hit = cache.find(key);
-  ASSERT_NE(hit, nullptr);
-  ASSERT_EQ(hit->size(), priors.size());
+  Priors hit;
+  ASSERT_TRUE(cache.find(key, &hit));
+  ASSERT_EQ(hit.size(), priors.size());
   for (std::size_t i = 0; i < priors.size(); ++i) {
-    EXPECT_EQ((*hit)[i].first, priors[i].first);
-    EXPECT_EQ((*hit)[i].second, priors[i].second);  // exact, not NEAR
+    EXPECT_EQ(hit[i].first, priors[i].first);
+    EXPECT_EQ(hit[i].second, priors[i].second);  // exact, not NEAR
   }
 }
 
 TEST(TranspositionCache, MissesOnUnknownKey) {
   TranspositionCache cache(8);
   cache.insert({1, 2, 3}, {{0, 1.0}});
-  EXPECT_EQ(cache.find({1, 2, 4}), nullptr);
+  Priors untouched = {{9, 0.5}};
+  EXPECT_FALSE(cache.find({1, 2, 4}, &untouched));
+  // A miss leaves the output alone.
+  ASSERT_EQ(untouched.size(), 1u);
+  EXPECT_EQ(untouched[0].first, 9);
   // Prefixes and extensions are distinct keys, not hash-degenerate hits.
-  EXPECT_EQ(cache.find({1, 2}), nullptr);
-  EXPECT_EQ(cache.find({1, 2, 3, 0}), nullptr);
+  EXPECT_FALSE(has(cache, {1, 2}));
+  EXPECT_FALSE(has(cache, {1, 2, 3, 0}));
 }
 
 TEST(TranspositionCache, DuplicateInsertKeepsFirstEntry) {
   TranspositionCache cache(8);
   cache.insert({7}, {{1, 0.75}});
   cache.insert({7}, {{9, 0.25}});
-  const auto* hit = cache.find({7});
-  ASSERT_NE(hit, nullptr);
-  ASSERT_EQ(hit->size(), 1u);
-  EXPECT_EQ((*hit)[0].first, 1);
-  EXPECT_EQ((*hit)[0].second, 0.75);
+  Priors hit;
+  ASSERT_TRUE(cache.find({7}, &hit));
+  ASSERT_EQ(hit.size(), 1u);
+  EXPECT_EQ(hit[0].first, 1);
+  EXPECT_EQ(hit[0].second, 0.75);
   EXPECT_EQ(cache.size(), 1u);
 }
 
@@ -72,33 +80,21 @@ TEST(TranspositionCache, FifoEvictionUnderCap) {
   cache.insert({1}, {{1, 1.0}});
   cache.insert({2}, {{2, 1.0}});
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_NE(cache.find({1}), nullptr);
-  EXPECT_NE(cache.find({2}), nullptr);
+  EXPECT_TRUE(has(cache, {1}));
+  EXPECT_TRUE(has(cache, {2}));
 
   cache.insert({3}, {{3, 1.0}});  // evicts the OLDEST entry, key {1}
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.find({1}), nullptr);
-  EXPECT_NE(cache.find({2}), nullptr);
-  EXPECT_NE(cache.find({3}), nullptr);
+  EXPECT_FALSE(has(cache, {1}));
+  EXPECT_TRUE(has(cache, {2}));
+  EXPECT_TRUE(has(cache, {3}));
 }
 
 TEST(TranspositionCache, ZeroCapacityDisables) {
   TranspositionCache cache(0);
   cache.insert({1, 2}, {{0, 1.0}});
-  EXPECT_EQ(cache.find({1, 2}), nullptr);
+  EXPECT_FALSE(has(cache, {1, 2}));
   EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(TranspositionCache, ClearDropsEverything) {
-  TranspositionCache cache(4);
-  cache.insert({1}, {{0, 1.0}});
-  cache.insert({2}, {{1, 1.0}});
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.find({1}), nullptr);
-  // The FIFO queue was cleared too: refills evict in the NEW order.
-  cache.insert({3}, {{2, 1.0}});
-  EXPECT_NE(cache.find({3}), nullptr);
 }
 
 TEST(SharedActionCache, FindInsertAcrossShards) {
@@ -114,9 +110,6 @@ TEST(SharedActionCache, FindInsertAcrossShards) {
     EXPECT_EQ(action, static_cast<int>(k));
   }
   EXPECT_FALSE(cache.find({999, 1000}, &action));
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.find({1, 2}, &action));
 }
 
 TEST(SharedActionCache, DuplicateInsertKeepsFirst) {
@@ -198,7 +191,7 @@ TEST(SharedActionCache, ConcurrentMixedUseIsSafe) {
       int action = -1;
       const auto salt = static_cast<std::uint64_t>(t % 2);
       for (std::uint64_t k = 0; k < 500; ++k) {
-        const SharedActionCache::Key key{k % 64, salt};
+        const StateKey key{k % 64, salt};
         // Values are keyed deterministically, so a hit must agree.
         const int expected = static_cast<int>((k % 64) ^ salt);
         if (cache.find(key, &action)) {
@@ -220,7 +213,7 @@ TEST(CanonicalKey, IdenticalStatesProduceIdenticalKeys) {
 
 TEST(CanonicalKey, DistinguishesProgressedStates) {
   SchedulingEnv env = make_env(testing::make_independent(3, 4));
-  const TranspositionCache::Key before = key_of(env);
+  const StateKey before = key_of(env);
   SchedulingEnv stepped = env;
   stepped.step(0);  // schedule one ready task
   EXPECT_NE(before, key_of(stepped));
@@ -233,9 +226,9 @@ TEST(CanonicalKey, DistinguishesProgressedStates) {
 TEST(CanonicalKey, HashSpreadsDistinctKeys) {
   // Not a correctness requirement (lookups compare full keys), but the
   // mix should not be trivially degenerate on near-identical keys.
-  const auto h1 = TranspositionCache::hash_key({0, 0, 1});
-  const auto h2 = TranspositionCache::hash_key({0, 1, 0});
-  const auto h3 = TranspositionCache::hash_key({0, 0, 1, 0});
+  const auto h1 = hash_state_key({0, 0, 1});
+  const auto h2 = hash_state_key({0, 1, 0});
+  const auto h3 = hash_state_key({0, 0, 1, 0});
   EXPECT_NE(h1, h2);
   EXPECT_NE(h1, h3);
 }
