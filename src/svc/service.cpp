@@ -61,6 +61,18 @@ bool valid_tenant_name(const std::string& name) {
   return true;
 }
 
+/// Answers one request.  A responder that throws (dead client fd) has
+/// still been answered: the throw is swallowed so it neither takes down the
+/// calling thread nor reaches a path that would answer the request twice.
+void answer(const SchedulerService::Responder& respond, bool ok,
+            const SubmitResult& result, const Rejection& rejection) {
+  if (!respond) return;
+  try {
+    respond(ok, result, rejection);
+  } catch (...) {
+  }
+}
+
 bool is_shed(ErrorCode code) {
   return code == ErrorCode::kQueueFull || code == ErrorCode::kQuotaExceeded;
 }
@@ -244,12 +256,7 @@ void SchedulerService::submit(const SubmitRequest& request,
   const auto reject = [&](const std::string& charged_tenant,
                           const Rejection& rejection) {
     ledger_->submit_rejected(charged_tenant, rejection.code);
-    try {
-      respond(false, SubmitResult{}, rejection);
-    } catch (...) {
-      // A responder that throws (dead client fd) must not take down the
-      // submitting frontend thread.
-    }
+    answer(respond, false, SubmitResult{}, rejection);
   };
 
   if (!valid_tenant_name(tenant)) {
@@ -313,11 +320,7 @@ void SchedulerService::submit(const SubmitRequest& request,
   ledger_->submit_admitted(tenant);
   if (auto verdict = queue_.try_push(std::move(job))) {
     ledger_->admitted_to_rejected(tenant, verdict->code);
-    try {
-      on_reject(false, SubmitResult{}, *verdict);
-    } catch (...) {
-    }
-    return;
+    answer(on_reject, false, SubmitResult{}, *verdict);
   }
 }
 
@@ -331,14 +334,9 @@ CancelState SchedulerService::cancel(const std::string& tenant,
     // The job never reached a worker: resolve its submit here, exactly
     // once, from the cancelling thread.
     ledger_->resolve_cancelled(name);
-    if (removed.respond) {
-      try {
-        removed.respond(false, SubmitResult{},
-                        Rejection{ErrorCode::kCancelled,
-                                  "request cancelled while queued", -1});
-      } catch (...) {
-      }
-    }
+    answer(removed.respond, false, SubmitResult{},
+           Rejection{ErrorCode::kCancelled, "request cancelled while queued",
+                     -1});
   }
   // kInFlight: the token is set; the serving worker resolves the submit
   // (cancelled at the next search checkpoint, or placed if the search beat
@@ -385,8 +383,8 @@ void SchedulerService::serve(Worker& worker, Job& job) {
   };
   const auto respond_cancelled = [&] {
     ledger_->resolve_cancelled(job.tenant);
-    respond_error(job, Rejection{ErrorCode::kCancelled, "request cancelled",
-                                 -1});
+    answer(job.respond, false, SubmitResult{},
+           Rejection{ErrorCode::kCancelled, "request cancelled", -1});
   };
   if (cancelled()) {
     // Cancel landed between pop and serve.
@@ -474,7 +472,7 @@ void SchedulerService::serve(Worker& worker, Job& job) {
     ledger_->resolve_placed(job.tenant);
     queue_.record_service_ms(result.search_ms);
     if (obs::enabled()) obs::observe("svc.search_ms", result.search_ms);
-    if (job.respond) job.respond(true, result, Rejection{});
+    answer(job.respond, true, result, Rejection{});
   } catch (const std::exception& e) {
     // Request isolation: whatever this job did, only this job fails.
     worker.scheduler->set_cancel_token(nullptr);
@@ -490,16 +488,7 @@ void SchedulerService::serve(Worker& worker, Job& job) {
 
 void SchedulerService::reject_in_flight(Job& job, const Rejection& rejection) {
   ledger_->resolve_rejected(rejection.code);
-  respond_error(job, rejection);
-}
-
-void SchedulerService::respond_error(Job& job, const Rejection& rejection) {
-  if (!job.respond) return;
-  try {
-    job.respond(false, SubmitResult{}, rejection);
-  } catch (...) {
-    // Dead client; nothing further to do for this request.
-  }
+  answer(job.respond, false, SubmitResult{}, rejection);
 }
 
 void SchedulerService::count_rejection(ErrorCode code) {

@@ -235,7 +235,6 @@ class SchedulerService {
 
   void worker_loop(Worker& worker);
   void serve(Worker& worker, Job& job);
-  void respond_error(Job& job, const Rejection& rejection);
   /// Records a terminal worker-side rejection for `job` in the ledger and
   /// answers the responder.
   void reject_in_flight(Job& job, const Rejection& rejection);

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <stdexcept>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -375,6 +376,32 @@ TEST(SvcService, CountersReconcileAcrossWorkerCounts) {
       EXPECT_EQ(counters.degraded_total(), baseline.degraded_total());
     }
   }
+}
+
+TEST(SvcService, ThrowingResponderIsAnsweredOnce) {
+  // A responder that throws on its placement (a dead client) has been
+  // answered: the submit counts as placed, and nothing answers it again.
+  ServiceOptions options;
+  options.workers = 1;
+  options.search_iterations = 40;
+  options.min_iterations = 20;
+  SchedulerService service(options);
+  service.start();
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  service.submit(chain_request("t1"),
+                 [calls](bool, const SubmitResult&, const Rejection&) {
+                   ++*calls;
+                   throw std::runtime_error("client gone");
+                 });
+  service.shutdown();
+
+  EXPECT_EQ(calls->load(), 1);
+  const ServiceCounters counters = service.counters();
+  EXPECT_EQ(counters.placed, 1);
+  EXPECT_EQ(counters.rejected_internal, 0);
+  EXPECT_EQ(counters.in_flight, 0);
+  EXPECT_EQ(counters.submitted, counters.placed + counters.rejected_total() +
+                                    counters.cancelled + counters.in_flight);
 }
 
 TEST(SvcService, StatsJsonIsWellFormedAndReconciles) {
