@@ -1,7 +1,6 @@
 #include "exec/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <map>
 #include <stdexcept>
@@ -59,9 +58,6 @@ struct ExecutionEngine::RunningAttempt {
   Time start = 0;
   Time finish = 0;     ///< realized finish (start + realized duration)
   bool speculative = false;
-  /// Same cancellation idiom as the service layer: the winner's completion
-  /// sets the loser's token; anything holding the token observes the stop.
-  std::shared_ptr<std::atomic<bool>> cancel;
 };
 
 struct ExecutionEngine::RunState {
@@ -148,8 +144,7 @@ bool ExecutionEngine::try_start_tasks(RunState& s) const {
       s.first_start[static_cast<std::size_t>(id)] = s.now;
     }
     s.avail -= task.demand;
-    s.running.push_back({id, attempt, s.now, s.now + realized, false,
-                         std::make_shared<std::atomic<bool>>(false)});
+    s.running.push_back({id, attempt, s.now, s.now + realized, false});
     s.events.push_back({s.now, EventKind::kStart, id, attempt, realized});
     it = s.pending.erase(it);
     any = true;
@@ -182,8 +177,7 @@ void ExecutionEngine::maybe_speculate(RunState& s) const {
     const int attempt = s.attempts[idx]++;
     const Time realized = s.duration(task, attempt);
     s.avail -= task.demand;
-    s.running.push_back({id, attempt, s.now, s.now + realized, true,
-                         std::make_shared<std::atomic<bool>>(false)});
+    s.running.push_back({id, attempt, s.now, s.now + realized, true});
     s.events.push_back({s.now, EventKind::kSpeculate, id, attempt, realized});
   }
 }
@@ -444,16 +438,15 @@ ExecResult ExecutionEngine::run(const Schedule& plan) {
            task.runtime);
       s.events.push_back({s.now, EventKind::kFinish, winner.task,
                           winner.attempt, surprise});
-      // First-finish-wins: cancel the losing attempts via their tokens and
-      // release their resources now (logged after the winning finish so the
-      // log reads causally at this instant).
+      // First-finish-wins: cancel the losing attempts by dropping them from
+      // the running set and releasing their resources now (logged after the
+      // winning finish so the log reads causally at this instant).
       for (std::size_t i = 0; i < s.running.size();) {
         if (s.running[i].task != winner.task) {
           ++i;
           continue;
         }
         const RunningAttempt loser = s.running[i];
-        loser.cancel->store(true, std::memory_order_relaxed);
         s.running.erase(s.running.begin() + static_cast<std::ptrdiff_t>(i));
         s.avail += task.demand;
         ++s.stats.cancellations;

@@ -25,10 +25,10 @@
 // Orthogonally the engine speculates on stragglers: once an attempt has run
 // speculation_factor times its estimate, a duplicate attempt (next attempt
 // index, independent perturbation draw) is launched when resources allow;
-// first finish wins and the loser is cancelled through the same
-// shared_ptr<atomic<bool>> token idiom the service layer uses, releasing
-// its resources at the cancel instant.  Capacity-loss windows from a
-// FaultInjector gate NEW dispatches exactly as in ClusterSim.
+// first finish wins and the loser is cancelled: it leaves the running set
+// and its resources are released at the cancel instant.  Capacity-loss
+// windows from a FaultInjector gate NEW dispatches exactly as in
+// ClusterSim.
 //
 // Everything is deterministic: realized durations are pure functions of
 // (seed, task, attempt), re-search uses iteration budgets with leaf-mode
