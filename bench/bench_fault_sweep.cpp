@@ -24,6 +24,8 @@
 #include "common/flags.h"
 #include "common/table.h"
 #include "fault/runner.h"
+#include "sched/critical_path.h"
+#include "sched/tetris.h"
 #include "support.h"
 
 int main(int argc, char** argv) {
@@ -161,13 +163,9 @@ int main(int argc, char** argv) {
 
       // Heuristics: react greedily through the fault-aware environment.
       for (std::size_t s = 2; s < scheduler_names.size(); ++s) {
-        std::unique_ptr<DecisionPolicy> heuristic;
-        if (s == 2) {
-          heuristic = std::make_unique<TetrisDecisionPolicy>();
-        } else {
-          heuristic = std::make_unique<CpDecisionPolicy>();
-        }
-        const auto run = run_policy_under_faults(*heuristic, dags[j], capacity,
+        HeuristicDecisionPolicy heuristic(s == 2 ? PriorityFn(tetris_alignment)
+                                                 : PriorityFn(b_level_urgency));
+        const auto run = run_policy_under_faults(heuristic, dags[j], capacity,
                                                  faults, retry);
         CellStats& cell = cells[s];
         if (run.aborted) {

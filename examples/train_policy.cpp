@@ -102,8 +102,7 @@ int main(int argc, char** argv) {
   if (!skip_imitation) {
     ImitationOptions imitation;
     imitation.epochs = static_cast<std::size_t>(*imitation_epochs);
-    auto demos = collect_cp_demonstrations(policy, dags, capacity,
-                                           imitation.jump_on_process);
+    auto demos = collect_cp_demonstrations(policy, dags, capacity);
     ImitationTrainer warmup(policy, std::move(demos), imitation, rng);
     if (loaded && loaded->state.phase == ckpt::kPhaseImitation) {
       warmup.restore(loaded->state);

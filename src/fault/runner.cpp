@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "sched/list_scheduler.h"
+
 namespace spear {
 
 FaultRunResult run_policy_under_faults(
@@ -21,15 +23,9 @@ FaultRunResult run_policy_under_faults(
   Rng rng(seed);
   FaultRunResult result;
   try {
-    while (!env.done()) {
-      const int action = policy.pick(env, rng);
-      if (action == SchedulingEnv::kProcessAction) {
-        env.process_to_next_finish();
-      } else {
-        env.step(action);
-      }
-    }
-    result.makespan = env.makespan();
+    result.makespan = run_greedy(env, [&](const SchedulingEnv& state) {
+      return policy.pick(state, rng);
+    });
   } catch (const JobAbortedError& e) {
     result.aborted = true;
     result.abort_reason = e.what();

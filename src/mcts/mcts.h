@@ -108,8 +108,8 @@ struct MctsOptions {
   std::int64_t time_budget_ms = 0;
   /// Fallback heuristic used when the deadline expires before a single
   /// iteration completes (anytime degradation).  Defaults to
-  /// HeuristicDecisionPolicy (the CP x Tetris blend); plug in
-  /// CpDecisionPolicy or TetrisDecisionPolicy for a pure fallback.
+  /// HeuristicDecisionPolicy (the CP x Tetris blend); construct it with
+  /// b_level_urgency or tetris_alignment for a pure CP or Tetris fallback.
   std::shared_ptr<DecisionPolicy> fallback;
 
   /// Failure-aware scheduling: non-null = simulate (and search) under this

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
-#include "sched/critical_path.h"
 #include "sched/tetris.h"
 
 namespace spear {
@@ -17,53 +15,6 @@ void sort_by_weight(std::vector<std::pair<int, double>>& weights) {
   std::stable_sort(
       weights.begin(), weights.end(),
       [](const auto& a, const auto& b) { return a.second > b.second; });
-}
-
-/// Shared shape of the heuristic policies: score every placeable ready
-/// task, give process the mean schedule weight (pack first, never starve
-/// completions), sort descending.
-template <typename ScoreFn>
-std::vector<std::pair<int, double>> scored_weights(const SchedulingEnv& env,
-                                                   ScoreFn score) {
-  std::vector<std::pair<int, double>> out;
-  double schedule_sum = 0.0;
-  std::size_t schedule_count = 0;
-  for (std::size_t i = 0; i < env.ready().size(); ++i) {
-    if (!env.can_schedule(i)) continue;
-    const double weight = 1e-6 + score(env.ready()[i]);
-    out.emplace_back(static_cast<int>(i), weight);
-    schedule_sum += weight;
-    ++schedule_count;
-  }
-  if (env.can_process()) {
-    const double mean = schedule_count > 0
-                            ? schedule_sum / static_cast<double>(schedule_count)
-                            : 1.0;
-    out.emplace_back(SchedulingEnv::kProcessAction, mean);
-  }
-  sort_by_weight(out);
-  return out;
-}
-
-/// Deterministic greedy pick: the best-scored schedule action while
-/// anything fits, process otherwise.
-int greedy_schedule_pick(const std::vector<std::pair<int, double>>& weights,
-                         const char* who) {
-  if (weights.empty()) {
-    throw std::logic_error(std::string(who) + ": no valid actions");
-  }
-  int best_action = weights.front().first;
-  double best_weight = weights.front().second;
-  bool has_schedule = best_action != SchedulingEnv::kProcessAction;
-  for (const auto& [action, weight] : weights) {
-    if (action == SchedulingEnv::kProcessAction) continue;
-    if (!has_schedule || weight > best_weight) {
-      best_action = action;
-      best_weight = weight;
-      has_schedule = true;
-    }
-  }
-  return best_action;
 }
 
 }  // namespace
@@ -151,80 +102,44 @@ std::shared_ptr<DecisionPolicy> RandomDecisionPolicy::clone() const {
   return std::make_shared<RandomDecisionPolicy>();
 }
 
+HeuristicDecisionPolicy::HeuristicDecisionPolicy()
+    : HeuristicDecisionPolicy(cp_tetris_blend) {}
+
+HeuristicDecisionPolicy::HeuristicDecisionPolicy(PriorityFn score)
+    : score_(std::move(score)) {
+  if (!score_) {
+    throw std::invalid_argument("HeuristicDecisionPolicy: null score");
+  }
+}
+
 std::vector<std::pair<int, double>> HeuristicDecisionPolicy::action_weights(
     const SchedulingEnv& env) {
-  // Normalized blend: b-level urgency (dependency awareness) x alignment
-  // (packing awareness).  Both are positive, so products rank sensibly.
   std::vector<std::pair<int, double>> out;
-  const double cp = static_cast<double>(
-      std::max<Time>(env.features().critical_path(), 1));
   double schedule_sum = 0.0;
-  std::size_t schedule_count = 0;
   for (std::size_t i = 0; i < env.ready().size(); ++i) {
     if (!env.can_schedule(i)) continue;
-    const TaskId task = env.ready()[i];
-    const double urgency =
-        static_cast<double>(env.features().b_level(task)) / cp;
-    const double alignment = tetris_alignment(env, task);
-    const double weight = 1e-6 + urgency * (1e-6 + alignment);
-    out.emplace_back(static_cast<int>(i), weight);
-    schedule_sum += weight;
-    ++schedule_count;
+    const double w = weight(env, env.ready()[i]);
+    out.emplace_back(static_cast<int>(i), w);
+    schedule_sum += w;
   }
   if (env.can_process()) {
-    // Processing is as attractive as an average schedule action: the agent
-    // should usually pack first, but never starve completions.
-    const double mean = schedule_count > 0
-                            ? schedule_sum / static_cast<double>(schedule_count)
-                            : 1.0;
+    const double mean =
+        out.empty() ? 1.0 : schedule_sum / static_cast<double>(out.size());
     out.emplace_back(SchedulingEnv::kProcessAction, mean);
   }
   sort_by_weight(out);
   return out;
 }
 
-std::shared_ptr<DecisionPolicy> HeuristicDecisionPolicy::clone() const {
-  return std::make_shared<HeuristicDecisionPolicy>();
-}
-
 int HeuristicDecisionPolicy::pick(const SchedulingEnv& env, Rng& rng) {
   (void)rng;
-  return greedy_schedule_pick(action_weights(env),
-                              "HeuristicDecisionPolicy::pick");
-}
-
-std::vector<std::pair<int, double>> CpDecisionPolicy::action_weights(
-    const SchedulingEnv& env) {
-  const double cp = static_cast<double>(
-      std::max<Time>(env.features().critical_path(), 1));
-  return scored_weights(env, [&](TaskId task) {
-    return static_cast<double>(env.features().b_level(task)) / cp;
+  return greedy_action(env, [this](const SchedulingEnv& state, TaskId task) {
+    return weight(state, task);
   });
 }
 
-int CpDecisionPolicy::pick(const SchedulingEnv& env, Rng& rng) {
-  (void)rng;
-  return greedy_schedule_pick(action_weights(env), "CpDecisionPolicy::pick");
-}
-
-std::shared_ptr<DecisionPolicy> CpDecisionPolicy::clone() const {
-  return std::make_shared<CpDecisionPolicy>();
-}
-
-std::vector<std::pair<int, double>> TetrisDecisionPolicy::action_weights(
-    const SchedulingEnv& env) {
-  return scored_weights(
-      env, [&](TaskId task) { return tetris_alignment(env, task); });
-}
-
-int TetrisDecisionPolicy::pick(const SchedulingEnv& env, Rng& rng) {
-  (void)rng;
-  return greedy_schedule_pick(action_weights(env),
-                              "TetrisDecisionPolicy::pick");
-}
-
-std::shared_ptr<DecisionPolicy> TetrisDecisionPolicy::clone() const {
-  return std::make_shared<TetrisDecisionPolicy>();
+std::shared_ptr<DecisionPolicy> HeuristicDecisionPolicy::clone() const {
+  return std::make_shared<HeuristicDecisionPolicy>(score_);
 }
 
 DrlDecisionPolicy::DrlDecisionPolicy(std::shared_ptr<const Policy> policy,

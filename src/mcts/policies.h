@@ -3,8 +3,9 @@
 // Pure MCTS uses RandomDecisionPolicy for both (the classic algorithm);
 // Spear swaps in DrlDecisionPolicy — the trained policy network — so that
 // expansion tries promising actions first and rollouts estimate makespans
-// like an expert instead of a random walker.  HeuristicDecisionPolicy (CP /
-// Tetris scores) sits in between and is used in ablations.
+// like an expert instead of a random walker.  HeuristicDecisionPolicy (a
+// CP, Tetris or blended score under the greedy rule) sits in between and is
+// used in ablations, as the anytime fallback and for schedule repair.
 //
 // The env-level action encoding is used throughout: i >= 0 schedules the
 // i-th visible ready task, SchedulingEnv::kProcessAction processes.  Only
@@ -23,6 +24,7 @@
 #include "env/env.h"
 #include "mcts/transposition.h"
 #include "rl/policy.h"
+#include "sched/list_scheduler.h"
 
 namespace spear {
 
@@ -107,34 +109,28 @@ class RandomDecisionPolicy : public DecisionPolicy {
   std::shared_ptr<DecisionPolicy> clone() const override;
 };
 
-/// Scores schedule actions by a blend of CP b-level and Tetris alignment;
-/// process gets the mean schedule weight.  Deterministic pick (argmax).
+/// The greedy heuristic guide: each fitting ready task weighs
+/// 1e-6 + score(task), and process gets the mean schedule weight (pack
+/// first, never starve completions).  Its pick is the greedy rule over that
+/// weight (greedy_action), so it is deterministic.  The default score is
+/// the CP x Tetris blend (cp_tetris_blend); b_level_urgency gives a pure
+/// CP guide and tetris_alignment a pure Tetris guide.
 class HeuristicDecisionPolicy : public DecisionPolicy {
  public:
-  std::vector<std::pair<int, double>> action_weights(
-      const SchedulingEnv& env) override;
-  int pick(const SchedulingEnv& env, Rng& rng) override;
-  std::shared_ptr<DecisionPolicy> clone() const override;
-};
+  HeuristicDecisionPolicy();
+  explicit HeuristicDecisionPolicy(PriorityFn score);
 
-/// Pure critical-path policy: schedule actions weighted by b-level urgency
-/// alone.  Deterministic pick (argmax); an anytime-MCTS fallback choice.
-class CpDecisionPolicy : public DecisionPolicy {
- public:
   std::vector<std::pair<int, double>> action_weights(
       const SchedulingEnv& env) override;
   int pick(const SchedulingEnv& env, Rng& rng) override;
   std::shared_ptr<DecisionPolicy> clone() const override;
-};
 
-/// Pure Tetris policy: schedule actions weighted by resource alignment
-/// alone.  Deterministic pick (argmax); an anytime-MCTS fallback choice.
-class TetrisDecisionPolicy : public DecisionPolicy {
- public:
-  std::vector<std::pair<int, double>> action_weights(
-      const SchedulingEnv& env) override;
-  int pick(const SchedulingEnv& env, Rng& rng) override;
-  std::shared_ptr<DecisionPolicy> clone() const override;
+ private:
+  double weight(const SchedulingEnv& env, TaskId task) const {
+    return 1e-6 + score_(env, task);
+  }
+
+  PriorityFn score_;
 };
 
 /// The trained DRL policy.  Weights are the masked softmax probabilities;

@@ -16,43 +16,25 @@ namespace spear {
 
 std::vector<Demonstration> collect_cp_demonstrations(
     const Policy& policy, const std::vector<Dag>& dags,
-    const ResourceVector& capacity, bool jump_on_process) {
+    const ResourceVector& capacity) {
   std::vector<Demonstration> demos;
   EnvOptions env_options;
   env_options.max_ready = policy.featurizer().options().max_ready;
 
   for (const auto& dag : dags) {
     SchedulingEnv env(std::make_shared<Dag>(dag), capacity, env_options);
-    std::vector<double> features;
-    while (!env.done()) {
-      // The CP teacher: best fitting visible ready task by b-level priority,
-      // otherwise process.
-      int best = SchedulingEnv::kProcessAction;
-      double best_priority = 0.0;
-      for (std::size_t i = 0; i < env.ready().size(); ++i) {
-        if (!env.can_schedule(i)) continue;
-        const double p = critical_path_priority(env, env.ready()[i]);
-        if (best == SchedulingEnv::kProcessAction || p > best_priority) {
-          best = static_cast<int>(i);
-          best_priority = p;
-        }
-      }
-
+    run_greedy(env, [&](const SchedulingEnv& state) {
+      const int best = greedy_action(state, critical_path_priority);
       Demonstration demo;
-      policy.featurizer().featurize(env, demo.features);
-      demo.mask = policy.valid_output_mask(env);
+      policy.featurizer().featurize(state, demo.features);
+      demo.mask = policy.valid_output_mask(state);
       demo.target_output =
           best == SchedulingEnv::kProcessAction
               ? static_cast<int>(policy.featurizer().process_output())
               : best;
       demos.push_back(std::move(demo));
-
-      if (best == SchedulingEnv::kProcessAction && jump_on_process) {
-        env.process_to_next_finish();
-      } else {
-        env.step(best);
-      }
-    }
+      return best;
+    });
   }
   return demos;
 }
@@ -200,8 +182,7 @@ ImitationResult train_imitation(Policy& policy,
 ImitationResult pretrain_on_cp(Policy& policy, const std::vector<Dag>& dags,
                                const ResourceVector& capacity,
                                const ImitationOptions& options, Rng& rng) {
-  auto demos = collect_cp_demonstrations(policy, dags, capacity,
-                                         options.jump_on_process);
+  auto demos = collect_cp_demonstrations(policy, dags, capacity);
   return train_imitation(policy, std::move(demos), options, rng);
 }
 

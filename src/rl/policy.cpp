@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "sched/list_scheduler.h"
+
 namespace spear {
 
 namespace {
@@ -143,17 +145,10 @@ int Policy::to_env_action(std::size_t output) const {
   return static_cast<int>(output);
 }
 
-Time Policy::rollout_episode(SchedulingEnv env, Rng& rng,
-                             bool jump_on_process) const {
-  while (!env.done()) {
-    const int action = to_env_action(sample_output(env, rng));
-    if (action == SchedulingEnv::kProcessAction && jump_on_process) {
-      env.process_to_next_finish();
-    } else {
-      env.step(action);
-    }
-  }
-  return env.makespan();
+Time Policy::rollout_episode(SchedulingEnv env, Rng& rng) const {
+  return run_greedy(env, [&](const SchedulingEnv& state) {
+    return to_env_action(sample_output(state, rng));
+  });
 }
 
 }  // namespace spear

@@ -64,11 +64,10 @@ class Policy {
   int to_env_action(std::size_t output) const;
 
   /// Plays one full episode sampling from the policy; returns the makespan.
-  /// When `jump_on_process` is true, a process action advances to the next
-  /// task completion instead of one slot (identical reachable states, far
-  /// fewer steps; see DESIGN.md).
-  Time rollout_episode(SchedulingEnv env, Rng& rng,
-                       bool jump_on_process = true) const;
+  /// A process action advances to the next task completion (identical
+  /// reachable states, far fewer steps than one slot at a time; see
+  /// DESIGN.md).
+  Time rollout_episode(SchedulingEnv env, Rng& rng) const;
 
   /// Applies `mask` to raw logits and renormalizes: masked softmax.
   /// Exposed for the trainers.

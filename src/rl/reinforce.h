@@ -25,10 +25,6 @@ struct ReinforceOptions {
   std::size_t epochs = 100;
   std::size_t rollouts_per_example = 20;  // paper: 20
   RmsPropOptions optimizer;               // paper defaults
-  /// Jump to the next completion on sampled process actions (identical
-  /// reachable states, many fewer gradient steps; see DESIGN.md).  The
-  /// episode return still counts every elapsed slot.
-  bool jump_on_process = true;
   /// Cap on recorded steps per episode (safety valve against degenerate
   /// policies early in training; 0 = unlimited).
   std::size_t max_steps_per_episode = 0;

@@ -1,5 +1,7 @@
 #include "sched/critical_path.h"
 
+#include <algorithm>
+
 namespace spear {
 
 double critical_path_priority(const SchedulingEnv& env, TaskId task) {
@@ -10,6 +12,12 @@ double critical_path_priority(const SchedulingEnv& env, TaskId task) {
       static_cast<double>(env.features().num_children(task));
   const double n = static_cast<double>(env.dag().num_tasks()) + 1.0;
   return b_level + children / (n * 2.0);
+}
+
+double b_level_urgency(const SchedulingEnv& env, TaskId task) {
+  const double cp = static_cast<double>(
+      std::max<Time>(env.features().critical_path(), 1));
+  return static_cast<double>(env.features().b_level(task)) / cp;
 }
 
 std::unique_ptr<Scheduler> make_critical_path_scheduler() {

@@ -18,4 +18,8 @@ std::unique_ptr<Scheduler> make_critical_path_scheduler();
 /// learns from this heuristic, §IV of the paper).
 double critical_path_priority(const SchedulingEnv& env, TaskId task);
 
+/// b-level as a fraction of the critical path, in [0, 1]: the pure-CP
+/// heuristic guide's score and the urgency half of cp_tetris_blend.
+double b_level_urgency(const SchedulingEnv& env, TaskId task);
+
 }  // namespace spear

@@ -1,37 +1,17 @@
 #include "sched/random_scheduler.h"
 
-#include <memory>
-
+#include "common/rng.h"
 #include "sched/list_scheduler.h"
 
 namespace spear {
 
-namespace {
-
-class RandomScheduler : public Scheduler {
- public:
-  explicit RandomScheduler(std::uint64_t seed) : rng_(seed) {}
-
-  std::string name() const override { return "Random"; }
-
-  Schedule schedule(const Dag& dag, const ResourceVector& capacity) override {
-    // A fresh uniform priority per (decision, task) pair is equivalent to
-    // picking uniformly among the fitting ready tasks.
-    auto priority = [this](const SchedulingEnv&, TaskId) {
-      return rng_.uniform();
-    };
-    ListScheduler list("Random", priority);
-    return list.schedule(dag, capacity);
-  }
-
- private:
-  Rng rng_;
-};
-
-}  // namespace
-
 std::unique_ptr<Scheduler> make_random_scheduler(std::uint64_t seed) {
-  return std::make_unique<RandomScheduler>(seed);
+  // A fresh uniform priority per (decision, task) pair is equivalent to
+  // picking uniformly among the fitting ready tasks.
+  return std::make_unique<ListScheduler>(
+      "Random", [rng = Rng(seed)](const SchedulingEnv&, TaskId) mutable {
+        return rng.uniform();
+      });
 }
 
 }  // namespace spear

@@ -5,14 +5,15 @@
 
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
-#include "common/rng.h"
 #include "sched/scheduler.h"
 
 namespace spear {
 
-/// Creates the random baseline seeded with `seed`.
+/// Creates the random baseline seeded with `seed`.  One instance draws one
+/// RNG stream: each schedule() call continues where the last one stopped.
 std::unique_ptr<Scheduler> make_random_scheduler(std::uint64_t seed);
 
 }  // namespace spear

@@ -3,10 +3,16 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sched/critical_path.h"
+
 namespace spear {
 
 double tetris_alignment(const SchedulingEnv& env, TaskId task) {
   return env.dag().task(task).demand.dot(env.cluster().available());
+}
+
+double cp_tetris_blend(const SchedulingEnv& env, TaskId task) {
+  return b_level_urgency(env, task) * (1e-6 + tetris_alignment(env, task));
 }
 
 std::unique_ptr<Scheduler> make_tetris_scheduler() {
@@ -27,10 +33,7 @@ std::unique_ptr<Scheduler> make_tetris_srpt_scheduler(double srpt_weight) {
     const auto& capacity = env.cluster().capacity();
     const double alignment =
         tetris_alignment(env, task) / std::max(capacity.dot(capacity), 1e-9);
-    const double cp = static_cast<double>(
-        std::max<Time>(env.features().critical_path(), 1));
-    const double srpt =
-        1.0 - static_cast<double>(env.features().b_level(task)) / cp;
+    const double srpt = 1.0 - b_level_urgency(env, task);
     return (1.0 - srpt_weight) * alignment + srpt_weight * srpt;
   };
   return std::make_unique<ListScheduler>(name, priority);

@@ -27,4 +27,10 @@ std::unique_ptr<Scheduler> make_tetris_srpt_scheduler(double srpt_weight);
 /// The alignment score, exposed for reuse in rollout heuristics.
 double tetris_alignment(const SchedulingEnv& env, TaskId task);
 
+/// The heuristic guide's default score: b-level urgency (dependency
+/// awareness) x alignment (packing awareness), b_level_urgency(task) *
+/// (1e-6 + tetris_alignment(task)).  Both factors are non-negative, so the
+/// products rank sensibly.
+double cp_tetris_blend(const SchedulingEnv& env, TaskId task);
+
 }  // namespace spear

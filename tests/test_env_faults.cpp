@@ -8,6 +8,8 @@
 
 #include "fault/runner.h"
 #include "mcts/policies.h"
+#include "sched/critical_path.h"
+#include "sched/tetris.h"
 #include "support/builders.h"
 
 namespace spear {
@@ -339,12 +341,11 @@ TEST(FaultRunner, HeuristicPoliciesRescheduleThroughFailures) {
   auto injector = injector_with(0.3, 11);
   RetryOptions retry;
 
-  for (auto* policy :
-       std::initializer_list<DecisionPolicy*>{new TetrisDecisionPolicy(),
-                                              new CpDecisionPolicy()}) {
-    std::unique_ptr<DecisionPolicy> owned(policy);
+  for (const PriorityFn& score :
+       {PriorityFn(tetris_alignment), PriorityFn(b_level_urgency)}) {
+    HeuristicDecisionPolicy policy(score);
     const FaultRunResult result =
-        run_policy_under_faults(*owned, dag, cap(), injector, retry);
+        run_policy_under_faults(policy, dag, cap(), injector, retry);
     EXPECT_FALSE(result.aborted) << result.abort_reason;
     EXPECT_EQ(result.schedule.validate_under_faults(dag, cap(), *injector),
               std::nullopt);
@@ -354,7 +355,7 @@ TEST(FaultRunner, HeuristicPoliciesRescheduleThroughFailures) {
 
 TEST(FaultRunner, NullInjectorMatchesIdealizedValidation) {
   const Dag dag = testing::make_diamond(3, 4, 5, 2);
-  TetrisDecisionPolicy tetris;
+  HeuristicDecisionPolicy tetris(tetris_alignment);
   const FaultRunResult result =
       run_policy_under_faults(tetris, dag, cap(), nullptr, {});
   EXPECT_FALSE(result.aborted);

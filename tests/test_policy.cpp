@@ -144,12 +144,9 @@ TEST(Policy, RolloutJumpAndSlotSemanticsBothTerminate) {
   Policy policy = make_tiny_policy(rng);
   Dag dag = testing::make_chain({3, 2, 4});
   auto env = make_env(dag);
-  Rng s1(13), s2(13);
-  const Time with_jump = policy.rollout_episode(env, s1, true);
-  const Time with_slots = policy.rollout_episode(env, s2, false);
-  // A chain admits exactly one schedule shape: both equal the serial time.
-  EXPECT_EQ(with_jump, 9);
-  EXPECT_EQ(with_slots, 9);
+  Rng sampler(13);
+  // A chain admits exactly one schedule shape: the serial time.
+  EXPECT_EQ(policy.rollout_episode(env, sampler), 9);
 }
 
 }  // namespace

@@ -114,15 +114,15 @@ TEST(Reinforce, ImprovesSchedulingOnPackingProblem) {
 }
 
 TEST(Reinforce, EpisodeReturnsCountEverySlotEvenWithJumps) {
-  // With jump_on_process, the per-epoch mean makespan must still equal the
-  // true makespan (chain of total runtime 7 => makespan 7).
+  // Process actions jump to the next completion, yet the per-epoch mean
+  // makespan must still equal the true makespan (chain of total runtime
+  // 7 => makespan 7).
   Rng rng(8);
   Policy policy = make_tiny_policy(rng);
   const std::vector<Dag> dags = {testing::make_chain({3, 4})};
   ReinforceOptions options;
   options.epochs = 1;
   options.rollouts_per_example = 2;
-  options.jump_on_process = true;
   const auto result = train_reinforce(policy, dags, cap(), options, rng);
   EXPECT_DOUBLE_EQ(result.epoch_mean_makespan[0], 7.0);
 }
