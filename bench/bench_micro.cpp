@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -316,7 +317,9 @@ BENCHMARK(BM_MatmulSeedReference)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 /// per-state fresh featurize vector, single-row Mlp::logits, allocating
 /// valid_output_mask + masked_softmax — against the batched zero-allocation
 /// fast path (action_probs_batch) over the same decision states, checks the
-/// probabilities are bit-identical, and writes the timings as JSON.
+/// probabilities are bit-identical, times the fast path's per-row cost at
+/// batch widths 1, 8 and 32, and writes the timings as JSON together with
+/// nproc, the compiler and the build type.
 void run_policy_forward_bench(const char* json_path) {
   constexpr std::size_t kStates = 32;
   constexpr int kReps = 2000;
@@ -402,18 +405,42 @@ void run_policy_forward_bench(const char* json_path) {
   const double fast_sps = total_states / fast_seconds;
   const double speedup = seed_seconds / fast_seconds;
 
+  // Per-row cost of the fast path by batch width: the same kStates * kReps
+  // rows at every width, split into batches of the first `width` states.
+  constexpr std::size_t kWidths[] = {1, 8, 32};
+  double ns_per_row[std::size(kWidths)];
+  for (std::size_t w = 0; w < std::size(kWidths); ++w) {
+    const std::size_t width = kWidths[w];
+    const std::size_t calls = kStates * kReps / width;
+    policy.action_probs_batch(ptrs.data(), width, masks, fast_probs);
+    const auto start = Clock::now();
+    for (std::size_t c = 0; c < calls; ++c) {
+      policy.action_probs_batch(ptrs.data(), width, masks, fast_probs);
+    }
+    ns_per_row[w] =
+        std::chrono::duration<double, std::nano>(Clock::now() - start)
+            .count() /
+        static_cast<double>(calls * width);
+  }
+
   std::printf(
       "Guided-policy forward (single thread, %zu states x %d reps):\n"
       "  seed path    %10.0f states/s\n"
       "  batched path %10.0f states/s\n"
-      "  speedup      %10.2fx   bit-identical: %s\n\n",
+      "  speedup      %10.2fx   bit-identical: %s\n"
+      "  batched ns/row at width 1 / 8 / 32: %.0f / %.0f / %.0f\n\n",
       kStates, kReps, seed_sps, fast_sps, speedup,
-      bit_identical ? "yes" : "NO");
+      bit_identical ? "yes" : "NO", ns_per_row[0], ns_per_row[1],
+      ns_per_row[2]);
 
   if (std::FILE* f = std::fopen(json_path, "w")) {
     std::fprintf(f,
                  "{\n"
                  "  \"bench\": \"policy_forward_fast_path\",\n"
+                 "  \"command\": \"bench_micro --benchmark_filter=NONE\",\n"
+                 "  \"nproc\": %u,\n"
+                 "  \"compiler\": \"%s\",\n"
+                 "  \"build_type\": \"%s\",\n"
                  "  \"workload\": \"50-task DAG, max_ready 15, paper topology"
                  " {163,256,32,32,16}\",\n"
                  "  \"states\": %zu,\n"
@@ -424,10 +451,15 @@ void run_policy_forward_bench(const char* json_path) {
                  "  \"fast_states_per_sec\": %.1f,\n"
                  "  \"speedup\": %.3f,\n"
                  "  \"bit_identical\": %s,\n"
+                 "  \"fast_ns_per_row\": {\"w1\": %.1f, \"w8\": %.1f, "
+                 "\"w32\": %.1f},\n"
                  "  \"flags\": \"portable (no -march=native), single thread\"\n"
                  "}\n",
-                 kStates, kReps, seed_seconds, fast_seconds, seed_sps,
-                 fast_sps, speedup, bit_identical ? "true" : "false");
+                 std::thread::hardware_concurrency(), SPEAR_COMPILER,
+                 SPEAR_BUILD_TYPE, kStates, kReps, seed_seconds, fast_seconds,
+                 seed_sps, fast_sps, speedup,
+                 bit_identical ? "true" : "false", ns_per_row[0],
+                 ns_per_row[1], ns_per_row[2]);
     std::fclose(f);
     std::printf("wrote %s\n\n", json_path);
   }

@@ -21,6 +21,16 @@
 // forms, so this file is compiled with -ffp-contract=off (see
 // src/CMakeLists.txt); that flag is load-bearing for the avx512f clone
 // and also keeps SPEAR_NATIVE builds of these kernels contraction-free.
+// The clones are only SIMD because GCC also compiles this file with
+// -fvect-cost-model=dynamic: at -O2 its default "very-cheap" cost model
+// rejects every loop here (runtime trip counts, runtime alias checks), and
+// all three clones were scalar code.  The vector loops run across output
+// columns j with a scalar remainder, and each element keeps its own
+// ascending-k chain of separate mul and add steps; GCC never vectorizes an
+// FP reduction without -fassociative-math, so nothing is reassociated.
+// Measured on a 4-vCPU AVX-512 Xeon, the layer-0 compressed matmul
+// (163x256, 20% nonzero inputs) went from 4.3 to 1.6 us/row.
+// KernelSimd.ClonesUsePackedMath checks the packed math with objdump.
 // Disabled under sanitizers: ifunc resolvers run before their runtimes
 // initialize, and the portable clone is all the sanitizer jobs need.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \

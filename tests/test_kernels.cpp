@@ -113,12 +113,11 @@ TEST(KernelBitIdentity, MatmulTransposeMatchesNaive) {
   EXPECT_TRUE(bits_equal(fast, naive));
 }
 
-TEST(KernelBitIdentity, FusedBiasReluMatchesBroadcastThenRelu) {
-  Rng rng(14);
-  const std::size_t rows = 5, cols = 67;
+/// add_bias_relu on a random rows x cols operand against the seed order of
+/// operations: add bias in place, copy, relu the copy.
+void check_fused_bias_relu(std::size_t rows, std::size_t cols, Rng& rng) {
   auto m = random_operand(rows * cols, rng);
   const auto bias = random_operand(cols, rng);
-  // Seed order of operations: add bias in place, copy, relu the copy.
   auto expect_pre = m;
   for (std::size_t i = 0; i < rows; ++i) {
     for (std::size_t j = 0; j < cols; ++j) expect_pre[i * cols + j] += bias[j];
@@ -129,8 +128,13 @@ TEST(KernelBitIdentity, FusedBiasReluMatchesBroadcastThenRelu) {
   }
   std::vector<double> relu_out(rows * cols);
   kernels::add_bias_relu(m.data(), rows, cols, bias.data(), relu_out.data());
-  EXPECT_TRUE(bits_equal(m, expect_pre));
-  EXPECT_TRUE(bits_equal(relu_out, expect_relu));
+  EXPECT_TRUE(bits_equal(m, expect_pre)) << rows << "x" << cols;
+  EXPECT_TRUE(bits_equal(relu_out, expect_relu)) << rows << "x" << cols;
+}
+
+TEST(KernelBitIdentity, FusedBiasReluMatchesBroadcastThenRelu) {
+  Rng rng(14);
+  check_fused_bias_relu(5, 67, rng);
 }
 
 TEST(KernelBitIdentity, CompressedMatmulMatchesSeedReference) {
@@ -168,9 +172,9 @@ TEST(KernelBitIdentity, CompressedMatmulMatchesSeedReference) {
   }
 }
 
-TEST(KernelBitIdentity, BiasReluCompressMatchesBiasReluPlusCompress) {
-  Rng rng(17);
-  const std::size_t rows = 5, cols = 67;
+/// add_bias_relu_compress on a random rows x cols operand against
+/// add_bias_relu followed by compress_rows_into.
+void check_bias_relu_compress(std::size_t rows, std::size_t cols, Rng& rng) {
   auto m_fused = random_operand(rows * cols, rng);
   auto m_plain = m_fused;
   const auto bias = random_operand(cols, rng);
@@ -186,18 +190,85 @@ TEST(KernelBitIdentity, BiasReluCompressMatchesBiasReluPlusCompress) {
   kernels::compress_rows_into(relu_plain.data(), rows, cols, cols,
                               kidx_plain.data(), kval_plain.data(),
                               nnz_plain.data());
-  EXPECT_TRUE(bits_equal(m_fused, m_plain));
-  EXPECT_TRUE(bits_equal(relu_fused, relu_plain));
-  EXPECT_EQ(nnz_fused, nnz_plain);
+  EXPECT_TRUE(bits_equal(m_fused, m_plain)) << rows << "x" << cols;
+  EXPECT_TRUE(bits_equal(relu_fused, relu_plain)) << rows << "x" << cols;
+  EXPECT_EQ(nnz_fused, nnz_plain) << rows << "x" << cols;
   for (std::size_t i = 0; i < rows; ++i) {
     const auto n = static_cast<std::size_t>(nnz_plain[i]);
     EXPECT_EQ(0, std::memcmp(kidx_fused.data() + i * cols,
                              kidx_plain.data() + i * cols,
-                             n * sizeof(std::int32_t)));
+                             n * sizeof(std::int32_t)))
+        << rows << "x" << cols << ", row " << i;
     EXPECT_EQ(0, std::memcmp(kval_fused.data() + i * cols,
                              kval_plain.data() + i * cols,
-                             n * sizeof(double)));
+                             n * sizeof(double)))
+        << rows << "x" << cols << ", row " << i;
   }
+}
+
+TEST(KernelBitIdentity, BiasReluCompressMatchesBiasReluPlusCompress) {
+  Rng rng(17);
+  check_bias_relu_compress(5, 67, rng);
+}
+
+// ---------------------------------------------------------------------------
+// Column sweeps over the vector body / scalar remainder split.  Each SIMD
+// clone runs a vector body of 2, 4 or 8 doubles across output columns and
+// a scalar remainder, so these widths land on either side of every lane
+// count.  The compressed matmul is checked against a scalar seed loop in
+// this file rather than reference_matmul_into, which lives in kernels.cpp
+// and is vectorized by the same compile flags.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kSweepCols[] = {1, 3, 7, 9, 15, 17, 31, 33, 257};
+
+TEST(KernelBitIdentity, CompressedMatmulColumnSweep) {
+  Rng rng(41);
+  const double zero_prob[] = {1.0, 0.5, 0.0};
+  const std::size_t inner_set[] = {5, 13, 64};
+  const std::size_t rows = 3;
+  for (double p : zero_prob) {
+    for (std::size_t inner : inner_set) {
+      // An odd compressed-row stride: never a multiple of 8 doubles.
+      const std::size_t stride = inner + 1 + inner % 2;
+      for (std::size_t cols : kSweepCols) {
+        std::vector<double> a(rows * inner);
+        for (auto& x : a) x = rng.uniform() < p ? 0.0 : rng.normal();
+        std::vector<std::int32_t> kidx(rows * stride, -1);
+        std::vector<double> kval(rows * stride, -1.0);
+        std::vector<std::int32_t> row_nnz(rows, -1);
+        kernels::compress_rows_into(a.data(), rows, inner, stride,
+                                    kidx.data(), kval.data(), row_nnz.data());
+        const auto b = random_operand(inner * cols, rng);
+        std::vector<double> fast(rows * cols, -1.0), seed(rows * cols, 0.0);
+        kernels::matmul_compressed_into(kidx.data(), kval.data(),
+                                        row_nnz.data(), rows, stride,
+                                        b.data(), cols, fast.data());
+        // Seed loop: ascending k, zero entries skipped.
+        for (std::size_t i = 0; i < rows; ++i) {
+          for (std::size_t k = 0; k < inner; ++k) {
+            const double av = a[i * inner + k];
+            if (av == 0.0) continue;
+            for (std::size_t j = 0; j < cols; ++j) {
+              seed[i * cols + j] += av * b[k * cols + j];
+            }
+          }
+        }
+        ASSERT_TRUE(bits_equal(fast, seed))
+            << "p=" << p << " inner=" << inner << " cols=" << cols;
+      }
+    }
+  }
+}
+
+TEST(KernelBitIdentity, FusedBiasReluColumnSweep) {
+  Rng rng(42);
+  for (std::size_t cols : kSweepCols) check_fused_bias_relu(3, cols, rng);
+}
+
+TEST(KernelBitIdentity, BiasReluCompressColumnSweep) {
+  Rng rng(43);
+  for (std::size_t cols : kSweepCols) check_bias_relu_compress(3, cols, rng);
 }
 
 TEST(KernelBitIdentity, MatrixMatmulDelegatesToTiledKernel) {
