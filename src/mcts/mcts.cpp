@@ -65,7 +65,7 @@ struct LeafJob {
   bool aborted = false;
   bool terminal = false;
   double value = 0.0;
-  StateKey key;  ///< canonical key (nonterminal kExpand)
+  StateKey key;  ///< canonical key (nonterminal kExpand, cache armed)
 
   // Per-job telemetry, folded into Stats at backup in slot order so the
   // totals are independent of the worker partition.
@@ -413,7 +413,9 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
         } else if (job.terminal) {
           job.value = -static_cast<double>(child.makespan());
         } else {
-          child.append_canonical_key(job.key);
+          // Only the transposition cache reads the key: capacity 0 pays
+          // nothing for it.
+          if (transpositions_) child.append_canonical_key(job.key);
           if (obs::enabled()) {
             job.enqueued = std::chrono::steady_clock::now();
           }
@@ -499,8 +501,8 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
         if (transpositions_ && transpositions_->find(job.key, &job.priors)) {
           ++stats_.tt_hits;
         } else {
-          // No cache (serial search, capacity 0) is not "all misses": the
-          // probe counters only track a cache that is actually in play.
+          // No cache (capacity 0) is not "all misses": the probe counters
+          // only track a cache that is actually in play.
           if (transpositions_) ++stats_.tt_misses;
           pending.push_back(&*job.child);
           pending_jobs.push_back(&job);
@@ -624,7 +626,7 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
 
   ensure_workers();
   // Both state caches are built here, fresh per schedule — their keys do not
-  // encode the DAG identity — and the serial search arms neither (see
+  // encode the DAG identity — in every search configuration (see
   // transposition_capacity).  The prior cache has one shard: only this
   // thread probes it.  The rollout action cache is shared by every worker
   // guide (arming is a no-op for sampling or cache-less guides): private
@@ -634,7 +636,7 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
   // timing.  Forward tallies are zeroed so the end-of-schedule fold reports
   // THIS schedule only.
   std::shared_ptr<SharedActionCache> rollout_cache;
-  if (!serial_search() && options_.transposition_capacity > 0) {
+  if (options_.transposition_capacity > 0) {
     transpositions_ =
         std::make_unique<TranspositionCache>(options_.transposition_capacity);
     rollout_cache = std::make_shared<SharedActionCache>(

@@ -28,15 +28,15 @@
 // new leaves with one batched forward per tick through a transposition
 // cache.  Greedy guides' rollout steps go through a rollout action cache
 // shared by the workers.  schedule_env() builds both caches (one
-// StateCache class, mcts/transposition.h) fresh for each schedule and
-// detaches them when the schedule returns or throws.  The serial search
+// StateCache class, mcts/transposition.h) fresh for each schedule, in every
+// mode, and detaches them when the schedule returns or throws; a hit is
+// bitwise-identical to the forward it replaces.  The serial search
 // (SearchMode::kRoot at num_threads == 1) is the one-slot configuration:
-// ticks of one descent drawing from one schedule-wide RNG, a fresh tree
-// per decision and no caches, which is exactly the paper's
-// select-expand-rollout-backup loop.  Leaf mode (kLeaf, or any
-// num_threads > 1) runs leaf_batch_size-slot ticks with per-slot RNG
-// streams and reuses the chosen subtree; its results do not depend on the
-// worker count.
+// ticks of one descent drawing from one schedule-wide RNG and a fresh tree
+// per decision, which is exactly the paper's select-expand-rollout-backup
+// loop.  Leaf mode (kLeaf, or any num_threads > 1) runs
+// leaf_batch_size-slot ticks with per-slot RNG streams and reuses the
+// chosen subtree; its results do not depend on the worker count.
 
 // Anytime search (time_budget_ms > 0): every decision races a wall-clock
 // deadline.  When the deadline expires mid-decision the best root action
@@ -77,7 +77,7 @@ namespace spear {
 /// behave the same.
 enum class SearchMode {
   /// The serial search (the paper's algorithm): one-slot ticks drawing from
-  /// the schedule-wide RNG, a fresh tree per decision, no caches.
+  /// the schedule-wide RNG and a fresh tree per decision.
   kRoot,
   /// Leaf parallelism (DESIGN.md §11): leaf_batch_size descents per tick
   /// hold virtual loss, leaf states park in an evaluation queue that a
@@ -138,11 +138,10 @@ struct MctsOptions {
   /// decision's remaining budget.
   int leaf_batch_size = 32;
   /// Max entries in the transposition cache and in the shared rollout
-  /// action cache (leaf mode); 0 disables them.  Cached priors and greedy
-  /// rollout actions are bitwise-identical to fresh evaluations, so this is
-  /// purely a throughput knob.  The serial search ignores it and runs
-  /// cache-less, at the paper's cost per iteration: arming the caches there
-  /// is a separate, measured change (ROADMAP).
+  /// action cache, in every search mode; 0 disables them (the paper's
+  /// cache-less loop, one forward per rollout step).  Cached priors and
+  /// greedy rollout actions are bitwise-identical to fresh evaluations, so
+  /// this is purely a throughput knob.
   std::size_t transposition_capacity = 8192;
   /// Leaf mode reuses the chosen subtree across decisions by default
   /// (SearchTree::reroot, §III-C: "the selected action will point to a
@@ -335,9 +334,8 @@ class MctsScheduler : public Scheduler {
   std::unique_ptr<ThreadPool> pool_;
   /// worker_guides_[0] is guide_; the rest are its clones.
   std::vector<std::shared_ptr<DecisionPolicy>> worker_guides_;
-  /// Prior cache of the running schedule_env() call; null when no cache is
-  /// in play (the serial search, or transposition_capacity 0) and between
-  /// calls.
+  /// Prior cache of the running schedule_env() call; null at
+  /// transposition_capacity 0 and between calls.
   std::unique_ptr<TranspositionCache> transpositions_;
   /// Rollout value assigned to simulated trajectories that abort under the
   /// retry policy — a deterministic penalty worse than any completion.

@@ -216,19 +216,24 @@ void DrlDecisionPolicy::pick_batch(const SchedulingEnv* const* envs,
   // key first: a hit is bit-identical to a fresh argmax (the cached action
   // WAS a fresh argmax of the same state), and greedy rows consume no RNG,
   // so skipping the forward shifts nothing.  Unarmed, every row misses.
-  miss_keys_.clear();
+  // Each probe builds its key in the next free miss_keys_ slot, reusing
+  // that slot's capacity; a miss keeps the slot, a hit lets the next row
+  // overwrite it.
+  std::size_t misses = 0;
   miss_envs_.clear();
   miss_rows_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     if (rollout_cache_) {
-      key_buf_.clear();
-      envs[i]->append_canonical_key(key_buf_);
-      if (rollout_cache_->find(key_buf_, &out[i])) {
+      if (misses == miss_keys_.size()) miss_keys_.emplace_back();
+      StateKey& key = miss_keys_[misses];
+      key.clear();
+      envs[i]->append_canonical_key(key);
+      if (rollout_cache_->find(key, &out[i])) {
         ++rollout_cache_hits_;
         continue;
       }
       ++rollout_cache_misses_;
-      miss_keys_.push_back(key_buf_);
+      ++misses;
     }
     miss_envs_.push_back(envs[i]);
     miss_rows_.push_back(i);

@@ -208,7 +208,8 @@ class DrlDecisionPolicy : public DecisionPolicy {
   std::int64_t rollout_cache_misses_ = 0;
   /// Private-weights physical forward histogram (see DecisionPolicy docs).
   std::vector<std::int64_t> forward_hist_;
-  StateKey key_buf_;
+  /// Keys of the current call's misses, in miss order; only the first
+  /// `misses` entries are live, the rest keep their capacity for reuse.
   std::vector<StateKey> miss_keys_;
   std::vector<const SchedulingEnv*> miss_envs_;
   std::vector<std::size_t> miss_rows_;

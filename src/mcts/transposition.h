@@ -16,11 +16,12 @@
 //    append_canonical_key) but sit at different tree positions with
 //    different rollout histories.  Only the coordinator probes it.
 //  * SharedActionCache (one shard at one worker, 8 at several): state ->
-//    greedy rollout action, shared by ALL leaf-search workers.  Greedy
-//    rollouts are pure functions of the state, and repetition is the
-//    common case — expanding a node's highest-prior child replays the
-//    parent's greedy rollout state for state, and every descent that parks
-//    on an already-covered node re-walks a cached suffix.  Shared rather
+//    greedy rollout action, shared by ALL search workers (the serial
+//    search's one worker included).  Greedy rollouts are pure functions
+//    of the state, and repetition is the common case — expanding a node's
+//    highest-prior child replays the parent's greedy rollout state for
+//    state, and every descent that parks on an already-covered node
+//    re-walks a cached suffix.  Shared rather
 //    than per-worker: private caches miss independently on the same
 //    states, so total forwards grew with the worker count.  Never consulted
 //    for sampling rollouts: a sampled step consumes RNG, so skipping the

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -497,6 +498,52 @@ std::uint64_t placement_hash(const std::vector<Placement>& placements) {
   return h;
 }
 
+// The golden grid's DAG k, guide and search options.
+const std::vector<std::string> kGoldenGuides = {"random", "heuristic",
+                                                "drl-greedy", "drl-sampling"};
+
+Dag golden_dag(std::uint64_t k) {
+  DagGeneratorOptions gen;
+  gen.num_tasks = 20;
+  Rng dag_rng(300 + k);
+  return generate_random_dag(gen, dag_rng);
+}
+
+std::shared_ptr<DecisionPolicy> golden_guide(const std::string& name) {
+  if (name == "heuristic") return std::make_shared<HeuristicDecisionPolicy>();
+  if (name == "random") return nullptr;
+  Rng policy_rng(5);
+  return std::make_shared<DrlDecisionPolicy>(
+      std::make_shared<const Policy>(
+          Policy::make(FeaturizerOptions{}, 2, policy_rng, {16})),
+      /*greedy=*/name == "drl-greedy");
+}
+
+MctsOptions golden_options(std::uint64_t k, bool faulty) {
+  MctsOptions options;
+  options.initial_budget = 120;
+  options.min_budget = 20;
+  options.seed = 9 + k;
+  if (faulty) {
+    FaultOptions fault_options;
+    fault_options.fault_rate = 0.15;
+    fault_options.seed = 11;
+    options.faults =
+        std::make_shared<const FaultInjector>(fault_options, cap());
+    // The fewest retries under which this fault trace lets every real
+    // trajectory finish.
+    options.retry.max_retries = 4;
+  }
+  return options;
+}
+
+/// The search counters the serial golden pins.
+std::vector<std::int64_t> golden_counts(const MctsScheduler::Stats& s) {
+  return {s.decisions,      s.iterations,      s.rollouts,
+          s.nodes_expanded, s.env_copies,      s.search_failures,
+          s.search_retries, s.search_aborts,   s.task_failures};
+}
+
 TEST(SerialSearchGolden, PlacementsAndCountsMatchParent) {
   // {placement hash, decisions, iterations, rollouts, nodes_expanded,
   //  env_copies, search_failures, search_retries, search_aborts,
@@ -539,47 +586,15 @@ TEST(SerialSearchGolden, PlacementsAndCountsMatchParent) {
       {0xd2cc56efb5da4984ULL, {39, 624, 605, 608, 1213, 0, 0, 0, 0}},
       {0xcdd0d4fa204cf319ULL, {61, 720, 702, 706, 1408, 2892, 2892, 0, 7}},
   };
-  const std::vector<std::string> guides = {"random", "heuristic",
-                                          "drl-greedy", "drl-sampling"};
   std::size_t index = 0;
   for (std::uint64_t k = 0; k < 4; ++k) {
-    DagGeneratorOptions gen;
-    gen.num_tasks = 20;
-    Rng dag_rng(300 + k);
-    const Dag dag = generate_random_dag(gen, dag_rng);
-    for (const std::string& name : guides) {
+    const Dag dag = golden_dag(k);
+    for (const std::string& name : kGoldenGuides) {
       for (const bool faulty : {false, true}) {
-        std::shared_ptr<DecisionPolicy> guide;
-        if (name == "heuristic") {
-          guide = std::make_shared<HeuristicDecisionPolicy>();
-        } else if (name != "random") {
-          Rng policy_rng(5);
-          guide = std::make_shared<DrlDecisionPolicy>(
-              std::make_shared<const Policy>(
-                  Policy::make(FeaturizerOptions{}, 2, policy_rng, {16})),
-              /*greedy=*/name == "drl-greedy");
-        }
-        MctsOptions options;
-        options.initial_budget = 120;
-        options.min_budget = 20;
-        options.seed = 9 + k;
-        if (faulty) {
-          FaultOptions fault_options;
-          fault_options.fault_rate = 0.15;
-          fault_options.seed = 11;
-          options.faults =
-              std::make_shared<const FaultInjector>(fault_options, cap());
-          // The fewest retries under which this fault trace lets every
-          // real trajectory finish.
-          options.retry.max_retries = 4;
-        }
-        MctsScheduler mcts(options, guide);
+        MctsScheduler mcts(golden_options(k, faulty), golden_guide(name));
         const auto placements = mcts.schedule(dag, cap()).placements();
-        const auto& s = mcts.last_stats();
-        const std::vector<std::int64_t> counts = {
-            s.decisions,       s.iterations,      s.rollouts,
-            s.nodes_expanded,  s.env_copies,      s.search_failures,
-            s.search_retries,  s.search_aborts,   s.task_failures};
+        const std::vector<std::int64_t> counts =
+            golden_counts(mcts.last_stats());
         const std::string where = "dag " + std::to_string(k) + ", " + name +
                                   (faulty ? ", faults" : "");
         ASSERT_LT(index, goldens.size()) << where;
@@ -590,6 +605,64 @@ TEST(SerialSearchGolden, PlacementsAndCountsMatchParent) {
     }
   }
   EXPECT_EQ(index, goldens.size());
+}
+
+// The serial search arms both state caches like every other configuration.
+// The StateCache contract (full-key compare, priors a pure function of the
+// state, greedy picks consume no RNG, sampling never caches, one shard at
+// one worker) makes the armed search equal the cache-less one bit for bit;
+// only the cache and forward counters may differ.
+TEST(SerialSearch, CachesOnMatchCachesOffBitForBit) {
+  using Stats = MctsScheduler::Stats;
+  const auto all_counts = [](const Stats& s) {
+    std::vector<std::pair<std::string, std::int64_t>> out;
+    s.for_each_count([&out](const char* name, std::int64_t value) {
+      out.emplace_back(name, value);
+    });
+    return out;
+  };
+  for (std::uint64_t k = 0; k < 2; ++k) {
+    const Dag dag = golden_dag(k);
+    for (const std::string& name : kGoldenGuides) {
+      for (const bool faulty : {false, true}) {
+        const std::string where = "dag " + std::to_string(k) + ", " + name +
+                                  (faulty ? ", faults" : "");
+        MctsOptions options = golden_options(k, faulty);
+        MctsScheduler armed(options, golden_guide(name));
+        const std::uint64_t on_hash =
+            placement_hash(armed.schedule(dag, cap()).placements());
+        const Stats on = armed.last_stats();
+        // The caches are rebuilt per schedule: a second run of the same
+        // scheduler repeats every counter.
+        const std::uint64_t again_hash =
+            placement_hash(armed.schedule(dag, cap()).placements());
+        EXPECT_EQ(again_hash, on_hash) << where;
+        EXPECT_EQ(all_counts(armed.last_stats()), all_counts(on)) << where;
+
+        options.transposition_capacity = 0;
+        MctsScheduler bare(options, golden_guide(name));
+        const std::uint64_t off_hash =
+            placement_hash(bare.schedule(dag, cap()).placements());
+        const Stats& off = bare.last_stats();
+
+        EXPECT_EQ(on_hash, off_hash) << where;
+        EXPECT_EQ(golden_counts(on), golden_counts(off)) << where;
+        EXPECT_GT(on.tt_hits + on.tt_misses, 0) << where;
+        EXPECT_EQ(off.tt_hits, 0) << where;
+        EXPECT_EQ(off.tt_misses, 0) << where;
+        EXPECT_EQ(off.rollout_cache_hits, 0) << where;
+        EXPECT_EQ(off.rollout_cache_misses, 0) << where;
+        if (name == "drl-greedy") {
+          EXPECT_GT(on.rollout_cache_hits, 0) << where;
+          EXPECT_LT(on.guide_forward_rows, off.guide_forward_rows) << where;
+        }
+        if (name == "drl-sampling") {
+          EXPECT_EQ(on.rollout_cache_hits, 0) << where;
+          EXPECT_EQ(on.rollout_cache_misses, 0) << where;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
