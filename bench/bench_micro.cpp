@@ -6,8 +6,8 @@
 //
 // Before the google benchmarks run, main() times the guided-policy forward
 // paths (bench_micro_policy_forward.json) and runs the DRL-guided sweep of a
-// serial baseline against leaf mode at 1/2/4/8 workers
-// (bench_micro_leaf_parallel.json, committed as
+// serial baseline against leaf mode at 1/2/4/8 workers, with each cell's
+// tick phase times (bench_micro_leaf_parallel.json, committed as
 // BENCH_mcts_leaf_parallel.json).
 
 #include <benchmark/benchmark.h>
@@ -465,6 +465,40 @@ void run_policy_forward_bench(const char* json_path) {
   }
 }
 
+/// Wall time (ms) of each tick phase, summed over one schedule() call.
+struct PhaseMs {
+  double descend = 0.0;
+  double workers = 0.0;
+  double evaluator = 0.0;
+  double backup = 0.0;
+};
+
+/// Runs mcts.schedule(dag) once more with metrics on and sums the tick
+/// phase span histograms it adds (into the --metrics-out registry when one
+/// is installed, else into a private one).  A separate run: metrics on also
+/// time every nn forward, so a cell's states/s come from its obs-off run.
+PhaseMs time_phases(MctsScheduler& mcts, const Dag& dag) {
+  const bool own = obs::metrics() == nullptr;
+  if (own) obs::install_metrics(std::make_shared<obs::MetricsRegistry>());
+  const obs::MetricsSnapshot before = obs::metrics()->snapshot();
+  mcts.schedule(dag, kCapacity);
+  const obs::MetricsSnapshot after = obs::metrics()->snapshot();
+  if (own) obs::install_metrics(nullptr);
+  const auto added_ms = [&](const char* name) {
+    const auto a = after.histograms.find(name);
+    if (a == after.histograms.end()) return 0.0;
+    const auto b = before.histograms.find(name);
+    return a->second.sum -
+           (b == before.histograms.end() ? 0.0 : b->second.sum);
+  };
+  PhaseMs ms;
+  ms.descend = added_ms("mcts.leaf.descend.ms");
+  ms.workers = added_ms("mcts.leaf.workers.ms");
+  ms.evaluator = added_ms("mcts.evaluator.drain.ms");
+  ms.backup = added_ms("mcts.leaf.backup.ms");
+  return ms;
+}
+
 /// The leaf-parallel sweep (DESIGN.md §11): the serial search against leaf
 /// mode at 1/2/4/8 workers across small/medium/large DAGs, DRL-guided
 /// (untrained weights — identical network cost to trained ones), equal
@@ -509,6 +543,7 @@ void run_leaf_parallel_sweep(const char* json_path) {
     std::int64_t vloss_collisions = 0;
     std::int64_t rollout_cache_hits = 0;
     std::int64_t rollout_cache_misses = 0;
+    PhaseMs phases;
   };
   std::vector<Cell> cells;
 
@@ -517,7 +552,8 @@ void run_leaf_parallel_sweep(const char* json_path) {
       Policy::make(FeaturizerOptions{}, 2, policy_rng));
 
   Table table({"tasks", "threads", "mode", "search (s)", "states/s",
-               "makespan", "tt hit%", "roll hit%", "rows/eval"});
+               "makespan", "tt hit%", "roll hit%", "rows/eval", "descend ms",
+               "workers ms", "eval ms", "backup ms"});
   table.set_precision(3);
   for (const std::size_t tasks : {25u, 50u, 100u}) {
     const Dag dag = benchmark_dag(tasks, 11);
@@ -548,6 +584,7 @@ void run_leaf_parallel_sweep(const char* json_path) {
       cell.vloss_collisions = stats.vloss_collisions;
       cell.rollout_cache_hits = stats.rollout_cache_hits;
       cell.rollout_cache_misses = stats.rollout_cache_misses;
+      cell.phases = time_phases(mcts, dag);
       cells.push_back(cell);
       const double probes = static_cast<double>(cell.tt_hits +
                                                 cell.tt_misses);
@@ -566,7 +603,9 @@ void run_leaf_parallel_sweep(const char* json_path) {
                 cell.batched_evals > 0
                     ? static_cast<double>(cell.batched_rows) /
                           static_cast<double>(cell.batched_evals)
-                    : 0.0);
+                    : 0.0,
+                cell.phases.descend, cell.phases.workers,
+                cell.phases.evaluator, cell.phases.backup);
     }
   }
   std::printf("Leaf-parallel sweep (DRL-guided, budget %lld -> %lld, equal "
@@ -588,6 +627,9 @@ void run_leaf_parallel_sweep(const char* json_path) {
                  "  \"leaf_batch_size\": %d,\n"
                  "  \"states_per_sec\": \"search iterations per second of "
                  "search wall time; equal iteration budget in every cell\",\n"
+                 "  \"phase_ms\": \"summed wall time of the tick phases "
+                 "(descend, workers, evaluator drain, backup) over a second, "
+                 "metrics-on run of the cell\",\n"
                  "  \"grid\": [\n",
                  std::thread::hardware_concurrency(),
                  static_cast<long long>(kInitialBudget),
@@ -601,7 +643,9 @@ void run_leaf_parallel_sweep(const char* json_path) {
           "\"states_per_sec\": %.1f, \"makespan\": %lld, \"tt_hits\": %lld, "
           "\"tt_misses\": %lld, \"evaluator_batches\": %lld, "
           "\"evaluator_rows\": %lld, \"vloss_collisions\": %lld, "
-          "\"rollout_cache_hits\": %lld, \"rollout_cache_misses\": %lld}%s\n",
+          "\"rollout_cache_hits\": %lld, \"rollout_cache_misses\": %lld, "
+          "\"phase_ms\": {\"descend\": %.3f, \"workers\": %.3f, "
+          "\"evaluator\": %.3f, \"backup\": %.3f}}%s\n",
           c.tasks, c.threads, c.mode, c.seconds,
           static_cast<long long>(c.iterations), c.sps,
           static_cast<long long>(c.makespan),
@@ -611,7 +655,8 @@ void run_leaf_parallel_sweep(const char* json_path) {
           static_cast<long long>(c.batched_rows),
           static_cast<long long>(c.vloss_collisions),
           static_cast<long long>(c.rollout_cache_hits),
-          static_cast<long long>(c.rollout_cache_misses),
+          static_cast<long long>(c.rollout_cache_misses), c.phases.descend,
+          c.phases.workers, c.phases.evaluator, c.phases.backup,
           i + 1 < cells.size() ? "," : "");
     }
     // Per size: leaf mode against the serial baseline.  Leaf results do not

@@ -5,14 +5,18 @@
 // thread spawn.  Leaf-parallel MCTS runs one parallel_for per evaluator
 // tick; the scheduling service and benches share the same primitive.
 //
-//   ThreadPool pool(4);
+//   ThreadPool pool(3);
 //   auto f = pool.submit([] { heavy_work(); });
 //   f.get();                                   // rethrows task exceptions
-//   pool.parallel_for(n, [&](std::size_t i) { shard(i); });  // blocking
+//   pool.parallel_for(4, [&](std::size_t i) { shard(i); });  // blocking
 //
-// Exceptions thrown by a task are captured in the corresponding future;
-// parallel_for waits for ALL shards to finish before rethrowing the first
-// exception (in shard order), so captured references never dangle.
+// parallel_for runs shard 0 on the CALLING thread and queues only shards
+// 1..n-1, so n-way work needs a pool of n - 1 threads (the search's pool
+// has one thread fewer than it has workers) and the caller works instead
+// of sleeping on futures.  Exceptions thrown by a task are captured in the
+// corresponding future; parallel_for waits for ALL shards to finish before
+// rethrowing the first exception (in shard order), so captured references
+// never dangle.
 
 #pragma once
 
@@ -49,9 +53,9 @@ class ThreadPool {
   /// what it threw).
   std::future<void> submit(std::function<void()> task);
 
-  /// Runs body(0) .. body(n-1) across the pool and blocks until every call
-  /// has finished.  The first exception (lowest index) is rethrown after
-  /// the barrier.
+  /// Runs body(0) on the calling thread and body(1) .. body(n-1) on the
+  /// pool, and blocks until every call has finished.  The first exception
+  /// (lowest index) is rethrown after the barrier.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
 
   /// std::thread::hardware_concurrency with a floor of 1.

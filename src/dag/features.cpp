@@ -4,7 +4,11 @@
 
 namespace spear {
 
-DagFeatures::DagFeatures(const Dag& dag) : resource_dims_(dag.resource_dims()) {
+DagFeatures::DagFeatures(const Dag& dag)
+    : total_load_(dag.resource_dims()), resource_dims_(dag.resource_dims()) {
+  for (std::size_t r = 0; r < resource_dims_; ++r) {
+    total_load_[r] = dag.total_load(r);
+  }
   const std::size_t n = dag.num_tasks();
   b_level_.assign(n, 0);
   b_load_.assign(n, ResourceVector(resource_dims_));

@@ -10,6 +10,8 @@
 //    with larger b-load), which matches the motivation of capturing how much
 //    resource pressure sits downstream of the task.
 //  * number of children: the classic b-level tiebreaker.
+//  * total load (per resource): Dag::total_load, cached here because the
+//    featurizer normalizes every b-load by it on every call.
 //
 // Features are computed once per DAG in reverse topological order (O(V+E))
 // and exposed as plain arrays indexed by TaskId.
@@ -50,6 +52,12 @@ class DagFeatures {
   /// The DAG's critical-path length: max b-level over all tasks.
   Time critical_path() const { return critical_path_; }
 
+  /// Dag::total_load(resource), computed once by the same loop (so the
+  /// values are bit-identical).
+  double total_load(std::size_t resource) const {
+    return total_load_[resource];
+  }
+
   std::size_t resource_dims() const { return resource_dims_; }
 
  private:
@@ -57,6 +65,7 @@ class DagFeatures {
   std::vector<ResourceVector> b_load_;
   std::vector<std::size_t> num_children_;
   std::vector<std::size_t> num_descendants_;
+  ResourceVector total_load_;
   Time critical_path_ = 0;
   std::size_t resource_dims_ = 2;
 };

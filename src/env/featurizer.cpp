@@ -90,12 +90,11 @@ void Featurizer::featurize_emit(const SchedulingEnv& env, double* out,
   const std::size_t R = dag.resource_dims();
 
   // Normalization constants.  critical_path() >= 1 because runtimes are
-  // positive; total loads are guarded against degenerate zero demand
-  // (recomputed per use — two flops beat a heap-allocated cache on this
-  // hot path).
+  // positive; total loads (cached per DAG in DagFeatures — Dag::total_load
+  // loops over every task) are guarded against degenerate zero demand.
   const auto cp = static_cast<double>(std::max<Time>(feats.critical_path(), 1));
-  const auto load_norm = [&dag](std::size_t r) {
-    return std::max(dag.total_load(r), 1e-9);
+  const auto load_norm = [&feats](std::size_t r) {
+    return std::max(feats.total_load(r), 1e-9);
   };
   const auto n_tasks = static_cast<double>(dag.num_tasks());
 

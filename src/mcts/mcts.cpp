@@ -362,13 +362,20 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
     }
 
     // --- Descend: reserve one leaf per slot under virtual loss. ---
+    // Each phase below has its own span (histogram always, trace events
+    // only in leaf mode, like the tick span); with obs off a span is one
+    // relaxed load and reads no clock.
     const auto tick_jobs = static_cast<std::size_t>(slots);
-    for (std::size_t s = 0; s < tick_jobs; ++s) descend(jobs[s]);
-    if (!serial) {
-      for (std::size_t s = 0; s < tick_jobs; ++s) {
-        streams[s] = Rng(leaf_stream_seed(
-            options_.seed, static_cast<std::uint64_t>(decision_depth),
-            static_cast<std::uint64_t>(completed) + s));
+    {
+      obs::ScopedTimer descend_span("mcts.leaf.descend", "mcts",
+                                    /*with_trace=*/!serial);
+      for (std::size_t s = 0; s < tick_jobs; ++s) descend(jobs[s]);
+      if (!serial) {
+        for (std::size_t s = 0; s < tick_jobs; ++s) {
+          streams[s] = Rng(leaf_stream_seed(
+              options_.seed, static_cast<std::uint64_t>(decision_depth),
+              static_cast<std::uint64_t>(completed) + s));
+        }
       }
     }
 
@@ -469,13 +476,17 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
                         ws.active.end());
       }
     };
-    // One worker runs the body inline: a one-lane pool dispatch would pay a
-    // submit/wake/join round trip per tick for zero parallelism (and the
-    // pool is not even built then, see ensure_workers).
-    if (workers == 1) {
-      worker_body(0);
-    } else {
-      pool_->parallel_for(static_cast<std::size_t>(workers), worker_body);
+    // Worker 0 runs on this thread either way (parallel_for runs index 0 on
+    // its caller), so guide_'s weights and workspace stay with the thread
+    // that runs the evaluator's forward below.  One worker has no pool.
+    {
+      obs::ScopedTimer workers_span("mcts.leaf.workers", "mcts",
+                                    /*with_trace=*/!serial);
+      if (pool_) {
+        pool_->parallel_for(static_cast<std::size_t>(workers), worker_body);
+      } else {
+        worker_body(0);
+      }
     }
 
     // --- Evaluator: drain the queue of new leaf states through the
@@ -528,6 +539,8 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
 
     // --- Backup, in slot order (the deterministic tie-breaking order),
     // releasing each descent's virtual loss. ---
+    obs::ScopedTimer backup_span("mcts.leaf.backup", "mcts",
+                                 /*with_trace=*/!serial);
     for (std::size_t s = 0; s < tick_jobs; ++s) {
       LeafJob& job = jobs[s];
       NodeId backprop_from = job.node;
@@ -552,6 +565,7 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
       tree.backpropagate(backprop_from, job.value);
       for (NodeId id : job.path) --tree.node(id).vloss;
     }
+    backup_span.finish();
 
     ++stats_.leaf_ticks;
     completed += slots;
@@ -571,10 +585,10 @@ void MctsScheduler::ensure_workers() {
     if (!clone) break;
     worker_guides_.push_back(std::move(clone));
   }
-  // A single worker runs every tick inline on the coordinator, so a pool
-  // would only add idle threads and a per-tick dispatch round trip.
+  // The coordinator runs worker 0 itself (parallel_for's index 0), so the
+  // pool holds only workers 1..n-1; a single worker needs no pool at all.
   if (worker_guides_.size() > 1) {
-    pool_ = std::make_unique<ThreadPool>(worker_guides_.size());
+    pool_ = std::make_unique<ThreadPool>(worker_guides_.size() - 1);
   }
 }
 

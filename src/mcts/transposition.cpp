@@ -40,9 +40,10 @@ std::size_t StateCache<V>::size() const {
 template <typename V>
 bool StateCache<V>::find(const Key& key, V* out) const {
   if (capacity_ == 0) return false;
-  Shard& shard = shard_for(key);
+  const Probe probe{&key, hash_state_key(key)};
+  Shard& shard = shards_[probe.hash & shard_mask_];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.entries.find(key);
+  const auto it = shard.entries.find(probe);
   if (it == shard.entries.end()) return false;
   *out = it->second;
   return true;
@@ -51,15 +52,19 @@ bool StateCache<V>::find(const Key& key, V* out) const {
 template <typename V>
 void StateCache<V>::insert(const Key& key, V value) {
   if (capacity_ == 0) return;
-  Shard& shard = shard_for(key);
+  const std::uint64_t hash = hash_state_key(key);
+  Shard& shard = shards_[hash & shard_mask_];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  if (shard.entries.count(key) != 0) return;
+  if (shard.entries.find(Probe{&key, hash}) != shard.entries.end()) return;
   while (shard.entries.size() >= shard_capacity_) {
-    shard.entries.erase(shard.order.front());
+    const HashedKey* oldest = shard.order.front();
+    shard.entries.erase(
+        shard.entries.find(Probe{&oldest->key, oldest->hash}));
     shard.order.pop_front();
   }
-  shard.order.push_back(key);
-  shard.entries.emplace(key, std::move(value));
+  const auto inserted =
+      shard.entries.emplace(HashedKey{key, hash}, std::move(value)).first;
+  shard.order.push_back(&inserted->first);
 }
 
 template class StateCache<Priors>;

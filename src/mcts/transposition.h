@@ -39,6 +39,11 @@
 // hit/miss counts are deterministic.  At several shards and workers only
 // the hit/miss SPLIT (never the probe total or any result) depends on
 // which worker inserted first.
+//
+// Cost: every find() and insert() hashes its key exactly once.  That one
+// value picks the shard and probes the bucket (transparent lookup with a
+// borrowed {key, hash} probe); entries store their hash, so neither a
+// rehash nor an eviction hashes a key again.
 
 #pragma once
 
@@ -82,21 +87,47 @@ class StateCache {
   void insert(const Key& key, V value);
 
  private:
+  /// The stored form of a key: its hash travels with it.
+  struct HashedKey {
+    Key key;
+    std::uint64_t hash;
+  };
+  /// A borrowed lookup key with its precomputed hash.
+  struct Probe {
+    const Key* key;
+    std::uint64_t hash;
+  };
   struct KeyHash {
-    std::uint64_t operator()(const Key& key) const {
-      return hash_state_key(key);
+    using is_transparent = void;
+    std::size_t operator()(const HashedKey& k) const noexcept {
+      return k.hash;
+    }
+    std::size_t operator()(const Probe& p) const noexcept { return p.hash; }
+  };
+  /// Full-key compare; the hash compare only rejects early.
+  struct KeyEqual {
+    using is_transparent = void;
+    static bool same(std::uint64_t ha, const Key& a, std::uint64_t hb,
+                     const Key& b) {
+      return ha == hb && a == b;
+    }
+    bool operator()(const HashedKey& a, const HashedKey& b) const {
+      return same(a.hash, a.key, b.hash, b.key);
+    }
+    bool operator()(const Probe& a, const HashedKey& b) const {
+      return same(a.hash, *a.key, b.hash, b.key);
+    }
+    bool operator()(const HashedKey& a, const Probe& b) const {
+      return same(a.hash, a.key, b.hash, *b.key);
     }
   };
   struct Shard {
     mutable std::mutex mutex;
-    std::unordered_map<Key, V, KeyHash> entries;
-    /// Insertion order for per-shard FIFO eviction.
-    std::deque<Key> order;
+    std::unordered_map<HashedKey, V, KeyHash, KeyEqual> entries;
+    /// Insertion order for per-shard FIFO eviction: the keys of `entries`
+    /// (map nodes never move, so the pointers stay valid until erased).
+    std::deque<const HashedKey*> order;
   };
-
-  Shard& shard_for(const Key& key) const {
-    return shards_[hash_state_key(key) & shard_mask_];
-  }
 
   std::size_t capacity_;
   std::size_t shard_capacity_;

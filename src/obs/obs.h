@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -73,20 +74,24 @@ inline void observe(const std::string& name, double value) {
 /// RAII span: measures its scope's wall time, records it into the
 /// "<name>.ms" histogram, and (unless with_trace is false) emits a Chrome
 /// complete event on the calling thread's track.  Construction when
-/// disabled is a branch — no clock is read.
+/// disabled is a branch — no clock is read, and nothing is allocated: the
+/// name and category are copied only when the span is active.
 class ScopedTimer {
  public:
-  explicit ScopedTimer(std::string name, std::string category = "spear",
+  explicit ScopedTimer(std::string_view name,
+                       std::string_view category = "spear",
                        bool with_trace = true)
       : active_(enabled()), with_trace_(with_trace) {
     if (active_) {
-      name_ = std::move(name);
-      category_ = std::move(category);
+      name_ = name;
+      category_ = category;
       start_ = std::chrono::steady_clock::now();
     }
   }
 
-  ~ScopedTimer() { finish(); }
+  ~ScopedTimer() {
+    if (active_) finish();  // disabled: a branch, not a call
+  }
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;

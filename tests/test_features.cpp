@@ -94,6 +94,18 @@ TEST(DagFeatures, SingleTask) {
   EXPECT_EQ(f.critical_path(), 4);
 }
 
+TEST(DagFeatures, TotalLoadMatchesDag) {
+  Rng rng(7);
+  DagGeneratorOptions options;
+  options.num_tasks = 60;
+  options.resource_dims = 3;
+  const Dag dag = generate_random_dag(options, rng);
+  const DagFeatures f(dag);
+  for (std::size_t r = 0; r < dag.resource_dims(); ++r) {
+    EXPECT_EQ(f.total_load(r), dag.total_load(r)) << "resource " << r;
+  }
+}
+
 // Property: on random DAGs, b-level satisfies its recurrence and the
 // critical path is the max b-level (attained at some source-reachable task).
 class FeaturePropertyTest : public ::testing::TestWithParam<std::uint64_t> {};

@@ -338,6 +338,46 @@ TEST(ObsFlush, MctsCountersEqualSummedStats) {
   ASSERT_FALSE(b.batch_rows_hist.empty());
 }
 
+TEST(ObsSpans, LeafTickPhasesRecordOncePerTick) {
+  Rng rng(5);
+  const auto policy = std::make_shared<const Policy>(
+      Policy::make(FeaturizerOptions{}, 2, rng, {16}));
+  const ResourceVector capacity{1.0, 1.0};
+  MctsOptions options;
+  options.initial_budget = 40;
+  options.min_budget = 12;
+  options.search_mode = SearchMode::kLeaf;
+  options.leaf_batch_size = 8;
+  MctsScheduler leaf(options,
+                     std::make_shared<DrlDecisionPolicy>(policy, true));
+  const char* const kPhases[] = {"mcts.leaf.tick.ms", "mcts.leaf.descend.ms",
+                                 "mcts.leaf.workers.ms",
+                                 "mcts.evaluator.drain.ms",
+                                 "mcts.leaf.backup.ms"};
+
+  shutdown();
+  const auto registry = std::make_shared<MetricsRegistry>();
+  install_metrics(registry);
+  leaf.schedule(flush_dag(4), capacity);
+  const std::int64_t ticks = leaf.last_stats().leaf_ticks;
+  const MetricsSnapshot on = registry->snapshot();
+  shutdown();
+  ASSERT_GT(ticks, 0);
+  for (const char* name : kPhases) {
+    ASSERT_EQ(on.histograms.count(name), 1u) << name;
+    EXPECT_EQ(on.histograms.at(name).count, ticks) << name;
+  }
+
+  // With obs off the spans record nothing, not even into a registry that
+  // outlives its installation.
+  leaf.schedule(flush_dag(4), capacity);
+  ASSERT_EQ(leaf.last_stats().leaf_ticks, ticks);
+  const MetricsSnapshot off = registry->snapshot();
+  for (const char* name : kPhases) {
+    EXPECT_EQ(off.histograms.at(name).count, ticks) << name;
+  }
+}
+
 TEST(ObsFlush, ExecCountersEqualSummedExecStats) {
   const Dag dag = flush_dag(3);
   const ResourceVector capacity{1.0, 1.0};

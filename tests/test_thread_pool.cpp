@@ -1,7 +1,9 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,6 +67,37 @@ TEST(ThreadPool, ParallelForRethrowsAfterAllShardsFinish) {
       std::runtime_error);
   // Every non-throwing shard ran to completion before the rethrow.
   EXPECT_EQ(completed.load(), 15);
+}
+
+TEST(ThreadPool, ParallelForRunsIndexZeroOnTheCaller) {
+  ThreadPool pool(2);
+  std::vector<std::thread::id> ran_on(3);
+  pool.parallel_for(ran_on.size(), [&ran_on](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  EXPECT_NE(ran_on[1], std::this_thread::get_id());
+  EXPECT_NE(ran_on[2], std::this_thread::get_id());
+}
+
+TEST(ThreadPool, ParallelForWaitsForPoolShardsWhenIndexZeroThrows) {
+  ThreadPool pool(3);
+  std::atomic<int> completed{0};
+  try {
+    pool.parallel_for(6, [&completed](std::size_t i) {
+      // Index 0 (the caller's shard) throws at once, while the pool shards
+      // are still running; shard 4 throws later with another type.
+      if (i == 0) throw std::runtime_error("shard 0");
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      if (i == 4) throw std::logic_error("shard 4");
+      ++completed;
+    });
+    ADD_FAILURE() << "parallel_for did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "shard 0");
+  }
+  // Every non-throwing pool shard finished before the rethrow.
+  EXPECT_EQ(completed.load(), 4);
 }
 
 TEST(ThreadPool, ReusableAcrossBatches) {
