@@ -543,6 +543,7 @@ void run_leaf_parallel_sweep(const char* json_path) {
     std::int64_t vloss_collisions = 0;
     std::int64_t rollout_cache_hits = 0;
     std::int64_t rollout_cache_misses = 0;
+    std::int64_t rollout_memo_hits = 0;
     PhaseMs phases;
   };
   std::vector<Cell> cells;
@@ -584,6 +585,7 @@ void run_leaf_parallel_sweep(const char* json_path) {
       cell.vloss_collisions = stats.vloss_collisions;
       cell.rollout_cache_hits = stats.rollout_cache_hits;
       cell.rollout_cache_misses = stats.rollout_cache_misses;
+      cell.rollout_memo_hits = stats.rollout_memo_hits;
       cell.phases = time_phases(mcts, dag);
       cells.push_back(cell);
       const double probes = static_cast<double>(cell.tt_hits +
@@ -644,6 +646,7 @@ void run_leaf_parallel_sweep(const char* json_path) {
           "\"tt_misses\": %lld, \"evaluator_batches\": %lld, "
           "\"evaluator_rows\": %lld, \"vloss_collisions\": %lld, "
           "\"rollout_cache_hits\": %lld, \"rollout_cache_misses\": %lld, "
+          "\"rollout_memo_hits\": %lld, "
           "\"phase_ms\": {\"descend\": %.3f, \"workers\": %.3f, "
           "\"evaluator\": %.3f, \"backup\": %.3f}}%s\n",
           c.tasks, c.threads, c.mode, c.seconds,
@@ -655,7 +658,8 @@ void run_leaf_parallel_sweep(const char* json_path) {
           static_cast<long long>(c.batched_rows),
           static_cast<long long>(c.vloss_collisions),
           static_cast<long long>(c.rollout_cache_hits),
-          static_cast<long long>(c.rollout_cache_misses), c.phases.descend,
+          static_cast<long long>(c.rollout_cache_misses),
+          static_cast<long long>(c.rollout_memo_hits), c.phases.descend,
           c.phases.workers, c.phases.evaluator, c.phases.backup,
           i + 1 < cells.size() ? "," : "");
     }

@@ -74,6 +74,7 @@ struct LeafJob {
   std::int64_t fault_failures = 0;
   std::int64_t fault_retries = 0;
   std::int64_t fault_aborts = 0;
+  std::int64_t memo_hits = 0;
 
   // Evaluation-queue bookkeeping (coordinator side).
   Priors priors;  ///< new child's ordering
@@ -89,7 +90,8 @@ struct LeafJob {
     terminal = false;
     value = 0.0;
     key.clear();
-    env_copies = rollouts = fault_failures = fault_retries = fault_aborts = 0;
+    env_copies = rollouts = fault_failures = fault_retries = fault_aborts =
+        memo_hits = 0;
     priors.clear();
   }
 };
@@ -99,6 +101,9 @@ struct ActiveRollout {
   std::size_t slot;
   SchedulingEnv env;
   EnvFaultStats pre;
+  // Rollout memo only (see schedule_env).
+  bool keyed_start = false;    ///< on a new child's state, keyed in job.key
+  std::vector<StateKey> keys;  ///< states passed, stored at the finish
 };
 
 /// A worker's rollout scratch, reused across the ticks of a decision.
@@ -107,6 +112,7 @@ struct WorkerScratch {
   std::vector<const SchedulingEnv*> envs;
   std::vector<Rng*> rngs;
   std::vector<int> picks;
+  StateKey key;  ///< rollout memo probe buffer
 };
 
 /// Every int64_t Stats counter with its metric name, in declaration order.
@@ -139,6 +145,7 @@ constexpr NamedCount kStatsCounts[] = {
     {"mcts.rollout_cache_hits", &MctsScheduler::Stats::rollout_cache_hits},
     {"mcts.rollout_cache_misses",
      &MctsScheduler::Stats::rollout_cache_misses},
+    {"mcts.rollout_memo_hits", &MctsScheduler::Stats::rollout_memo_hits},
 };
 
 }  // namespace
@@ -420,19 +427,64 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
         } else if (job.terminal) {
           job.value = -static_cast<double>(child.makespan());
         } else {
-          // Only the transposition cache reads the key: capacity 0 pays
-          // nothing for it.
+          // Only the transposition cache and the rollout memo read the key:
+          // capacity 0 pays nothing for it.
           if (transpositions_) child.append_canonical_key(job.key);
           if (obs::enabled()) {
             job.enqueued = std::chrono::steady_clock::now();
           }
           ++job.env_copies;
-          ws.active.emplace_back(s, child, child.fault_stats());
+          ws.active.emplace_back(s, child, child.fault_stats(),
+                                 rollout_memo_ != nullptr);
         }
       }
 
+      // Ends rollout `a`: folds its fault deltas and, given the makespan it
+      // finished at, stores that under every state it passed.
+      const auto retire = [&](ActiveRollout& a, LeafJob& job,
+                              const Time* makespan) {
+        job.fault_failures += a.env.fault_stats().failures - a.pre.failures;
+        job.fault_retries += a.env.fault_stats().retries - a.pre.retries;
+        ++job.rollouts;
+        if (rollout_memo_ && makespan) {
+          for (StateKey& key : a.keys) {
+            rollout_memo_->insert(std::move(key), *makespan);
+          }
+        }
+      };
+
       ws.envs.clear();
       while (!ws.active.empty()) {
+        // Rollout memo: a state some earlier rollout finished from ends this
+        // one at that rollout's makespan, before it picks.
+        if (rollout_memo_) {
+          std::size_t kept = 0;
+          for (std::size_t i = 0; i < ws.active.size(); ++i) {
+            ActiveRollout& a = ws.active[i];
+            LeafJob& job = jobs[a.slot];
+            // A new child's first state is keyed already.
+            const StateKey* key = &job.key;
+            if (!a.keyed_start) {
+              ws.key.clear();
+              a.env.append_canonical_key(ws.key);
+              key = &ws.key;
+            }
+            a.keyed_start = false;
+            Time makespan = 0;
+            if (rollout_memo_->find(*key, &makespan)) {
+              job.value = -static_cast<double>(makespan);
+              ++job.memo_hits;
+              retire(a, job, &makespan);
+              continue;
+            }
+            a.keys.push_back(*key);
+            if (kept != i) ws.active[kept] = std::move(a);
+            ++kept;
+          }
+          ws.active.erase(ws.active.begin() + static_cast<std::ptrdiff_t>(kept),
+                          ws.active.end());
+          if (ws.active.empty()) break;
+        }
         // The rollout envs only move when finished rollouts are compacted
         // away, so the row pointers are rebuilt only then.
         if (ws.envs.size() != ws.active.size()) {
@@ -450,25 +502,23 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
         for (std::size_t i = 0; i < ws.active.size(); ++i) {
           ActiveRollout& a = ws.active[i];
           LeafJob& job = jobs[a.slot];
-          bool finished = false;
+          bool aborted = false;
           try {
             apply_action(a.env, ws.picks[i]);
-            if (a.env.done()) {
-              job.value = -static_cast<double>(a.env.makespan());
-              finished = true;
-            }
           } catch (const JobAbortedError&) {
+            aborted = true;
+          }
+          if (aborted) {
             // Penalize the abort, never kill the search.
             job.value = abort_value_;
             ++job.fault_aborts;
-            finished = true;
-          }
-          if (finished) {
-            job.fault_failures += a.env.fault_stats().failures - a.pre.failures;
-            job.fault_retries += a.env.fault_stats().retries - a.pre.retries;
-            ++job.rollouts;
+            retire(a, job, nullptr);
+          } else if (a.env.done()) {
+            const Time makespan = a.env.makespan();
+            job.value = -static_cast<double>(makespan);
+            retire(a, job, &makespan);
           } else {
-            if (kept != i) ws.active[kept] = std::move(ws.active[i]);
+            if (kept != i) ws.active[kept] = std::move(a);
             ++kept;
           }
         }
@@ -556,6 +606,7 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
       }
       stats_.env_copies += job.env_copies;
       stats_.rollouts += job.rollouts;
+      stats_.rollout_memo_hits += job.memo_hits;
       if (options_.faults) {
         stats_.search_failures += job.fault_failures;
         stats_.search_retries += job.fault_retries;
@@ -639,7 +690,7 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
       static_cast<double>(std::max<Time>(greedy_makespan_estimate(env), 1));
 
   ensure_workers();
-  // Both state caches are built here, fresh per schedule — their keys do not
+  // The state caches are built here, fresh per schedule — their keys do not
   // encode the DAG identity — in every search configuration (see
   // transposition_capacity).  The prior cache has one shard: only this
   // thread probes it.  The rollout action cache is shared by every worker
@@ -659,6 +710,16 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
   for (const auto& g : worker_guides_) {
     g->share_rollout_cache(rollout_cache);
     g->reset_forward_stats();
+  }
+  // The rollout memo is exact only when a whole rollout is a pure function
+  // of its start state: a guide kept the action cache as a pure guide (the
+  // mark is on the cache, so it survives forwarding decorators) and faults
+  // are off (fault draws are not in the key).  Serial search only: leaf
+  // mode's pinned cache and forward counters would move.
+  if (rollout_cache && rollout_cache->kept_by_pure_guide() && serial_search() &&
+      !options_.faults) {
+    rollout_memo_ =
+        std::make_unique<RolloutMemo>(options_.transposition_capacity);
   }
 
   // Anytime mode: every decision gets its own wall-clock deadline, started
@@ -694,6 +755,7 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
       g->share_rollout_cache(nullptr);
     }
     transpositions_.reset();
+    rollout_memo_.reset();
     if (!obs::enabled()) return;
     obs::count("mcts.schedules");
     stats_.for_each_count(

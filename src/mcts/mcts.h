@@ -27,10 +27,13 @@
 // build children and advance rollouts, and a central evaluator that scores
 // new leaves with one batched forward per tick through a transposition
 // cache.  Greedy guides' rollout steps go through a rollout action cache
-// shared by the workers.  schedule_env() builds both caches (one
-// StateCache class, mcts/transposition.h) fresh for each schedule, in every
-// mode, and detaches them when the schedule returns or throws; a hit is
-// bitwise-identical to the forward it replaces.  The serial search
+// shared by the workers, and the serial search with a greedy guide and
+// faults off also memoizes rollout returns: a rollout that reaches a state
+// an earlier rollout finished from stops with that rollout's makespan.
+// schedule_env() builds the caches (one StateCache class,
+// mcts/transposition.h) fresh for each schedule and detaches them when the
+// schedule returns or throws; a hit is bitwise-identical to the forward or
+// rollout it replaces.  The serial search
 // (SearchMode::kRoot at num_threads == 1) is the one-slot configuration:
 // ticks of one descent drawing from one schedule-wide RNG and a fresh tree
 // per decision, which is exactly the paper's select-expand-rollout-backup
@@ -137,11 +140,13 @@ struct MctsOptions {
   /// but hold more virtual loss concurrently; ticks never exceed the
   /// decision's remaining budget.
   int leaf_batch_size = 32;
-  /// Max entries in the transposition cache and in the shared rollout
-  /// action cache, in every search mode; 0 disables them (the paper's
-  /// cache-less loop, one forward per rollout step).  Cached priors and
-  /// greedy rollout actions are bitwise-identical to fresh evaluations, so
-  /// this is purely a throughput knob.
+  /// Max entries in each of the three state caches: the transposition
+  /// cache and the shared rollout action cache (every search mode), and the
+  /// rollout memo (serial search, greedy guide, faults off); 0 disables
+  /// them all (the paper's cache-less loop, one forward per rollout step).
+  /// Cached priors, greedy rollout actions and memoized rollout makespans
+  /// are bitwise-identical to fresh evaluations, so this is purely a
+  /// throughput knob.
   std::size_t transposition_capacity = 8192;
   /// Leaf mode reuses the chosen subtree across decisions by default
   /// (SearchTree::reroot, §III-C: "the selected action will point to a
@@ -236,6 +241,9 @@ class MctsScheduler : public Scheduler {
                                             ///< action cache (no forward)
     std::int64_t rollout_cache_misses = 0;  ///< rollout steps that paid the
                                             ///< batched forward
+    std::int64_t rollout_memo_hits = 0;  ///< rollouts ended early by the
+                                         ///< rollout memo (a state an
+                                         ///< earlier rollout finished from)
 
     /// Visits every int64_t counter above once, with its metric name
     /// ("mcts.<field>").  The one list of counters: flush_metrics and
@@ -337,6 +345,10 @@ class MctsScheduler : public Scheduler {
   /// Prior cache of the running schedule_env() call; null at
   /// transposition_capacity 0 and between calls.
   std::unique_ptr<TranspositionCache> transpositions_;
+  /// Rollout-return memo of the running schedule_env() call; armed only in
+  /// the serial search with faults off and a guide that kept the rollout
+  /// cache as a pure guide, null otherwise and between calls.
+  std::unique_ptr<RolloutMemo> rollout_memo_;
   /// Rollout value assigned to simulated trajectories that abort under the
   /// retry policy — a deterministic penalty worse than any completion.
   double abort_value_ = 0.0;

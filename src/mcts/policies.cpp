@@ -208,6 +208,8 @@ void DrlDecisionPolicy::share_rollout_cache(
   rollout_cache_misses_ = 0;
   // Sampling rollouts never cache (a skipped draw would shift the stream).
   rollout_cache_ = greedy_ ? std::move(cache) : nullptr;
+  // Greedy picks are a pure function of the state: say so on the cache.
+  if (rollout_cache_) rollout_cache_->mark_kept_by_pure_guide();
 }
 
 void DrlDecisionPolicy::pick_batch(const SchedulingEnv* const* envs,

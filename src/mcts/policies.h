@@ -79,7 +79,9 @@ class DecisionPolicy {
   /// returns or throws (keys do not encode the DAG identity, so entries
   /// must never cross schedules, nor reach calls outside the search).  Hits
   /// stay bit-identical (the cached action is a pure function of the
-  /// state).
+  /// state).  A guide that keeps the cache calls
+  /// cache->mark_kept_by_pure_guide(), which promises that every pick is a
+  /// pure function of the state and consumes no RNG.
   /// Default: no-op — only guides whose picks are pure functions of the
   /// state can cache them.
   virtual void share_rollout_cache(std::shared_ptr<SharedActionCache> cache) {
@@ -157,8 +159,10 @@ class DrlDecisionPolicy : public DecisionPolicy {
                   Rng* const* rngs, int* out) override;
 
   /// Greedy picks are deterministic and consume no RNG, so they are safe to
-  /// cache; in sampling mode the cache stays detached (a skipped draw would
-  /// shift the rollout's RNG stream) and the counters stay zero.
+  /// cache, and keeping the cache marks it kept by a pure guide (which arms
+  /// the serial search's rollout memo); in sampling mode the cache stays
+  /// detached (a skipped draw would shift the rollout's RNG stream), the
+  /// mark stays off and the counters stay zero.
   void share_rollout_cache(std::shared_ptr<SharedActionCache> cache) override;
   std::int64_t rollout_cache_hits() const override {
     return rollout_cache_hits_;

@@ -51,6 +51,17 @@ bool StateCache<V>::find(const Key& key, V* out) const {
 
 template <typename V>
 void StateCache<V>::insert(const Key& key, V value) {
+  insert_impl(key, std::move(value));
+}
+
+template <typename V>
+void StateCache<V>::insert(Key&& key, V value) {
+  insert_impl(std::move(key), std::move(value));
+}
+
+template <typename V>
+template <typename K>
+void StateCache<V>::insert_impl(K&& key, V value) {
   if (capacity_ == 0) return;
   const std::uint64_t hash = hash_state_key(key);
   Shard& shard = shards_[hash & shard_mask_];
@@ -63,11 +74,14 @@ void StateCache<V>::insert(const Key& key, V value) {
     shard.order.pop_front();
   }
   const auto inserted =
-      shard.entries.emplace(HashedKey{key, hash}, std::move(value)).first;
+      shard.entries
+          .emplace(HashedKey{std::forward<K>(key), hash}, std::move(value))
+          .first;
   shard.order.push_back(&inserted->first);
 }
 
 template class StateCache<Priors>;
 template class StateCache<int>;
+template class StateCache<Time>;
 
 }  // namespace spear

@@ -7,8 +7,8 @@
 // SchedulingEnv::append_canonical_key from (elapsed time, running set,
 // ready set, backlog, pending retries) — to a value the guide computed from
 // that state alone, so a repeated state costs a hash probe instead of a
-// network forward.  The search keeps two of them, armed per schedule()
-// (keys do not encode the DAG identity):
+// network forward or a whole rollout.  The search keeps three of them,
+// armed per schedule() (keys do not encode the DAG identity):
 //
 //  * TranspositionCache (one shard): state -> guide prior ordering.  Only
 //    PRIORS are cached, never values: two transposed states share the same
@@ -25,7 +25,21 @@
 //    than per-worker: private caches miss independently on the same
 //    states, so total forwards grew with the worker count.  Never consulted
 //    for sampling rollouts: a sampled step consumes RNG, so skipping the
-//    draw would shift every later draw in that rollout's stream.
+//    draw would shift every later draw in that rollout's stream.  A guide
+//    that keeps the cache marks it (mark_kept_by_pure_guide): the mark
+//    rides on the cache object itself, so a decorator that forwards
+//    share_rollout_cache forwards the mark too.
+//  * RolloutMemo (one shard, serial search only): state -> final makespan
+//    of the greedy rollout that passed it.  With a greedy guide and faults
+//    off a whole rollout is a pure function of its start state, and the
+//    key holds the absolute `now` and every running task's finish time, so
+//    it fixes the final makespan too (every task finished before `now`
+//    ends before every task still to finish).  A rollout that reaches a
+//    memoized state stops there with the stored makespan, and a finished
+//    rollout stores its makespan under every state it passed.  Armed only
+//    when the action cache carries the pure-guide mark and faults are off:
+//    fault draws are not in the key, so under faults the same key can
+//    finish at different makespans.
 //
 // Contract: lookups compare the FULL key, not just its hash, so a hit is
 // bitwise-identical to a fresh evaluation and search results with a cache
@@ -56,6 +70,8 @@
 #include <utility>
 #include <vector>
 
+#include "dag/dag.h"
+
 namespace spear {
 
 /// A canonical state key (SchedulingEnv::append_canonical_key).
@@ -85,6 +101,9 @@ class StateCache {
   /// Inserts (evicting the shard's oldest entry when the shard is full).
   /// Duplicate keys keep the existing entry.
   void insert(const Key& key, V value);
+  /// As above, taking ownership of `key` instead of copying it (a duplicate
+  /// leaves `key` untouched).
+  void insert(Key&& key, V value);
 
  private:
   /// The stored form of a key: its hash travels with it.
@@ -121,6 +140,10 @@ class StateCache {
       return same(a.hash, a.key, b.hash, *b.key);
     }
   };
+  /// The one insert path: K is `const Key&` (copied in) or `Key` (moved).
+  template <typename K>
+  void insert_impl(K&& key, V value);
+
   struct Shard {
     mutable std::mutex mutex;
     std::unordered_map<HashedKey, V, KeyHash, KeyEqual> entries;
@@ -139,9 +162,25 @@ class StateCache {
 /// (descending weight, ties stable).
 using Priors = std::vector<std::pair<int, double>>;
 using TranspositionCache = StateCache<Priors>;
-using SharedActionCache = StateCache<int>;
+using RolloutMemo = StateCache<Time>;
 
 extern template class StateCache<Priors>;
 extern template class StateCache<int>;
+extern template class StateCache<Time>;
+
+/// The rollout action cache: state -> greedy rollout action.  The mark says
+/// that a guide kept the cache for picks that are a pure function of the
+/// state (DrlDecisionPolicy in greedy mode); the search reads it after
+/// offering the cache to every worker guide, to arm the RolloutMemo.
+class SharedActionCache : public StateCache<int> {
+ public:
+  using StateCache<int>::StateCache;
+
+  void mark_kept_by_pure_guide() { kept_by_pure_guide_ = true; }
+  bool kept_by_pure_guide() const { return kept_by_pure_guide_; }
+
+ private:
+  bool kept_by_pure_guide_ = false;
+};
 
 }  // namespace spear

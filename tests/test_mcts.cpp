@@ -652,9 +652,21 @@ TEST(SerialSearch, CachesOnMatchCachesOffBitForBit) {
         EXPECT_EQ(off.tt_misses, 0) << where;
         EXPECT_EQ(off.rollout_cache_hits, 0) << where;
         EXPECT_EQ(off.rollout_cache_misses, 0) << where;
+        EXPECT_EQ(off.rollout_memo_hits, 0) << where;
         if (name == "drl-greedy") {
-          EXPECT_GT(on.rollout_cache_hits, 0) << where;
           EXPECT_LT(on.guide_forward_rows, off.guide_forward_rows) << where;
+          if (faulty) {
+            // Fault draws are not in the key: the memo stays off and the
+            // action cache serves the revisits.
+            EXPECT_GT(on.rollout_cache_hits, 0) << where;
+            EXPECT_EQ(on.rollout_memo_hits, 0) << where;
+          } else {
+            // The memo ends a rollout at the first revisited state, before
+            // the action cache is asked.
+            EXPECT_GT(on.rollout_memo_hits, 0) << where;
+          }
+        } else {
+          EXPECT_EQ(on.rollout_memo_hits, 0) << where;
         }
         if (name == "drl-sampling") {
           EXPECT_EQ(on.rollout_cache_hits, 0) << where;
@@ -662,6 +674,139 @@ TEST(SerialSearch, CachesOnMatchCachesOffBitForBit) {
         }
       }
     }
+  }
+}
+
+// The rollout memo is exact at any capacity: a capacity small enough to
+// evict loses entries, never results.  Placements and the pinned counters
+// match the cache-less search over the whole golden grid.
+TEST(SerialSearch, RolloutMemoMatchesCachesOffUnderEviction) {
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    const Dag dag = golden_dag(k);
+    for (const std::string& name : kGoldenGuides) {
+      for (const bool faulty : {false, true}) {
+        const std::string where = "dag " + std::to_string(k) + ", " + name +
+                                  (faulty ? ", faults" : "");
+        MctsOptions options = golden_options(k, faulty);
+        options.transposition_capacity = 0;
+        MctsScheduler bare(options, golden_guide(name));
+        const std::uint64_t off_hash =
+            placement_hash(bare.schedule(dag, cap()).placements());
+        const std::vector<std::int64_t> off_counts =
+            golden_counts(bare.last_stats());
+        for (const std::size_t capacity : {16, 256}) {
+          options.transposition_capacity = capacity;
+          MctsScheduler small(options, golden_guide(name));
+          const std::uint64_t on_hash =
+              placement_hash(small.schedule(dag, cap()).placements());
+          const MctsScheduler::Stats& on = small.last_stats();
+          const std::string at =
+              where + ", capacity " + std::to_string(capacity);
+          EXPECT_EQ(on_hash, off_hash) << at;
+          EXPECT_EQ(golden_counts(on), off_counts) << at;
+          if (name == "drl-greedy" && !faulty) {
+            EXPECT_GT(on.rollout_memo_hits, 0) << at;
+          } else {
+            EXPECT_EQ(on.rollout_memo_hits, 0) << at;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Only a guide whose picks are a pure function of the state marks the
+// rollout cache it keeps: greedy DRL does, sampling DRL and the heuristic
+// guide (which never keeps the cache) do not.
+TEST(SerialSearch, OnlyAPureGuideMarksTheRolloutCache) {
+  for (const char* name : {"drl-greedy", "drl-sampling", "heuristic"}) {
+    auto cache = std::make_shared<SharedActionCache>(16);
+    golden_guide(name)->share_rollout_cache(cache);
+    EXPECT_EQ(cache->kept_by_pure_guide(), std::string(name) == "drl-greedy")
+        << name;
+  }
+}
+
+/// Forwards every DecisionPolicy virtual to the wrapped guide, the way a
+/// timing or logging decorator does.
+class ForwardingGuide final : public DecisionPolicy {
+ public:
+  explicit ForwardingGuide(std::shared_ptr<DecisionPolicy> inner)
+      : inner_(std::move(inner)) {}
+
+  std::vector<std::pair<int, double>> action_weights(
+      const SchedulingEnv& env) override {
+    return inner_->action_weights(env);
+  }
+  int pick(const SchedulingEnv& env, Rng& rng) override {
+    return inner_->pick(env, rng);
+  }
+  void pick_batch(const SchedulingEnv* const* envs, std::size_t n,
+                  Rng* const* rngs, int* out) override {
+    inner_->pick_batch(envs, n, rngs, out);
+  }
+  bool supports_batch_eval() const override {
+    return inner_->supports_batch_eval();
+  }
+  std::vector<std::vector<std::pair<int, double>>> action_weights_batch(
+      const SchedulingEnv* const* envs, std::size_t n) override {
+    return inner_->action_weights_batch(envs, n);
+  }
+  std::shared_ptr<DecisionPolicy> clone() const override {
+    auto inner = inner_->clone();
+    if (!inner) return nullptr;
+    return std::make_shared<ForwardingGuide>(std::move(inner));
+  }
+  void enable_rollout_cache(std::size_t capacity) override {
+    inner_->enable_rollout_cache(capacity);
+  }
+  void share_rollout_cache(std::shared_ptr<SharedActionCache> cache) override {
+    inner_->share_rollout_cache(std::move(cache));
+  }
+  std::int64_t rollout_cache_hits() const override {
+    return inner_->rollout_cache_hits();
+  }
+  std::int64_t rollout_cache_misses() const override {
+    return inner_->rollout_cache_misses();
+  }
+  const std::vector<std::int64_t>* forward_hist() const override {
+    return inner_->forward_hist();
+  }
+  std::int64_t forward_calls() const override {
+    return inner_->forward_calls();
+  }
+  std::int64_t forward_rows() const override { return inner_->forward_rows(); }
+  void reset_forward_stats() override { inner_->reset_forward_stats(); }
+
+ private:
+  std::shared_ptr<DecisionPolicy> inner_;
+};
+
+// The memo's purity signal rides on the rollout cache object, so a
+// decorator that forwards share_rollout_cache arms the memo exactly as the
+// bare guide does: same placements, same counters, memo hits included.
+TEST(SerialSearch, RolloutMemoSurvivesForwardingDecorator) {
+  const auto all_counts = [](const MctsScheduler::Stats& s) {
+    std::vector<std::int64_t> out;
+    s.for_each_count(
+        [&out](const char*, std::int64_t value) { out.push_back(value); });
+    return out;
+  };
+  for (std::uint64_t k = 0; k < 2; ++k) {
+    const Dag dag = golden_dag(k);
+    const std::string where = "dag " + std::to_string(k);
+    MctsScheduler bare(golden_options(k, false), golden_guide("drl-greedy"));
+    MctsScheduler wrapped(
+        golden_options(k, false),
+        std::make_shared<ForwardingGuide>(golden_guide("drl-greedy")));
+    const std::uint64_t bare_hash =
+        placement_hash(bare.schedule(dag, cap()).placements());
+    const std::uint64_t wrapped_hash =
+        placement_hash(wrapped.schedule(dag, cap()).placements());
+    EXPECT_EQ(wrapped_hash, bare_hash) << where;
+    EXPECT_EQ(all_counts(wrapped.last_stats()), all_counts(bare.last_stats()))
+        << where;
+    EXPECT_GT(wrapped.last_stats().rollout_memo_hits, 0) << where;
   }
 }
 

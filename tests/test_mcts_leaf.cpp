@@ -205,16 +205,17 @@ TEST(LeafMcts, OneWorkerStatsMatchGolden) {
   // counter, the cache hit/miss split included, is a pure function of the
   // inputs.  The golden placements and counts (in for_each_count order)
   // were recorded with the per-worker private rollout cache this shared
-  // cache replaced; capacity 24 forces heavy FIFO eviction.
+  // cache replaced; capacity 24 forces heavy FIFO eviction.  The last
+  // counter, rollout_memo_hits, stays 0: leaf mode never arms the memo.
   struct Golden {
     std::size_t capacity;
     std::vector<std::int64_t> counts;
   };
   const std::vector<Golden> goldens = {
       {8192, {31, 0, 536, 519, 141, 660, 0, 0, 0, 0, 0, 0, 0, 30, 140, 336,
-              973, 32, 0, 140, 440, 7547, 832}},
+              973, 32, 0, 140, 440, 7547, 832, 0}},
       {24, {31, 0, 536, 519, 141, 660, 0, 0, 0, 0, 0, 0, 0, 30, 140, 492,
-            2649, 32, 0, 140, 440, 5871, 2508}},
+            2649, 32, 0, 140, 440, 5871, 2508, 0}},
   };
   const std::vector<std::pair<TaskId, Time>> placements = {
       {1, 0},   {0, 0},   {2, 11},  {3, 11},  {4, 12},  {5, 22},

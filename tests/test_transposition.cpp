@@ -97,6 +97,37 @@ TEST(TranspositionCache, ZeroCapacityDisables) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+// The rollout memo moves its keys in rather than copying them.
+TEST(RolloutMemo, MovedInKeyIsFound) {
+  RolloutMemo memo(8);
+  StateKey key = {4, 5, 6};
+  memo.insert(std::move(key), Time{42});
+  Time makespan = 0;
+  ASSERT_TRUE(memo.find({4, 5, 6}, &makespan));
+  EXPECT_EQ(makespan, 42);
+  EXPECT_EQ(memo.size(), 1u);
+}
+
+TEST(RolloutMemo, DuplicateMovedInsertKeepsFirst) {
+  RolloutMemo memo(8);
+  memo.insert(StateKey{7, 7}, Time{10});
+  StateKey again = {7, 7};
+  memo.insert(std::move(again), Time{20});
+  Time makespan = 0;
+  ASSERT_TRUE(memo.find({7, 7}, &makespan));
+  EXPECT_EQ(makespan, 10);
+  EXPECT_EQ(memo.size(), 1u);
+}
+
+TEST(RolloutMemo, ZeroCapacityMovedInsertIsNoOp) {
+  RolloutMemo memo(0);
+  memo.insert(StateKey{1, 2}, Time{5});
+  Time makespan = -1;
+  EXPECT_FALSE(memo.find({1, 2}, &makespan));
+  EXPECT_EQ(makespan, -1);
+  EXPECT_EQ(memo.size(), 0u);
+}
+
 TEST(SharedActionCache, FindInsertAcrossShards) {
   SharedActionCache cache(64, 4);
   EXPECT_EQ(cache.size(), 0u);
