@@ -12,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -503,7 +504,9 @@ PhaseMs time_phases(MctsScheduler& mcts, const Dag& dag) {
 /// mode at 1/2/4/8 workers across small/medium/large DAGs, DRL-guided
 /// (untrained weights — identical network cost to trained ones), equal
 /// iteration budget everywhere.  states/s counts completed search
-/// iterations per wall-clock second inside the search; makespans are
+/// iterations per wall-clock second inside the search; each cell is timed
+/// kRuns times and reports the median with the min and max, because one
+/// run of a cell on a shared box can be off by a third.  Makespans are
 /// reported so quality regressions show up next to the speedup.  Writes the
 /// grid plus a per-size summary of leaf mode (median over its worker counts)
 /// against the serial baseline as JSON (committed as
@@ -519,6 +522,8 @@ void run_leaf_parallel_sweep(const char* json_path) {
   // enough trees for transpositions to recur, big enough evaluator batches
   // for the fused forward to pay.
   constexpr int kLeafBatchSize = 32;
+  // Timed runs per cell: same seed, so every run repeats the same search.
+  constexpr int kRuns = 5;
   struct Config {
     int threads;
     SearchMode mode;
@@ -532,9 +537,11 @@ void run_leaf_parallel_sweep(const char* json_path) {
     std::size_t tasks = 0;
     int threads = 0;
     const char* mode = "";
-    double seconds = 0.0;
+    double seconds = 0.0;  ///< median over the runs
     std::int64_t iterations = 0;
-    double sps = 0.0;
+    double sps = 0.0;  ///< median over the runs
+    double sps_min = 0.0;
+    double sps_max = 0.0;
     Time makespan = 0;
     std::int64_t tt_hits = 0;
     std::int64_t tt_misses = 0;
@@ -553,8 +560,9 @@ void run_leaf_parallel_sweep(const char* json_path) {
       Policy::make(FeaturizerOptions{}, 2, policy_rng));
 
   Table table({"tasks", "threads", "mode", "search (s)", "states/s",
-               "makespan", "tt hit%", "roll hit%", "rows/eval", "descend ms",
-               "workers ms", "eval ms", "backup ms"});
+               "min states/s", "max states/s", "makespan", "tt hit%",
+               "roll hit%", "rows/eval", "descend ms", "workers ms",
+               "eval ms", "backup ms"});
   table.set_precision(3);
   for (const std::size_t tasks : {25u, 50u, 100u}) {
     const Dag dag = benchmark_dag(tasks, 11);
@@ -569,14 +577,23 @@ void run_leaf_parallel_sweep(const char* json_path) {
       MctsScheduler mcts(options, std::make_shared<DrlDecisionPolicy>(
                                       policy, /*greedy=*/true));
       const Schedule schedule = mcts.schedule(dag, kCapacity);
-      const auto& stats = mcts.last_stats();
+      const MctsScheduler::Stats stats = mcts.last_stats();
+      std::vector<double> seconds{stats.search_seconds};
+      std::vector<double> sps{stats.iterations_per_second()};
+      for (int run = 1; run < kRuns; ++run) {
+        mcts.schedule(dag, kCapacity);
+        seconds.push_back(mcts.last_stats().search_seconds);
+        sps.push_back(mcts.last_stats().iterations_per_second());
+      }
       Cell cell;
       cell.tasks = tasks;
       cell.threads = config.threads;
       cell.mode = config.mode == SearchMode::kLeaf ? "leaf" : "serial";
-      cell.seconds = stats.search_seconds;
+      cell.seconds = median(seconds);
       cell.iterations = stats.iterations;
-      cell.sps = stats.iterations_per_second();
+      cell.sps = median(sps);
+      cell.sps_min = *std::min_element(sps.begin(), sps.end());
+      cell.sps_max = *std::max_element(sps.begin(), sps.end());
       cell.makespan = schedule.makespan(dag);
       cell.tt_hits = stats.tt_hits;
       cell.tt_misses = stats.tt_misses;
@@ -593,7 +610,7 @@ void run_leaf_parallel_sweep(const char* json_path) {
       const double roll_probes = static_cast<double>(
           cell.rollout_cache_hits + cell.rollout_cache_misses);
       table.add(static_cast<long long>(tasks), config.threads, cell.mode,
-                cell.seconds, cell.sps,
+                cell.seconds, cell.sps, cell.sps_min, cell.sps_max,
                 static_cast<long long>(cell.makespan),
                 probes > 0.0 ? 100.0 * static_cast<double>(cell.tt_hits) /
                                    probes
@@ -611,9 +628,9 @@ void run_leaf_parallel_sweep(const char* json_path) {
     }
   }
   std::printf("Leaf-parallel sweep (DRL-guided, budget %lld -> %lld, equal "
-              "iteration budget everywhere):\n",
+              "iteration budget everywhere, median of %d runs per cell):\n",
               static_cast<long long>(kInitialBudget),
-              static_cast<long long>(kMinBudget));
+              static_cast<long long>(kMinBudget), kRuns);
   table.print();
 
   if (std::FILE* f = std::fopen(json_path, "w")) {
@@ -627,30 +644,34 @@ void run_leaf_parallel_sweep(const char* json_path) {
                  "  \"initial_budget\": %lld,\n"
                  "  \"min_budget\": %lld,\n"
                  "  \"leaf_batch_size\": %d,\n"
+                 "  \"runs_per_cell\": %d,\n"
                  "  \"states_per_sec\": \"search iterations per second of "
-                 "search wall time; equal iteration budget in every cell\",\n"
+                 "search wall time, median over the cell's runs (min and max "
+                 "beside it); equal iteration budget in every cell\",\n"
                  "  \"phase_ms\": \"summed wall time of the tick phases "
                  "(descend, workers, evaluator drain, backup) over a second, "
                  "metrics-on run of the cell\",\n"
                  "  \"grid\": [\n",
                  std::thread::hardware_concurrency(),
                  static_cast<long long>(kInitialBudget),
-                 static_cast<long long>(kMinBudget), kLeafBatchSize);
+                 static_cast<long long>(kMinBudget), kLeafBatchSize, kRuns);
     for (std::size_t i = 0; i < cells.size(); ++i) {
       const Cell& c = cells[i];
       std::fprintf(
           f,
           "    {\"tasks\": %zu, \"threads\": %d, \"mode\": \"%s\", "
           "\"search_seconds\": %.6f, \"iterations\": %lld, "
-          "\"states_per_sec\": %.1f, \"makespan\": %lld, \"tt_hits\": %lld, "
-          "\"tt_misses\": %lld, \"evaluator_batches\": %lld, "
+          "\"states_per_sec\": %.1f, \"states_per_sec_min\": %.1f, "
+          "\"states_per_sec_max\": %.1f, \"makespan\": %lld, "
+          "\"tt_hits\": %lld, \"tt_misses\": %lld, "
+          "\"evaluator_batches\": %lld, "
           "\"evaluator_rows\": %lld, \"vloss_collisions\": %lld, "
           "\"rollout_cache_hits\": %lld, \"rollout_cache_misses\": %lld, "
           "\"rollout_memo_hits\": %lld, "
           "\"phase_ms\": {\"descend\": %.3f, \"workers\": %.3f, "
           "\"evaluator\": %.3f, \"backup\": %.3f}}%s\n",
           c.tasks, c.threads, c.mode, c.seconds,
-          static_cast<long long>(c.iterations), c.sps,
+          static_cast<long long>(c.iterations), c.sps, c.sps_min, c.sps_max,
           static_cast<long long>(c.makespan),
           static_cast<long long>(c.tt_hits),
           static_cast<long long>(c.tt_misses),

@@ -65,7 +65,10 @@ struct LeafJob {
   bool aborted = false;
   bool terminal = false;
   double value = 0.0;
-  StateKey key;  ///< canonical key (nonterminal kExpand, cache armed)
+  StateKey key;  ///< canonical key (nonterminal kExpand, caches armed)
+  /// Rollout cache only: each state the rollout asked the guide about, with
+  /// the action picked there, in step order; published at backup.
+  std::vector<std::pair<StateKey, int>> misses;
 
   // Per-job telemetry, folded into Stats at backup in slot order so the
   // totals are independent of the worker partition.
@@ -74,6 +77,7 @@ struct LeafJob {
   std::int64_t fault_failures = 0;
   std::int64_t fault_retries = 0;
   std::int64_t fault_aborts = 0;
+  std::int64_t cache_hits = 0;
   std::int64_t memo_hits = 0;
 
   // Evaluation-queue bookkeeping (coordinator side).
@@ -90,8 +94,9 @@ struct LeafJob {
     terminal = false;
     value = 0.0;
     key.clear();
+    misses.clear();
     env_copies = rollouts = fault_failures = fault_retries = fault_aborts =
-        memo_hits = 0;
+        cache_hits = memo_hits = 0;
     priors.clear();
   }
 };
@@ -101,18 +106,23 @@ struct ActiveRollout {
   std::size_t slot;
   SchedulingEnv env;
   EnvFaultStats pre;
-  // Rollout memo only (see schedule_env).
-  bool keyed_start = false;    ///< on a new child's state, keyed in job.key
-  std::vector<StateKey> keys;  ///< states passed, stored at the finish
+  // Rollout cache only (see schedule_env): this step's key and plan.
+  bool keyed_start = false;  ///< on a new child's state, keyed in job.key
+  StateKey key;              ///< the current state's key otherwise
+  bool cached = false;       ///< the step takes the cached `action`...
+  int action = 0;
+  std::size_t guide_row = 0;  ///< ...or the pick of this pick_batch row
 };
 
 /// A worker's rollout scratch, reused across the ticks of a decision.
 struct WorkerScratch {
   std::vector<ActiveRollout> active;
+  // One step's pick_batch rows: every active rollout with the cache off,
+  // one per distinct missed key with it on.
   std::vector<const SchedulingEnv*> envs;
   std::vector<Rng*> rngs;
   std::vector<int> picks;
-  StateKey key;  ///< rollout memo probe buffer
+  std::vector<const StateKey*> row_keys;  ///< rollout cache: each row's key
 };
 
 /// Every int64_t Stats counter with its metric name, in declaration order.
@@ -427,84 +437,112 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
         } else if (job.terminal) {
           job.value = -static_cast<double>(child.makespan());
         } else {
-          // Only the transposition cache and the rollout memo read the key:
-          // capacity 0 pays nothing for it.
+          // Only the state caches read the key: capacity 0 pays nothing
+          // for it.
           if (transpositions_) child.append_canonical_key(job.key);
           if (obs::enabled()) {
             job.enqueued = std::chrono::steady_clock::now();
           }
           ++job.env_copies;
           ws.active.emplace_back(s, child, child.fault_stats(),
-                                 rollout_memo_ != nullptr);
+                                 rollout_cache_ != nullptr);
         }
       }
 
-      // Ends rollout `a`: folds its fault deltas and, given the makespan it
-      // finished at, stores that under every state it passed.
-      const auto retire = [&](ActiveRollout& a, LeafJob& job,
-                              const Time* makespan) {
+      // Ends rollout `a`: folds its fault deltas.
+      const auto retire = [&](ActiveRollout& a, LeafJob& job) {
         job.fault_failures += a.env.fault_stats().failures - a.pre.failures;
         job.fault_retries += a.env.fault_stats().retries - a.pre.retries;
         ++job.rollouts;
-        if (rollout_memo_ && makespan) {
-          for (StateKey& key : a.keys) {
-            rollout_memo_->insert(std::move(key), *makespan);
-          }
-        }
       };
 
       ws.envs.clear();
       while (!ws.active.empty()) {
-        // Rollout memo: a state some earlier rollout finished from ends this
-        // one at that rollout's makespan, before it picks.
-        if (rollout_memo_) {
+        if (rollout_cache_) {
+          // One probe per rollout decides its step: a known makespan ends
+          // the rollout there, a cached action is taken as is, and a miss
+          // becomes a pick_batch row, which the step's other misses with an
+          // equal key share.  Finished rollouts are compacted away in the
+          // same pass, before a row's pointers are taken, so no row moves
+          // again until the step is applied.
+          ws.envs.clear();
+          ws.rngs.clear();
+          ws.row_keys.clear();
           std::size_t kept = 0;
           for (std::size_t i = 0; i < ws.active.size(); ++i) {
-            ActiveRollout& a = ws.active[i];
+            if (kept != i) ws.active[kept] = std::move(ws.active[i]);
+            ActiveRollout& a = ws.active[kept];
             LeafJob& job = jobs[a.slot];
-            // A new child's first state is keyed already.
-            const StateKey* key = &job.key;
             if (!a.keyed_start) {
-              ws.key.clear();
-              a.env.append_canonical_key(ws.key);
-              key = &ws.key;
+              a.key.clear();
+              a.env.append_canonical_key(a.key);
             }
-            a.keyed_start = false;
-            Time makespan = 0;
-            if (rollout_memo_->find(*key, &makespan)) {
-              job.value = -static_cast<double>(makespan);
+            const StateKey& key = a.keyed_start ? job.key : a.key;
+            RolloutStep step;
+            a.cached = rollout_cache_->find(key, &step);
+            if (a.cached && step.makespan != RolloutStep::kUnknownMakespan) {
+              job.value = -static_cast<double>(step.makespan);
               ++job.memo_hits;
-              retire(a, job, &makespan);
+              retire(a, job);
               continue;
             }
-            a.keys.push_back(*key);
-            if (kept != i) ws.active[kept] = std::move(a);
+            if (a.cached) {
+              a.action = step.action;
+              ++job.cache_hits;
+            } else {
+              a.guide_row = 0;
+              while (a.guide_row < ws.row_keys.size() &&
+                     *ws.row_keys[a.guide_row] != key) {
+                ++a.guide_row;
+              }
+              if (a.guide_row == ws.row_keys.size()) {
+                ws.row_keys.push_back(&key);
+                ws.envs.push_back(&a.env);
+                ws.rngs.push_back(slot_rngs[a.slot]);
+              }
+            }
             ++kept;
           }
           ws.active.erase(ws.active.begin() + static_cast<std::ptrdiff_t>(kept),
                           ws.active.end());
-          if (ws.active.empty()) break;
-        }
-        // The rollout envs only move when finished rollouts are compacted
-        // away, so the row pointers are rebuilt only then.
-        if (ws.envs.size() != ws.active.size()) {
-          ws.envs.clear();
-          ws.rngs.clear();
-          for (ActiveRollout& a : ws.active) {
-            ws.envs.push_back(&a.env);
-            ws.rngs.push_back(slot_rngs[a.slot]);
+          if (!ws.envs.empty()) {
+            ws.picks.resize(ws.envs.size());
+            guide.pick_batch(ws.envs.data(), ws.envs.size(), ws.rngs.data(),
+                             ws.picks.data());
           }
-          ws.picks.resize(ws.active.size());
+        } else {
+          // The rollout envs only move when finished rollouts are compacted
+          // away, so the row pointers are rebuilt only then.
+          if (ws.envs.size() != ws.active.size()) {
+            ws.envs.clear();
+            ws.rngs.clear();
+            for (ActiveRollout& a : ws.active) {
+              ws.envs.push_back(&a.env);
+              ws.rngs.push_back(slot_rngs[a.slot]);
+            }
+            ws.picks.resize(ws.active.size());
+          }
+          guide.pick_batch(ws.envs.data(), ws.active.size(), ws.rngs.data(),
+                           ws.picks.data());
         }
-        guide.pick_batch(ws.envs.data(), ws.active.size(), ws.rngs.data(),
-                         ws.picks.data());
         std::size_t kept = 0;
         for (std::size_t i = 0; i < ws.active.size(); ++i) {
           ActiveRollout& a = ws.active[i];
           LeafJob& job = jobs[a.slot];
+          int action = 0;
+          if (!rollout_cache_) {
+            action = ws.picks[i];
+          } else if (a.cached) {
+            action = a.action;
+          } else {
+            action = ws.picks[a.guide_row];
+            job.misses.emplace_back(
+                a.keyed_start ? job.key : std::move(a.key), action);
+          }
+          a.keyed_start = false;
           bool aborted = false;
           try {
-            apply_action(a.env, ws.picks[i]);
+            apply_action(a.env, action);
           } catch (const JobAbortedError&) {
             aborted = true;
           }
@@ -512,11 +550,10 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
             // Penalize the abort, never kill the search.
             job.value = abort_value_;
             ++job.fault_aborts;
-            retire(a, job, nullptr);
+            retire(a, job);
           } else if (a.env.done()) {
-            const Time makespan = a.env.makespan();
-            job.value = -static_cast<double>(makespan);
-            retire(a, job, &makespan);
+            job.value = -static_cast<double>(a.env.makespan());
+            retire(a, job);
           } else {
             if (kept != i) ws.active[kept] = std::move(a);
             ++kept;
@@ -606,7 +643,20 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
       }
       stats_.env_copies += job.env_copies;
       stats_.rollouts += job.rollouts;
+      stats_.rollout_cache_hits += job.cache_hits;
+      stats_.rollout_cache_misses +=
+          static_cast<std::int64_t>(job.misses.size());
       stats_.rollout_memo_hits += job.memo_hits;
+      if (rollout_cache_) {
+        // Publish the job's missed states.  With faults off no rollout
+        // aborts, so one that asked the guide finished at -value.
+        const Time makespan = options_.faults
+                                  ? RolloutStep::kUnknownMakespan
+                                  : static_cast<Time>(-job.value);
+        for (auto& [key, action] : job.misses) {
+          rollout_cache_->insert(std::move(key), RolloutStep{action, makespan});
+        }
+      }
       if (options_.faults) {
         stats_.search_failures += job.fault_failures;
         stats_.search_retries += job.fault_retries;
@@ -692,34 +742,24 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
   ensure_workers();
   // The state caches are built here, fresh per schedule — their keys do not
   // encode the DAG identity — in every search configuration (see
-  // transposition_capacity).  The prior cache has one shard: only this
-  // thread probes it.  The rollout action cache is shared by every worker
-  // guide (arming is a no-op for sampling or cache-less guides): private
-  // per-worker caches would miss independently on the same rollout states.
-  // One worker gets one shard, so FIFO eviction is global and the hit/miss
-  // counts are deterministic; with more workers the split depends on
-  // timing.  Forward tallies are zeroed so the end-of-schedule fold reports
-  // THIS schedule only.
-  std::shared_ptr<SharedActionCache> rollout_cache;
+  // transposition_capacity).  The rollout cache is offered to every worker
+  // guide and armed only when a guide marked it pure (the mark is on the
+  // cache, so it survives forwarding decorators): sampling and heuristic
+  // guides search without it.  Forward tallies are zeroed so the
+  // end-of-schedule fold reports THIS schedule only.
+  std::shared_ptr<SharedActionCache> offered;
   if (options_.transposition_capacity > 0) {
     transpositions_ =
         std::make_unique<TranspositionCache>(options_.transposition_capacity);
-    rollout_cache = std::make_shared<SharedActionCache>(
-        options_.transposition_capacity, worker_guides_.size() > 1 ? 8 : 1);
+    offered =
+        std::make_shared<SharedActionCache>(options_.transposition_capacity);
   }
   for (const auto& g : worker_guides_) {
-    g->share_rollout_cache(rollout_cache);
+    if (offered) g->share_rollout_cache(offered);
     g->reset_forward_stats();
   }
-  // The rollout memo is exact only when a whole rollout is a pure function
-  // of its start state: a guide kept the action cache as a pure guide (the
-  // mark is on the cache, so it survives forwarding decorators) and faults
-  // are off (fault draws are not in the key).  Serial search only: leaf
-  // mode's pinned cache and forward counters would move.
-  if (rollout_cache && rollout_cache->kept_by_pure_guide() && serial_search() &&
-      !options_.faults) {
-    rollout_memo_ =
-        std::make_unique<RolloutMemo>(options_.transposition_capacity);
+  if (offered && offered->kept_by_pure_guide()) {
+    rollout_cache_ = std::move(offered);
   }
 
   // Anytime mode: every decision gets its own wall-clock deadline, started
@@ -733,29 +773,23 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
   // Runs once whether the schedule returns or throws.  Real-trajectory
   // fault counters come from the ONE persistent env the search steps (the
   // speculative search_* counters are added as the search runs).  Guide
-  // tallies (rollout cache and physical forwards) accumulate across every
-  // decision and are folded once per distinct guide — worker 0 is guide_
-  // itself, so worker_guides_ lists each once — BEFORE the caches are
-  // released: detaching zeroes the guides' hit/miss counters, and a guide
-  // reused outside the search must not probe this schedule's cache.  Then
-  // one registry push — hot loops only touch stats_.
+  // forward tallies accumulate across every decision and are folded once
+  // per distinct guide — worker 0 is guide_ itself, so worker_guides_ lists
+  // each once.  Then one registry push — hot loops only touch stats_.
   const auto finish = [this, &env]() {
     if (options_.faults) {
       stats_.task_failures = env.fault_stats().failures;
       stats_.task_retries = env.fault_stats().retries;
     }
     for (const auto& g : worker_guides_) {
-      stats_.rollout_cache_hits += g->rollout_cache_hits();
-      stats_.rollout_cache_misses += g->rollout_cache_misses();
       stats_.guide_forwards += g->forward_calls();
       stats_.guide_forward_rows += g->forward_rows();
       if (const std::vector<std::int64_t>* hist = g->forward_hist()) {
         hist_add(stats_.batch_rows_hist, *hist);
       }
-      g->share_rollout_cache(nullptr);
     }
     transpositions_.reset();
-    rollout_memo_.reset();
+    rollout_cache_.reset();
     if (!obs::enabled()) return;
     obs::count("mcts.schedules");
     stats_.for_each_count(

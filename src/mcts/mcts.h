@@ -26,20 +26,24 @@
 // searched in ticks — descents under virtual loss, worker threads that
 // build children and advance rollouts, and a central evaluator that scores
 // new leaves with one batched forward per tick through a transposition
-// cache.  Greedy guides' rollout steps go through a rollout action cache
-// shared by the workers, and the serial search with a greedy guide and
-// faults off also memoizes rollout returns: a rollout that reaches a state
-// an earlier rollout finished from stops with that rollout's makespan.
-// schedule_env() builds the caches (one StateCache class,
-// mcts/transposition.h) fresh for each schedule and detaches them when the
-// schedule returns or throws; a hit is bitwise-identical to the forward or
-// rollout it replaces.  The serial search
-// (SearchMode::kRoot at num_threads == 1) is the one-slot configuration:
-// ticks of one descent drawing from one schedule-wide RNG and a fresh tree
-// per decision, which is exactly the paper's select-expand-rollout-backup
-// loop.  Leaf mode (kLeaf, or any num_threads > 1) runs
-// leaf_batch_size-slot ticks with per-slot RNG streams and reuses the
-// chosen subtree; its results do not depend on the worker count.
+// cache.  With a greedy guide every rollout step first probes the search's
+// rollout cache, which holds the greedy action at each state a rollout
+// asked the guide about and, with faults off, the makespan that rollout
+// finished at: a known makespan ends the rollout there, a cached action
+// skips the guide, and only the misses reach pick_batch.  The coordinator
+// publishes a tick's new entries at backup, in slot order, so the workers
+// only read the cache and every search counter but the forward tallies is
+// independent of the worker count.  schedule_env() builds both caches (one
+// StateCache class, mcts/transposition.h) fresh for each schedule and
+// releases them when the schedule returns or throws; a hit is
+// bitwise-identical to the forward or rollout it replaces.  The serial
+// search (SearchMode::kRoot at num_threads == 1) is the one-slot
+// configuration: ticks of one descent drawing from one schedule-wide RNG
+// and a fresh tree per decision, which is exactly the paper's
+// select-expand-rollout-backup loop.  Leaf mode (kLeaf, or any
+// num_threads > 1) runs leaf_batch_size-slot ticks with per-slot RNG
+// streams and reuses the chosen subtree; its results do not depend on the
+// worker count.
 
 // Anytime search (time_budget_ms > 0): every decision races a wall-clock
 // deadline.  When the deadline expires mid-decision the best root action
@@ -140,13 +144,12 @@ struct MctsOptions {
   /// but hold more virtual loss concurrently; ticks never exceed the
   /// decision's remaining budget.
   int leaf_batch_size = 32;
-  /// Max entries in each of the three state caches: the transposition
-  /// cache and the shared rollout action cache (every search mode), and the
-  /// rollout memo (serial search, greedy guide, faults off); 0 disables
-  /// them all (the paper's cache-less loop, one forward per rollout step).
-  /// Cached priors, greedy rollout actions and memoized rollout makespans
-  /// are bitwise-identical to fresh evaluations, so this is purely a
-  /// throughput knob.
+  /// Max entries in each of the two state caches, in every search mode: the
+  /// transposition cache and the rollout cache (armed for greedy guides
+  /// only); 0 disables both (the paper's cache-less loop, one forward per
+  /// rollout step).  Cached priors, greedy rollout actions and rollout
+  /// makespans are bitwise-identical to fresh evaluations, so this is
+  /// purely a throughput knob.
   std::size_t transposition_capacity = 8192;
   /// Leaf mode reuses the chosen subtree across decisions by default
   /// (SearchTree::reroot, §III-C: "the selected action will point to a
@@ -179,8 +182,9 @@ class MctsScheduler : public Scheduler {
   Schedule schedule_env(SchedulingEnv env);
 
   /// Search telemetry for the most recent schedule() call.  Counters are
-  /// folded in slot order at each tick's backup, so they do not depend on
-  /// the worker count; wall time is measured around the
+  /// folded in slot order at each tick's backup, so all but guide_forwards
+  /// and guide_forward_rows (each worker batches its own rows) do not
+  /// depend on the worker count; wall time is measured around the
   /// per-decision search only (tree setup + iterations), not around policy
   /// training or environment stepping outside the search.
   struct Stats {
@@ -236,14 +240,14 @@ class MctsScheduler : public Scheduler {
     std::int64_t vloss_collisions = 0;  ///< descents that crossed a node
                                         ///< already holding virtual loss
                                         ///< (another descent in flight)
-    std::int64_t rollout_cache_hits = 0;    ///< greedy rollout steps served
-                                            ///< from the shared rollout
-                                            ///< action cache (no forward)
-    std::int64_t rollout_cache_misses = 0;  ///< rollout steps that paid the
-                                            ///< batched forward
-    std::int64_t rollout_memo_hits = 0;  ///< rollouts ended early by the
-                                         ///< rollout memo (a state an
-                                         ///< earlier rollout finished from)
+    std::int64_t rollout_cache_hits = 0;    ///< rollout steps that took a
+                                            ///< cached action (entries
+                                            ///< without a makespan: faults)
+    std::int64_t rollout_cache_misses = 0;  ///< rollout steps that asked
+                                            ///< the guide
+    std::int64_t rollout_memo_hits = 0;  ///< rollouts ended early at a
+                                         ///< cached state with a known
+                                         ///< makespan
 
     /// Visits every int64_t counter above once, with its metric name
     /// ("mcts.<field>").  The one list of counters: flush_metrics and
@@ -345,10 +349,9 @@ class MctsScheduler : public Scheduler {
   /// Prior cache of the running schedule_env() call; null at
   /// transposition_capacity 0 and between calls.
   std::unique_ptr<TranspositionCache> transpositions_;
-  /// Rollout-return memo of the running schedule_env() call; armed only in
-  /// the serial search with faults off and a guide that kept the rollout
-  /// cache as a pure guide, null otherwise and between calls.
-  std::unique_ptr<RolloutMemo> rollout_memo_;
+  /// Rollout cache of the running schedule_env() call; null at
+  /// transposition_capacity 0, without a pure guide and between calls.
+  std::shared_ptr<SharedActionCache> rollout_cache_;
   /// Rollout value assigned to simulated trajectories that abort under the
   /// retry policy — a deterministic penalty worse than any completion.
   double abort_value_ = 0.0;

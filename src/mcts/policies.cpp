@@ -204,55 +204,22 @@ int DrlDecisionPolicy::pick(const SchedulingEnv& env, Rng& rng) {
 
 void DrlDecisionPolicy::share_rollout_cache(
     std::shared_ptr<SharedActionCache> cache) {
-  rollout_cache_hits_ = 0;
-  rollout_cache_misses_ = 0;
-  // Sampling rollouts never cache (a skipped draw would shift the stream).
-  rollout_cache_ = greedy_ ? std::move(cache) : nullptr;
   // Greedy picks are a pure function of the state: say so on the cache.
-  if (rollout_cache_) rollout_cache_->mark_kept_by_pure_guide();
+  if (greedy_ && cache) cache->mark_kept_by_pure_guide();
 }
 
 void DrlDecisionPolicy::pick_batch(const SchedulingEnv* const* envs,
                                    std::size_t n, Rng* const* rngs, int* out) {
-  // With the cache armed (greedy mode only) every row probes its canonical
-  // key first: a hit is bit-identical to a fresh argmax (the cached action
-  // WAS a fresh argmax of the same state), and greedy rows consume no RNG,
-  // so skipping the forward shifts nothing.  Unarmed, every row misses.
-  // Each probe builds its key in the next free miss_keys_ slot, reusing
-  // that slot's capacity; a miss keeps the slot, a hit lets the next row
-  // overwrite it.
-  std::size_t misses = 0;
-  miss_envs_.clear();
-  miss_rows_.clear();
+  forward_batch(envs, n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (rollout_cache_) {
-      if (misses == miss_keys_.size()) miss_keys_.emplace_back();
-      StateKey& key = miss_keys_[misses];
-      key.clear();
-      envs[i]->append_canonical_key(key);
-      if (rollout_cache_->find(key, &out[i])) {
-        ++rollout_cache_hits_;
-        continue;
-      }
-      ++rollout_cache_misses_;
-      ++misses;
-    }
-    miss_envs_.push_back(envs[i]);
-    miss_rows_.push_back(i);
-  }
-  if (miss_envs_.empty()) return;
-  forward_batch(miss_envs_.data(), miss_envs_.size());
-  for (std::size_t j = 0; j < miss_rows_.size(); ++j) {
-    const std::vector<double>& probs = batch_probs_[j];
-    const std::size_t row = miss_rows_[j];
+    const std::vector<double>& probs = batch_probs_[i];
     // Greedy takes the first maximum; sampling draws from the row's own RNG.
     const std::size_t output =
         greedy_ ? static_cast<std::size_t>(
                       std::max_element(probs.begin(), probs.end()) -
                       probs.begin())
-                : rngs[row]->categorical(probs);
-    out[row] = policy_->to_env_action(output);
-    if (rollout_cache_) rollout_cache_->insert(miss_keys_[j], out[row]);
+                : rngs[i]->categorical(probs);
+    out[i] = policy_->to_env_action(output);
   }
 }
 

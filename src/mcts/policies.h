@@ -46,10 +46,11 @@ class DecisionPolicy {
 
   /// Batched rollout step: out[i] == pick(*envs[i], *rngs[i]) for every i
   /// (bit-identical — each row consumes only its own RNG draws, in the same
-  /// number as pick()).  MCTS advances every rollout through this — many in
-  /// lockstep in leaf mode, so batch-capable guides score one fused forward
-  /// per step instead of one forward per rollout, and one row at a time in
-  /// the serial search.  The default loops over pick().
+  /// number as pick()).  MCTS asks this for every rollout step its rollout
+  /// cache does not answer — many rows in lockstep in leaf mode, so
+  /// batch-capable guides score one fused forward per step instead of one
+  /// forward per rollout, and one row at a time in the serial search.  The
+  /// default loops over pick().
   virtual void pick_batch(const SchedulingEnv* const* envs, std::size_t n,
                           Rng* const* rngs, int* out);
 
@@ -72,21 +73,19 @@ class DecisionPolicy {
   /// No-op; kept only because the benchmark's guide decorator overrides it.
   virtual void enable_rollout_cache(std::size_t capacity) { (void)capacity; }
 
-  /// Points the guide's deterministic pick_batch rows at a canonical-state
-  /// -> action cache shared with the other workers' guides, zeroing the
-  /// hit/miss counters; nullptr detaches.  MCTS arms a fresh cache on every
-  /// worker guide when a schedule starts and detaches it when the schedule
-  /// returns or throws (keys do not encode the DAG identity, so entries
-  /// must never cross schedules, nor reach calls outside the search).  Hits
-  /// stay bit-identical (the cached action is a pure function of the
-  /// state).  A guide that keeps the cache calls
-  /// cache->mark_kept_by_pure_guide(), which promises that every pick is a
-  /// pure function of the state and consumes no RNG.
-  /// Default: no-op — only guides whose picks are pure functions of the
-  /// state can cache them.
+  /// MCTS offers every worker guide the schedule's fresh rollout cache
+  /// (mcts/transposition.h) when a schedule starts.  A guide whose picks
+  /// are a pure function of the state and consume no RNG calls
+  /// cache->mark_kept_by_pure_guide(); the search arms the cache only when
+  /// that mark is set, and then probes and fills it itself, asking the
+  /// guide only for the states it misses.  The guide keeps nothing.
+  /// Default: no-op — a guide with RNG-consuming or impure picks must not
+  /// have them cached.
   virtual void share_rollout_cache(std::shared_ptr<SharedActionCache> cache) {
     (void)cache;
   }
+  /// Always 0 here; the search counts rollout-cache hits itself.  Kept
+  /// only because the benchmark's guide decorator overrides them.
   virtual std::int64_t rollout_cache_hits() const { return 0; }
   virtual std::int64_t rollout_cache_misses() const { return 0; }
 
@@ -152,24 +151,15 @@ class DrlDecisionPolicy : public DecisionPolicy {
   /// Fused rollout step: ONE batched forward scores the rows, then each
   /// row resolves to the first-maximum argmax (greedy) or a categorical
   /// draw from that row's own RNG (sampling) — bit-identical at any batch
-  /// size by the action_probs_batch row contract.  With the rollout cache
-  /// armed (greedy picks only) cached rows skip the forward entirely; the
-  /// argmax is a pure function of the state, so hits stay bit-identical.
+  /// size by the action_probs_batch row contract.
   void pick_batch(const SchedulingEnv* const* envs, std::size_t n,
                   Rng* const* rngs, int* out) override;
 
-  /// Greedy picks are deterministic and consume no RNG, so they are safe to
-  /// cache, and keeping the cache marks it kept by a pure guide (which arms
-  /// the serial search's rollout memo); in sampling mode the cache stays
-  /// detached (a skipped draw would shift the rollout's RNG stream), the
-  /// mark stays off and the counters stay zero.
+  /// Greedy picks are deterministic and consume no RNG, so greedy mode
+  /// marks the offered cache kept by a pure guide, which arms it; sampling
+  /// mode leaves it unmarked (a skipped draw would shift the rollout's RNG
+  /// stream).
   void share_rollout_cache(std::shared_ptr<SharedActionCache> cache) override;
-  std::int64_t rollout_cache_hits() const override {
-    return rollout_cache_hits_;
-  }
-  std::int64_t rollout_cache_misses() const override {
-    return rollout_cache_misses_;
-  }
   const std::vector<std::int64_t>* forward_hist() const override {
     return &forward_hist_;
   }
@@ -205,18 +195,8 @@ class DrlDecisionPolicy : public DecisionPolicy {
   /// allocation-free.
   std::vector<std::vector<bool>> batch_masks_;
   std::vector<std::vector<double>> batch_probs_;
-  /// Rollout cache (greedy mode only; see share_rollout_cache) plus the
-  /// pick_batch probe scratch and hit/miss tallies.
-  std::shared_ptr<SharedActionCache> rollout_cache_;
-  std::int64_t rollout_cache_hits_ = 0;
-  std::int64_t rollout_cache_misses_ = 0;
   /// Private-weights physical forward histogram (see DecisionPolicy docs).
   std::vector<std::int64_t> forward_hist_;
-  /// Keys of the current call's misses, in miss order; only the first
-  /// `misses` entries are live, the rest keep their capacity for reuse.
-  std::vector<StateKey> miss_keys_;
-  std::vector<const SchedulingEnv*> miss_envs_;
-  std::vector<std::size_t> miss_rows_;
 };
 
 }  // namespace spear

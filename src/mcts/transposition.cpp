@@ -16,35 +16,10 @@ std::uint64_t hash_state_key(const StateKey& key) {
 }
 
 template <typename V>
-StateCache<V>::StateCache(std::size_t capacity, std::size_t shards)
-    : capacity_(capacity) {
-  std::size_t n = 1;
-  while (n < shards) n <<= 1;
-  shard_mask_ = n - 1;
-  shards_ = std::make_unique<Shard[]>(n);
-  // Ceil split so the shard capacities sum to >= capacity; capacity 0
-  // disables every shard.
-  shard_capacity_ = capacity == 0 ? 0 : (capacity + n - 1) / n;
-}
-
-template <typename V>
-std::size_t StateCache<V>::size() const {
-  std::size_t total = 0;
-  for (std::uint64_t s = 0; s <= shard_mask_; ++s) {
-    std::lock_guard<std::mutex> lock(shards_[s].mutex);
-    total += shards_[s].entries.size();
-  }
-  return total;
-}
-
-template <typename V>
 bool StateCache<V>::find(const Key& key, V* out) const {
   if (capacity_ == 0) return false;
-  const Probe probe{&key, hash_state_key(key)};
-  Shard& shard = shards_[probe.hash & shard_mask_];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.entries.find(probe);
-  if (it == shard.entries.end()) return false;
+  const auto it = entries_.find(Probe{&key, hash_state_key(key)});
+  if (it == entries_.end()) return false;
   *out = it->second;
   return true;
 }
@@ -64,24 +39,19 @@ template <typename K>
 void StateCache<V>::insert_impl(K&& key, V value) {
   if (capacity_ == 0) return;
   const std::uint64_t hash = hash_state_key(key);
-  Shard& shard = shards_[hash & shard_mask_];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  if (shard.entries.find(Probe{&key, hash}) != shard.entries.end()) return;
-  while (shard.entries.size() >= shard_capacity_) {
-    const HashedKey* oldest = shard.order.front();
-    shard.entries.erase(
-        shard.entries.find(Probe{&oldest->key, oldest->hash}));
-    shard.order.pop_front();
+  if (entries_.find(Probe{&key, hash}) != entries_.end()) return;
+  while (entries_.size() >= capacity_) {
+    const HashedKey* oldest = order_.front();
+    entries_.erase(entries_.find(Probe{&oldest->key, oldest->hash}));
+    order_.pop_front();
   }
   const auto inserted =
-      shard.entries
-          .emplace(HashedKey{std::forward<K>(key), hash}, std::move(value))
+      entries_.emplace(HashedKey{std::forward<K>(key), hash}, std::move(value))
           .first;
-  shard.order.push_back(&inserted->first);
+  order_.push_back(&inserted->first);
 }
 
 template class StateCache<Priors>;
-template class StateCache<int>;
-template class StateCache<Time>;
+template class StateCache<RolloutStep>;
 
 }  // namespace spear

@@ -1,12 +1,14 @@
 // Leaf-parallel MCTS (DESIGN.md §11): seeded determinism across worker
-// counts, stats reconciliation, cache bit-identity, the rollout-cache
-// detach after a schedule, kRoot at several threads running the same
+// counts, stats reconciliation, cache bit-identity, search counters that
+// do not depend on the worker count, no rollout cache left on the guide
+// after a schedule, kRoot at several threads running the same
 // search, and uncloneable guides running on one worker.
 
 #include "mcts/mcts.h"
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -174,48 +176,122 @@ TEST(LeafMcts, BatchedEvaluatorRuns) {
   EXPECT_GT(stats.batched_evals, 0);
   EXPECT_GE(stats.batched_rows, stats.batched_evals);
   // Greedy DRL rollouts replay heavily (first-child expansion re-walks the
-  // parent's rollout), so the workers' action caches must be hitting.
-  EXPECT_GT(stats.rollout_cache_hits, 0);
+  // parent's rollout), so the rollout cache must be ending rollouts early.
+  EXPECT_GT(stats.rollout_memo_hits, 0);
 }
 
 TEST(LeafMcts, CachesOffMatchCachesOnBitForBit) {
   // Priors are cached, never values, and greedy picks are pure functions
   // of the state — so disabling every cache must reproduce the schedule
-  // exactly, just slower.
+  // exactly, just slower.  Small capacities under faults add eviction and
+  // action-only rollout cache entries.
+  FaultOptions fault_options;
+  fault_options.fault_rate = 0.3;
+  fault_options.seed = 9;
   const Dag dag = test_dag(28);
-  MctsOptions with_cache = leaf_options(2);
-  MctsScheduler on(with_cache, make_guide());
-  const auto on_placements = on.schedule(dag, cap()).placements();
-  ASSERT_GT(on.last_stats().tt_hits + on.last_stats().tt_misses, 0);
+  for (const auto& [capacity, faulty] :
+       std::vector<std::pair<std::size_t, bool>>{
+           {MctsOptions{}.transposition_capacity, false},
+           {16, true},
+           {256, true}}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                 (faulty ? ", faults" : ""));
+    MctsOptions with_cache = leaf_options(2);
+    with_cache.transposition_capacity = capacity;
+    if (faulty) {
+      with_cache.faults =
+          std::make_shared<const FaultInjector>(fault_options, cap());
+    }
+    MctsScheduler on(with_cache, make_guide());
+    const auto on_placements = on.schedule(dag, cap()).placements();
+    ASSERT_GT(on.last_stats().tt_hits + on.last_stats().tt_misses, 0);
 
-  MctsOptions without_cache = with_cache;
-  without_cache.transposition_capacity = 0;
-  MctsScheduler off(without_cache, make_guide());
-  const auto off_placements = off.schedule(dag, cap()).placements();
-  EXPECT_EQ(off.last_stats().tt_hits, 0);
-  EXPECT_EQ(off.last_stats().tt_misses, 0);
-  EXPECT_EQ(off.last_stats().rollout_cache_hits, 0);
-  EXPECT_EQ(off.last_stats().rollout_cache_misses, 0);
+    MctsOptions without_cache = with_cache;
+    without_cache.transposition_capacity = 0;
+    MctsScheduler off(without_cache, make_guide());
+    const auto off_placements = off.schedule(dag, cap()).placements();
+    EXPECT_EQ(off.last_stats().tt_hits, 0);
+    EXPECT_EQ(off.last_stats().tt_misses, 0);
+    EXPECT_EQ(off.last_stats().rollout_cache_hits, 0);
+    EXPECT_EQ(off.last_stats().rollout_cache_misses, 0);
 
-  expect_same_placements(on_placements, off_placements);
+    expect_same_placements(on_placements, off_placements);
+  }
+}
+
+TEST(LeafMcts, SearchCountersIndependentOfThreadCount) {
+  // The rollout cache is written only at backup, in slot order, so every
+  // search counter is a function of the seed and budget.  Only the forward
+  // tallies may move: each worker batches its own rows.
+  FaultOptions fault_options;
+  fault_options.fault_rate = 0.3;
+  fault_options.seed = 9;
+  const Dag dag = test_dag(42);
+  const auto counts_of = [](const MctsScheduler::Stats& s) {
+    std::vector<std::pair<std::string, std::int64_t>> out;
+    s.for_each_count([&out](const char* name, std::int64_t value) {
+      const std::string metric = name;
+      if (metric != "mcts.guide_forwards" &&
+          metric != "mcts.guide_forward_rows") {
+        out.emplace_back(metric, value);
+      }
+    });
+    return out;
+  };
+  for (const std::size_t capacity : {24, 8192}) {
+    for (const bool faulty : {false, true}) {
+      const std::string where = "capacity " + std::to_string(capacity) +
+                                (faulty ? ", faults" : "");
+      std::vector<std::pair<std::string, std::int64_t>> reference;
+      for (const int threads : {1, 2, 4, 8}) {
+        MctsOptions options = leaf_options(threads);
+        options.transposition_capacity = capacity;
+        if (faulty) {
+          options.faults =
+              std::make_shared<const FaultInjector>(fault_options, cap());
+        }
+        MctsScheduler mcts(options, make_guide());
+        mcts.schedule(dag, cap());
+        const MctsScheduler::Stats& stats = mcts.last_stats();
+        if (threads == 1) {
+          // The cache is in play: misses, and hits of the kind the fault
+          // setting allows (makespans only without faults).
+          EXPECT_GT(stats.rollout_cache_misses, 0) << where;
+          if (faulty) {
+            EXPECT_GT(stats.rollout_cache_hits, 0) << where;
+            EXPECT_EQ(stats.rollout_memo_hits, 0) << where;
+          } else {
+            EXPECT_GT(stats.rollout_memo_hits, 0) << where;
+            EXPECT_EQ(stats.rollout_cache_hits, 0) << where;
+          }
+          reference = counts_of(stats);
+        } else {
+          EXPECT_EQ(counts_of(stats), reference)
+              << where << ", threads " << threads;
+        }
+      }
+    }
+  }
 }
 
 TEST(LeafMcts, OneWorkerStatsMatchGolden) {
-  // One worker = one rollout-cache shard = one global FIFO, so every Stats
-  // counter, the cache hit/miss split included, is a pure function of the
-  // inputs.  The golden placements and counts (in for_each_count order)
-  // were recorded with the per-worker private rollout cache this shared
-  // cache replaced; capacity 24 forces heavy FIFO eviction.  The last
-  // counter, rollout_memo_hits, stays 0: leaf mode never arms the memo.
+  // Every Stats counter, the rollout cache split included, is a pure
+  // function of the inputs.  The golden placements and the non-cache
+  // counts (in for_each_count order) were recorded with the per-worker
+  // private rollout cache of earlier versions; the forward and rollout
+  // cache counters were re-pinned when the rollout cache began to store
+  // makespans (without faults every hit ends a rollout, so the last counter,
+  // rollout_memo_hits, takes every hit).  Capacity 24 forces heavy FIFO
+  // eviction.
   struct Golden {
     std::size_t capacity;
     std::vector<std::int64_t> counts;
   };
   const std::vector<Golden> goldens = {
       {8192, {31, 0, 536, 519, 141, 660, 0, 0, 0, 0, 0, 0, 0, 30, 140, 336,
-              973, 32, 0, 140, 440, 7547, 832, 0}},
-      {24, {31, 0, 536, 519, 141, 660, 0, 0, 0, 0, 0, 0, 0, 30, 140, 492,
-            2649, 32, 0, 140, 440, 5871, 2508, 0}},
+              823, 32, 0, 140, 440, 0, 1644, 454}},
+      {24, {31, 0, 536, 519, 141, 660, 0, 0, 0, 0, 0, 0, 0, 30, 140, 454,
+            1590, 32, 0, 140, 440, 0, 4343, 331}},
   };
   const std::vector<std::pair<TaskId, Time>> placements = {
       {1, 0},   {0, 0},   {2, 11},  {3, 11},  {4, 12},  {5, 22},
@@ -251,13 +327,13 @@ TEST(LeafMcts, SamplingGuideKeepsRolloutCacheCold) {
 
 TEST(LeafMcts, ScheduleDetachesTheRolloutCache) {
   // Canonical keys do not encode the DAG, so a guide reused after a search
-  // must not probe that search's rollout cache: schedule() folds the
-  // guide's cache counters into its stats and then detaches the cache.
+  // must not probe that search's rollout cache: the search owns the cache
+  // and releases it when schedule() returns; the guide keeps none.
   const Dag searched = test_dag(41);
   auto guide = make_guide();
   MctsScheduler mcts(leaf_options(1), guide);
   mcts.schedule(searched, cap());
-  ASSERT_GT(mcts.last_stats().rollout_cache_hits, 0);
+  ASSERT_GT(mcts.last_stats().rollout_memo_hits, 0);
 
   // The same shape and runtimes with the demands reversed: its early states
   // share canonical keys with the searched DAG's, not their best actions.

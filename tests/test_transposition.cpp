@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -97,143 +96,101 @@ TEST(TranspositionCache, ZeroCapacityDisables) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-// The rollout memo moves its keys in rather than copying them.
-TEST(RolloutMemo, MovedInKeyIsFound) {
-  RolloutMemo memo(8);
+// The RolloutStep suite pins the rollout cache: one global FIFO over every
+// key, entries holding the greedy action and, once known, the makespan.
+TEST(RolloutStep, StoresAndEvictsFifo) {
+  SharedActionCache cache(2);
+  cache.insert({1}, {10, 100});
+  cache.insert({2}, {20, RolloutStep::kUnknownMakespan});
+  RolloutStep step;
+  ASSERT_TRUE(cache.find({1}, &step));
+  EXPECT_EQ(step.action, 10);
+  EXPECT_EQ(step.makespan, 100);
+
+  cache.insert({3}, {30, 300});  // evicts key {1}, the oldest, despite its hit
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_FALSE(cache.find({1}, &step));
+  ASSERT_TRUE(cache.find({2}, &step));
+  EXPECT_EQ(step.action, 20);
+  EXPECT_EQ(step.makespan, RolloutStep::kUnknownMakespan);
+  ASSERT_TRUE(cache.find({3}, &step));
+  EXPECT_EQ(step.action, 30);
+  cache.insert({4}, {40, 400});  // evicts {2}
+  EXPECT_FALSE(cache.find({2}, &step));
+  EXPECT_TRUE(cache.find({3}, &step));
+  EXPECT_TRUE(cache.find({4}, &step));
+}
+
+// The search moves its keys in rather than copying them.
+TEST(RolloutStep, MovedInKeyIsFound) {
+  SharedActionCache cache(8);
   StateKey key = {4, 5, 6};
-  memo.insert(std::move(key), Time{42});
-  Time makespan = 0;
-  ASSERT_TRUE(memo.find({4, 5, 6}, &makespan));
-  EXPECT_EQ(makespan, 42);
-  EXPECT_EQ(memo.size(), 1u);
+  cache.insert(std::move(key), {3, 42});
+  RolloutStep step;
+  ASSERT_TRUE(cache.find({4, 5, 6}, &step));
+  EXPECT_EQ(step.action, 3);
+  EXPECT_EQ(step.makespan, 42);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(RolloutMemo, DuplicateMovedInsertKeepsFirst) {
-  RolloutMemo memo(8);
-  memo.insert(StateKey{7, 7}, Time{10});
-  StateKey again = {7, 7};
-  memo.insert(std::move(again), Time{20});
-  Time makespan = 0;
-  ASSERT_TRUE(memo.find({7, 7}, &makespan));
-  EXPECT_EQ(makespan, 10);
-  EXPECT_EQ(memo.size(), 1u);
+// kProcessAction is -1, so a cached process step must read back as itself.
+TEST(RolloutStep, DuplicateInsertKeepsFirstEntry) {
+  SharedActionCache cache(4);
+  cache.insert({5}, {SchedulingEnv::kProcessAction, 10});
+  cache.insert({5}, {2, 20});
+  StateKey again = {5};
+  cache.insert(std::move(again), {3, 30});
+  RolloutStep step;
+  ASSERT_TRUE(cache.find({5}, &step));
+  EXPECT_EQ(step.action, SchedulingEnv::kProcessAction);
+  EXPECT_EQ(step.makespan, 10);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(RolloutMemo, ZeroCapacityMovedInsertIsNoOp) {
-  RolloutMemo memo(0);
-  memo.insert(StateKey{1, 2}, Time{5});
-  Time makespan = -1;
-  EXPECT_FALSE(memo.find({1, 2}, &makespan));
-  EXPECT_EQ(makespan, -1);
-  EXPECT_EQ(memo.size(), 0u);
-}
-
-TEST(SharedActionCache, FindInsertAcrossShards) {
-  SharedActionCache cache(64, 4);
+TEST(RolloutStep, ZeroCapacityDisables) {
+  SharedActionCache cache(0);
+  cache.insert({1}, {42, 5});
+  cache.insert(StateKey{1, 2}, {42, 5});
+  RolloutStep step{7, 70};
+  EXPECT_FALSE(cache.find({1}, &step));
+  EXPECT_FALSE(cache.find({1, 2}, &step));
+  // A miss leaves the output alone.
+  EXPECT_EQ(step.action, 7);
+  EXPECT_EQ(step.makespan, 70);
   EXPECT_EQ(cache.size(), 0u);
-  for (std::uint64_t k = 0; k < 40; ++k) {
-    cache.insert({k, k + 1}, static_cast<int>(k));
-  }
-  EXPECT_EQ(cache.size(), 40u);
-  int action = -1;
-  for (std::uint64_t k = 0; k < 40; ++k) {
-    ASSERT_TRUE(cache.find({k, k + 1}, &action)) << "key " << k;
-    EXPECT_EQ(action, static_cast<int>(k));
-  }
-  EXPECT_FALSE(cache.find({999, 1000}, &action));
 }
 
 TEST(SharedActionCache, DuplicateInsertKeepsFirst) {
-  SharedActionCache cache(16, 2);
-  cache.insert({7, 7}, 1);
-  cache.insert({7, 7}, 2);
-  int action = -1;
-  ASSERT_TRUE(cache.find({7, 7}, &action));
-  EXPECT_EQ(action, 1);
+  SharedActionCache cache(16);
+  cache.insert({7, 7}, {1, 10});
+  cache.insert({7, 7}, {2, 20});
+  RolloutStep step;
+  ASSERT_TRUE(cache.find({7, 7}, &step));
+  EXPECT_EQ(step.action, 1);
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(SharedActionCache, BoundedByCapacityWithFifoEviction) {
-  // 8 entries over 2 shards = 4 per shard; overfilling evicts the oldest
-  // per shard, never growing past the per-shard cap.
-  SharedActionCache cache(8, 2);
+  // Overfilling evicts the oldest entries, never growing past the cap.
+  SharedActionCache cache(8);
   for (std::uint64_t k = 0; k < 100; ++k) {
-    cache.insert({k}, static_cast<int>(k));
+    cache.insert({k}, {static_cast<int>(k), 0});
   }
-  EXPECT_LE(cache.size(), 8u);
-  EXPECT_GT(cache.size(), 0u);
+  EXPECT_EQ(cache.size(), 8u);
+  RolloutStep step;
+  EXPECT_FALSE(cache.find({91}, &step));
+  for (std::uint64_t k = 92; k < 100; ++k) {
+    ASSERT_TRUE(cache.find({k}, &step)) << "key " << k;
+    EXPECT_EQ(step.action, static_cast<int>(k));
+  }
 }
 
 TEST(SharedActionCache, ZeroCapacityDisables) {
-  SharedActionCache cache(0, 8);
-  cache.insert({1}, 1);
-  int action = -1;
-  EXPECT_FALSE(cache.find({1}, &action));
+  SharedActionCache cache(0);
+  cache.insert({1}, {1, 0});
+  RolloutStep step;
+  EXPECT_FALSE(cache.find({1}, &step));
   EXPECT_EQ(cache.size(), 0u);
-}
-
-// The ActionCache suite pins the single-shard cache: one shard is one
-// global FIFO over every key, which the single-worker leaf search relies on
-// for deterministic hit/miss counts.
-TEST(ActionCache, StoresAndEvictsFifo) {
-  SharedActionCache cache(2, 1);
-  cache.insert({1}, 10);
-  cache.insert({2}, 20);
-  int action = -1;
-  ASSERT_TRUE(cache.find({1}, &action));
-  EXPECT_EQ(action, 10);
-
-  cache.insert({3}, 30);  // evicts key {1}, the oldest, despite its hit
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.find({1}, &action));
-  ASSERT_TRUE(cache.find({2}, &action));
-  EXPECT_EQ(action, 20);
-  ASSERT_TRUE(cache.find({3}, &action));
-  EXPECT_EQ(action, 30);
-  cache.insert({4}, 40);  // evicts {2}
-  EXPECT_FALSE(cache.find({2}, &action));
-  EXPECT_TRUE(cache.find({3}, &action));
-  EXPECT_TRUE(cache.find({4}, &action));
-}
-
-TEST(ActionCache, DuplicateInsertKeepsFirstEntry) {
-  SharedActionCache cache(4, 1);
-  cache.insert({5}, 1);
-  cache.insert({5}, 2);
-  int action = -1;
-  ASSERT_TRUE(cache.find({5}, &action));
-  EXPECT_EQ(action, 1);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(ActionCache, ZeroCapacityDisables) {
-  SharedActionCache cache(0, 1);
-  cache.insert({1}, 42);
-  int action = -1;
-  EXPECT_FALSE(cache.find({1}, &action));
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(SharedActionCache, ConcurrentMixedUseIsSafe) {
-  SharedActionCache cache(256, 8);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&cache, t] {
-      int action = -1;
-      const auto salt = static_cast<std::uint64_t>(t % 2);
-      for (std::uint64_t k = 0; k < 500; ++k) {
-        const StateKey key{k % 64, salt};
-        // Values are keyed deterministically, so a hit must agree.
-        const int expected = static_cast<int>((k % 64) ^ salt);
-        if (cache.find(key, &action)) {
-          EXPECT_EQ(action, expected);
-        } else {
-          cache.insert(key, expected);
-        }
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
 }
 
 TEST(CanonicalKey, IdenticalStatesProduceIdenticalKeys) {
