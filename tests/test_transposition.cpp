@@ -133,13 +133,13 @@ TEST(RolloutStep, MovedInKeyIsFound) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-// kProcessAction is -1, so a cached process step must read back as itself.
-TEST(RolloutStep, DuplicateInsertKeepsFirstEntry) {
+// The ActionCache cases pin the action half of an entry, inserted with
+// copied keys; kProcessAction is -1, so a cached process step must read back
+// as itself.
+TEST(ActionCache, DuplicateInsertKeepsFirstEntry) {
   SharedActionCache cache(4);
   cache.insert({5}, {SchedulingEnv::kProcessAction, 10});
   cache.insert({5}, {2, 20});
-  StateKey again = {5};
-  cache.insert(std::move(again), {3, 30});
   RolloutStep step;
   ASSERT_TRUE(cache.find({5}, &step));
   EXPECT_EQ(step.action, SchedulingEnv::kProcessAction);
@@ -147,16 +147,38 @@ TEST(RolloutStep, DuplicateInsertKeepsFirstEntry) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(RolloutStep, ZeroCapacityDisables) {
+TEST(ActionCache, ZeroCapacityDisables) {
   SharedActionCache cache(0);
   cache.insert({1}, {42, 5});
-  cache.insert(StateKey{1, 2}, {42, 5});
   RolloutStep step{7, 70};
   EXPECT_FALSE(cache.find({1}, &step));
-  EXPECT_FALSE(cache.find({1, 2}, &step));
   // A miss leaves the output alone.
   EXPECT_EQ(step.action, 7);
   EXPECT_EQ(step.makespan, 70);
+  EXPECT_EQ(cache.size(), 0u);
+}
+
+// The RolloutMemo cases pin the makespan half of an entry, inserted with
+// moved-in keys as the search inserts them.
+TEST(RolloutMemo, DuplicateMovedInsertKeepsFirst) {
+  SharedActionCache cache(8);
+  cache.insert(StateKey{7, 7}, {1, 10});
+  StateKey again = {7, 7};
+  cache.insert(std::move(again), {2, 20});
+  RolloutStep step;
+  ASSERT_TRUE(cache.find({7, 7}, &step));
+  EXPECT_EQ(step.action, 1);
+  EXPECT_EQ(step.makespan, 10);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(RolloutMemo, ZeroCapacityMovedInsertIsNoOp) {
+  SharedActionCache cache(0);
+  cache.insert(StateKey{1, 2}, {3, 5});
+  RolloutStep step{-2, -1};
+  EXPECT_FALSE(cache.find({1, 2}, &step));
+  EXPECT_EQ(step.action, -2);
+  EXPECT_EQ(step.makespan, -1);
   EXPECT_EQ(cache.size(), 0u);
 }
 
