@@ -1,6 +1,5 @@
 #include "fault/runner.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "sched/list_scheduler.h"
@@ -12,10 +11,7 @@ FaultRunResult run_policy_under_faults(
     std::shared_ptr<const FaultInjector> faults, const RetryOptions& retry,
     std::uint64_t seed) {
   EnvOptions options;
-  options.max_ready = std::max<std::size_t>(dag.num_tasks(), 1);
-  if (const auto* drl = dynamic_cast<const DrlDecisionPolicy*>(&policy)) {
-    options.max_ready = drl->max_ready();
-  }
+  options.max_ready = ready_window(policy, dag);
   options.faults = std::move(faults);
   options.retry = retry;
   SchedulingEnv env(std::make_shared<Dag>(dag), capacity, options);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 
@@ -69,16 +70,9 @@ struct LeafJob {
   /// Rollout cache only: each state the rollout asked the guide about, with
   /// the action picked there, in step order; published at backup.
   std::vector<std::pair<StateKey, int>> misses;
-
-  // Per-job telemetry, folded into Stats at backup in slot order so the
-  // totals are independent of the worker partition.
-  std::int64_t env_copies = 0;
-  std::int64_t rollouts = 0;
-  std::int64_t fault_failures = 0;
-  std::int64_t fault_retries = 0;
-  std::int64_t fault_aborts = 0;
-  std::int64_t cache_hits = 0;
-  std::int64_t memo_hits = 0;
+  /// The job's search counters, folded into stats_ at backup in slot order
+  /// so the totals are independent of the worker partition.
+  MctsScheduler::Stats counts;
 
   // Evaluation-queue bookkeeping (coordinator side).
   Priors priors;  ///< new child's ordering
@@ -95,23 +89,22 @@ struct LeafJob {
     value = 0.0;
     key.clear();
     misses.clear();
-    env_copies = rollouts = fault_failures = fault_retries = fault_aborts =
-        cache_hits = memo_hits = 0;
+    counts = {};
     priors.clear();
   }
 };
 
 /// One rollout a worker advances in lockstep with its other rollouts.
 struct ActiveRollout {
+  /// guide_row of a step that takes a cached action.
+  static constexpr std::size_t kCachedStep = static_cast<std::size_t>(-1);
+
   std::size_t slot;
   SchedulingEnv env;
-  EnvFaultStats pre;
-  // Rollout cache only (see schedule_env): this step's key and plan.
-  bool keyed_start = false;  ///< on a new child's state, keyed in job.key
-  StateKey key;              ///< the current state's key otherwise
-  bool cached = false;       ///< the step takes the cached `action`...
+  StateKey key;  ///< rollout cache only: the current state's key
+  // This step's plan: the pick of this pick_batch row, or `action` as is.
+  std::size_t guide_row = 0;
   int action = 0;
-  std::size_t guide_row = 0;  ///< ...or the pick of this pick_batch row
 };
 
 /// A worker's rollout scratch, reused across the ticks of a decision.
@@ -157,6 +150,12 @@ constexpr NamedCount kStatsCounts[] = {
      &MctsScheduler::Stats::rollout_cache_misses},
     {"mcts.rollout_memo_hits", &MctsScheduler::Stats::rollout_memo_hits},
 };
+// Every job's counters reach stats_ through operator+=, which sums only the
+// listed fields: a counter missing here would be dropped without an error.
+static_assert(sizeof(MctsScheduler::Stats) ==
+                  std::size(kStatsCounts) * sizeof(std::int64_t) +
+                      sizeof(double) + sizeof(std::vector<std::int64_t>),
+              "kStatsCounts must list every int64_t counter of Stats");
 
 }  // namespace
 
@@ -408,156 +407,138 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
       DecisionPolicy& guide = *worker_guides_[w];
       WorkerScratch& ws = scratch[w];
 
+      // Folds the fault events between the job's tree node and `last`, the
+      // last state the job reached.
+      const auto count_faults = [&](LeafJob& job, const SchedulingEnv& last) {
+        const EnvFaultStats& from = tree.node(job.node).state.fault_stats();
+        const EnvFaultStats& to = last.fault_stats();
+        job.counts.search_failures += to.failures - from.failures;
+        job.counts.search_retries += to.retries - from.retries;
+      };
+      // Ends rollout `a` at `value`.
+      const auto retire = [&](const ActiveRollout& a, double value) {
+        LeafJob& job = jobs[a.slot];
+        job.value = value;
+        ++job.counts.rollouts;
+        count_faults(job, a.env);
+      };
+
       ws.active.clear();
       for (std::size_t s = lo; s < hi; ++s) {
         LeafJob& job = jobs[s];
         if (job.kind == LeafJob::Kind::kTerminal) continue;
         const SearchNode& node = tree.node(job.node);
+        ++job.counts.env_copies;
         if (job.kind == LeafJob::Kind::kRollout) {
-          ++job.env_copies;
-          ws.active.emplace_back(s, node.state, node.state.fault_stats());
+          ActiveRollout& a = ws.active.emplace_back(s, node.state);
+          if (rollout_cache_) a.env.append_canonical_key(a.key);
           continue;
         }
         SchedulingEnv& child = job.child.emplace(node.state);
-        ++job.env_copies;
-        const EnvFaultStats pre = child.fault_stats();
         try {
           apply_action(child, job.action);
         } catch (const JobAbortedError&) {
           // Fault mode: this action path exhausts a retry budget.  Keep the
           // node (with its fixed penalty) so the search learns to avoid it.
           job.aborted = true;
+          ++job.counts.search_aborts;
         }
-        job.fault_failures = child.fault_stats().failures - pre.failures;
-        job.fault_retries = child.fault_stats().retries - pre.retries;
-        if (job.aborted) ++job.fault_aborts;
         job.terminal = job.aborted || child.done();
-        if (job.aborted) {
-          job.value = abort_value_;
-        } else if (job.terminal) {
-          job.value = -static_cast<double>(child.makespan());
-        } else {
-          // Only the state caches read the key: capacity 0 pays nothing
-          // for it.
-          if (transpositions_) child.append_canonical_key(job.key);
-          if (obs::enabled()) {
-            job.enqueued = std::chrono::steady_clock::now();
-          }
-          ++job.env_copies;
-          ws.active.emplace_back(s, child, child.fault_stats(),
-                                 rollout_cache_ != nullptr);
+        if (job.terminal) {
+          job.value = job.aborted ? abort_value_
+                                  : -static_cast<double>(child.makespan());
+          count_faults(job, child);
+          continue;
         }
+        // Only the state caches read the key: capacity 0 pays nothing for
+        // it.
+        if (transpositions_) child.append_canonical_key(job.key);
+        if (obs::enabled()) job.enqueued = std::chrono::steady_clock::now();
+        ++job.counts.env_copies;
+        ws.active.emplace_back(s, child,
+                               rollout_cache_ ? job.key : StateKey());
       }
 
-      // Ends rollout `a`: folds its fault deltas.
-      const auto retire = [&](ActiveRollout& a, LeafJob& job) {
-        job.fault_failures += a.env.fault_stats().failures - a.pre.failures;
-        job.fault_retries += a.env.fault_stats().retries - a.pre.retries;
-        ++job.rollouts;
-      };
-
-      ws.envs.clear();
       while (!ws.active.empty()) {
-        if (rollout_cache_) {
-          // One probe per rollout decides its step: a known makespan ends
-          // the rollout there, a cached action is taken as is, and a miss
-          // becomes a pick_batch row, which the step's other misses with an
-          // equal key share.  Finished rollouts are compacted away in the
-          // same pass, before a row's pointers are taken, so no row moves
-          // again until the step is applied.
-          ws.envs.clear();
-          ws.rngs.clear();
-          ws.row_keys.clear();
-          std::size_t kept = 0;
-          for (std::size_t i = 0; i < ws.active.size(); ++i) {
-            if (kept != i) ws.active[kept] = std::move(ws.active[i]);
-            ActiveRollout& a = ws.active[kept];
-            LeafJob& job = jobs[a.slot];
-            if (!a.keyed_start) {
-              a.key.clear();
-              a.env.append_canonical_key(a.key);
-            }
-            const StateKey& key = a.keyed_start ? job.key : a.key;
-            RolloutStep step;
-            a.cached = rollout_cache_->find(key, &step);
-            if (a.cached && step.makespan != RolloutStep::kUnknownMakespan) {
-              job.value = -static_cast<double>(step.makespan);
-              ++job.memo_hits;
-              retire(a, job);
+        // Plan the step.  With the rollout cache armed, one probe per
+        // rollout decides it: a known makespan ends the rollout there, a
+        // cached action is taken as is, and a miss becomes a pick_batch
+        // row, which the step's other misses with an equal key share.
+        // Without the cache every rollout gets its own row.  Finished
+        // rollouts are compacted away in the same pass, before a row's
+        // pointers are taken, so no row moves until the step is applied.
+        ws.envs.clear();
+        ws.rngs.clear();
+        ws.row_keys.clear();
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < ws.active.size(); ++i) {
+          if (kept != i) ws.active[kept] = std::move(ws.active[i]);
+          ActiveRollout& a = ws.active[kept];
+          RolloutStep step;
+          if (rollout_cache_ && rollout_cache_->find(a.key, &step)) {
+            if (step.makespan != RolloutStep::kUnknownMakespan) {
+              ++jobs[a.slot].counts.rollout_memo_hits;
+              retire(a, -static_cast<double>(step.makespan));
               continue;
             }
-            if (a.cached) {
-              a.action = step.action;
-              ++job.cache_hits;
-            } else {
-              a.guide_row = 0;
-              while (a.guide_row < ws.row_keys.size() &&
-                     *ws.row_keys[a.guide_row] != key) {
-                ++a.guide_row;
-              }
-              if (a.guide_row == ws.row_keys.size()) {
-                ws.row_keys.push_back(&key);
-                ws.envs.push_back(&a.env);
-                ws.rngs.push_back(slot_rngs[a.slot]);
-              }
+            ++jobs[a.slot].counts.rollout_cache_hits;
+            a.guide_row = ActiveRollout::kCachedStep;
+            a.action = step.action;
+          } else {
+            a.guide_row = ws.envs.size();
+            if (rollout_cache_) {
+              const auto row = std::find_if(
+                  ws.row_keys.begin(), ws.row_keys.end(),
+                  [&a](const StateKey* k) { return *k == a.key; });
+              a.guide_row =
+                  static_cast<std::size_t>(row - ws.row_keys.begin());
             }
-            ++kept;
-          }
-          ws.active.erase(ws.active.begin() + static_cast<std::ptrdiff_t>(kept),
-                          ws.active.end());
-          if (!ws.envs.empty()) {
-            ws.picks.resize(ws.envs.size());
-            guide.pick_batch(ws.envs.data(), ws.envs.size(), ws.rngs.data(),
-                             ws.picks.data());
-          }
-        } else {
-          // The rollout envs only move when finished rollouts are compacted
-          // away, so the row pointers are rebuilt only then.
-          if (ws.envs.size() != ws.active.size()) {
-            ws.envs.clear();
-            ws.rngs.clear();
-            for (ActiveRollout& a : ws.active) {
+            if (a.guide_row == ws.envs.size()) {
               ws.envs.push_back(&a.env);
               ws.rngs.push_back(slot_rngs[a.slot]);
+              ws.row_keys.push_back(&a.key);
             }
-            ws.picks.resize(ws.active.size());
           }
-          guide.pick_batch(ws.envs.data(), ws.active.size(), ws.rngs.data(),
+          ++kept;
+        }
+        ws.active.erase(ws.active.begin() + static_cast<std::ptrdiff_t>(kept),
+                        ws.active.end());
+        if (!ws.envs.empty()) {
+          ws.picks.resize(ws.envs.size());
+          guide.pick_batch(ws.envs.data(), ws.envs.size(), ws.rngs.data(),
                            ws.picks.data());
         }
-        std::size_t kept = 0;
+
+        // Apply the step; a rollout that goes on keys its new state.
+        kept = 0;
         for (std::size_t i = 0; i < ws.active.size(); ++i) {
           ActiveRollout& a = ws.active[i];
           LeafJob& job = jobs[a.slot];
-          int action = 0;
-          if (!rollout_cache_) {
-            action = ws.picks[i];
-          } else if (a.cached) {
-            action = a.action;
-          } else {
-            action = ws.picks[a.guide_row];
-            job.misses.emplace_back(
-                a.keyed_start ? job.key : std::move(a.key), action);
+          if (a.guide_row != ActiveRollout::kCachedStep) {
+            a.action = ws.picks[a.guide_row];
+            if (rollout_cache_) {
+              job.misses.emplace_back(std::move(a.key), a.action);
+              ++job.counts.rollout_cache_misses;
+            }
           }
-          a.keyed_start = false;
-          bool aborted = false;
           try {
-            apply_action(a.env, action);
+            apply_action(a.env, a.action);
           } catch (const JobAbortedError&) {
-            aborted = true;
-          }
-          if (aborted) {
             // Penalize the abort, never kill the search.
-            job.value = abort_value_;
-            ++job.fault_aborts;
-            retire(a, job);
-          } else if (a.env.done()) {
-            job.value = -static_cast<double>(a.env.makespan());
-            retire(a, job);
-          } else {
-            if (kept != i) ws.active[kept] = std::move(a);
-            ++kept;
+            ++job.counts.search_aborts;
+            retire(a, abort_value_);
+            continue;
           }
+          if (a.env.done()) {
+            retire(a, -static_cast<double>(a.env.makespan()));
+            continue;
+          }
+          if (rollout_cache_) {
+            a.key.clear();
+            a.env.append_canonical_key(a.key);
+          }
+          if (kept != i) ws.active[kept] = std::move(a);
+          ++kept;
         }
         ws.active.erase(ws.active.begin() + static_cast<std::ptrdiff_t>(kept),
                         ws.active.end());
@@ -641,12 +622,7 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
         ++stats_.nodes_expanded;
         backprop_from = child_id;
       }
-      stats_.env_copies += job.env_copies;
-      stats_.rollouts += job.rollouts;
-      stats_.rollout_cache_hits += job.cache_hits;
-      stats_.rollout_cache_misses +=
-          static_cast<std::int64_t>(job.misses.size());
-      stats_.rollout_memo_hits += job.memo_hits;
+      stats_ += job.counts;
       if (rollout_cache_) {
         // Publish the job's missed states.  With faults off no rollout
         // aborts, so one that asked the guide finished at -value.
@@ -656,11 +632,6 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
         for (auto& [key, action] : job.misses) {
           rollout_cache_->insert(std::move(key), RolloutStep{action, makespan});
         }
-      }
-      if (options_.faults) {
-        stats_.search_failures += job.fault_failures;
-        stats_.search_retries += job.fault_retries;
-        stats_.search_aborts += job.fault_aborts;
       }
       ++stats_.iterations;
       tree.backpropagate(backprop_from, job.value);
@@ -696,12 +667,7 @@ void MctsScheduler::ensure_workers() {
 Schedule MctsScheduler::schedule(const Dag& dag,
                                  const ResourceVector& capacity) {
   EnvOptions env_options;
-  env_options.max_ready = std::max<std::size_t>(dag.num_tasks(), 1);
-  if (const auto* drl = dynamic_cast<const DrlDecisionPolicy*>(guide_.get())) {
-    // The policy network can only see its featurizer's ready window (§V-A:
-    // at most 15 ready tasks are fed to the network, the rest backlog).
-    env_options.max_ready = drl->max_ready();
-  }
+  env_options.max_ready = ready_window(*guide_, dag);
   env_options.faults = options_.faults;
   env_options.retry = options_.retry;
   return schedule_env(

@@ -181,12 +181,13 @@ class MctsScheduler : public Scheduler {
   /// (preloaded tasks appear as placements at t = 0).
   Schedule schedule_env(SchedulingEnv env);
 
-  /// Search telemetry for the most recent schedule() call.  Counters are
-  /// folded in slot order at each tick's backup, so all but guide_forwards
-  /// and guide_forward_rows (each worker batches its own rows) do not
-  /// depend on the worker count; wall time is measured around the
-  /// per-decision search only (tree setup + iterations), not around policy
-  /// training or environment stepping outside the search.
+  /// Search telemetry for the most recent schedule() call.  Each search
+  /// job keeps its own Stats, which the tick's backup folds in slot order
+  /// with operator+=, so all counters but guide_forwards and
+  /// guide_forward_rows (each worker batches its own rows) do not depend on
+  /// the worker count; wall time is measured around the per-decision search
+  /// only (tree setup + iterations), not around policy training or
+  /// environment stepping outside the search.
   struct Stats {
     std::int64_t decisions = 0;       ///< scheduling decisions made
     std::int64_t forced_decisions = 0;  ///< decisions with one legal action
@@ -251,7 +252,8 @@ class MctsScheduler : public Scheduler {
 
     /// Visits every int64_t counter above once, with its metric name
     /// ("mcts.<field>").  The one list of counters: flush_metrics and
-    /// operator+= are both derived from it.
+    /// operator+= are both derived from it, and a static_assert in mcts.cpp
+    /// fails to compile when a counter is missing from it.
     void for_each_count(
         const std::function<void(const char* name, std::int64_t value)>& f)
         const;

@@ -223,4 +223,11 @@ void DrlDecisionPolicy::pick_batch(const SchedulingEnv* const* envs,
   }
 }
 
+std::size_t ready_window(const DecisionPolicy& policy, const Dag& dag) {
+  if (const auto* drl = dynamic_cast<const DrlDecisionPolicy*>(&policy)) {
+    return drl->max_ready();
+  }
+  return std::max<std::size_t>(dag.num_tasks(), 1);
+}
+
 }  // namespace spear

@@ -199,4 +199,10 @@ class DrlDecisionPolicy : public DecisionPolicy {
   std::vector<std::int64_t> forward_hist_;
 };
 
+/// The ready window of an env that `policy` steers over `dag`.  A DRL
+/// policy's network sees only its featurizer's window (§V-A: at most 15
+/// ready tasks are fed to the network, the rest backlog); any other policy
+/// sees every task.
+std::size_t ready_window(const DecisionPolicy& policy, const Dag& dag);
+
 }  // namespace spear

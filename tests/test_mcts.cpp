@@ -609,9 +609,10 @@ TEST(SerialSearchGolden, PlacementsAndCountsMatchParent) {
 
 // The serial search arms both state caches like every other configuration.
 // The StateCache contract (full-key compare, priors a pure function of the
-// state, greedy picks consume no RNG, sampling never caches, one shard at
-// one worker) makes the armed search equal the cache-less one bit for bit;
-// only the cache and forward counters may differ.
+// state, greedy picks consume no RNG, sampling never caches, rollout
+// entries published only at backup) makes the armed search equal the
+// cache-less one bit for bit; only the cache and forward counters may
+// differ.
 TEST(SerialSearch, CachesOnMatchCachesOffBitForBit) {
   using Stats = MctsScheduler::Stats;
   const auto all_counts = [](const Stats& s) {
@@ -656,13 +657,13 @@ TEST(SerialSearch, CachesOnMatchCachesOffBitForBit) {
         if (name == "drl-greedy") {
           EXPECT_LT(on.guide_forward_rows, off.guide_forward_rows) << where;
           if (faulty) {
-            // Fault draws are not in the key: the memo stays off and the
-            // action cache serves the revisits.
+            // Fault draws are not in the key: the rollout cache's entries
+            // carry no makespan, so a revisit takes the cached action.
             EXPECT_GT(on.rollout_cache_hits, 0) << where;
             EXPECT_EQ(on.rollout_memo_hits, 0) << where;
           } else {
-            // The memo ends a rollout at the first revisited state, before
-            // the action cache is asked.
+            // A cached makespan ends a rollout at the first revisited
+            // state.
             EXPECT_GT(on.rollout_memo_hits, 0) << where;
           }
         } else {

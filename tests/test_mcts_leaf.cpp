@@ -55,6 +55,16 @@ std::vector<Placement> run_leaf(const MctsOptions& options, const Dag& dag,
   return mcts.schedule(dag, cap()).placements();
 }
 
+/// Every Stats counter, by name, in for_each_count order.
+std::vector<std::pair<std::string, std::int64_t>> all_counts(
+    const MctsScheduler::Stats& s) {
+  std::vector<std::pair<std::string, std::int64_t>> out;
+  s.for_each_count([&out](const char* name, std::int64_t value) {
+    out.emplace_back(name, value);
+  });
+  return out;
+}
+
 void expect_same_placements(const std::vector<Placement>& a,
                             const std::vector<Placement>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -392,23 +402,14 @@ TEST(LeafMcts, RootModeAtSeveralThreadsRunsTheLeafSearch) {
   expect_same_placements(root.schedule(dag, cap()).placements(),
                          leaf.schedule(dag, cap()).placements());
 
-  // Every count that does not depend on thread timing (the shared rollout
-  // cache's hit/miss split does) must agree too.
+  // Every counter must agree too, the rollout cache's and the forward
+  // tallies included: both searches split the same slots over three
+  // workers.
   const auto& a = root.last_stats();
   const auto& b = leaf.last_stats();
   EXPECT_GT(a.leaf_ticks, 0);
-  EXPECT_EQ(a.decisions, b.decisions);
-  EXPECT_EQ(a.forced_decisions, b.forced_decisions);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.rollouts, b.rollouts);
-  EXPECT_EQ(a.nodes_expanded, b.nodes_expanded);
-  EXPECT_EQ(a.env_copies, b.env_copies);
-  EXPECT_EQ(a.leaf_ticks, b.leaf_ticks);
-  EXPECT_EQ(a.tt_hits, b.tt_hits);
-  EXPECT_EQ(a.tt_misses, b.tt_misses);
-  EXPECT_EQ(a.vloss_collisions, b.vloss_collisions);
-  EXPECT_EQ(a.batched_evals, b.batched_evals);
-  EXPECT_EQ(a.batched_rows, b.batched_rows);
+  EXPECT_GT(a.rollout_cache_misses, 0);
+  EXPECT_EQ(all_counts(a), all_counts(b));
 }
 
 TEST(LeafMcts, UncloneableGuideRunsOneWorker) {
