@@ -10,8 +10,8 @@
 
 #include "common/flags.h"
 #include "common/table.h"
-#include "rl/imitation.h"
-#include "rl/reinforce.h"
+#include "rl/two_phase.h"
+#include "sched/list_scheduler.h"
 #include "sched/sjf.h"
 #include "sched/tetris.h"
 #include "support.h"
@@ -30,11 +30,11 @@ spear::Policy train_variant(bool graph_features, std::uint64_t seed,
   Policy policy = Policy::make(featurizer, capacity.dims(), rng);
   ImitationOptions imitation;
   imitation.epochs = 8;
-  pretrain_on_cp(policy, dags, capacity, imitation, rng);
   ReinforceOptions rl;
   rl.epochs = rl_epochs;
   rl.rollouts_per_example = 4;
-  train_reinforce(policy, dags, capacity, rl, rng);
+  TwoPhaseTrainer trainer(policy, dags, capacity, imitation, rl, rng);
+  while (!trainer.done()) trainer.run_epoch();
   return policy;
 }
 
@@ -48,16 +48,10 @@ double mean_rollout_makespan(const spear::Policy& policy,
   env_options.max_ready = policy.featurizer().options().max_ready;
   for (const auto& dag : dags) {
     SchedulingEnv env(std::make_shared<Dag>(dag), capacity, env_options);
-    Rng rng(1);
-    while (!env.done()) {
-      const int action = policy.to_env_action(policy.greedy_output(env));
-      if (action == SchedulingEnv::kProcessAction) {
-        env.process_to_next_finish();
-      } else {
-        env.step(action);
-      }
-    }
-    makespans.push_back(static_cast<double>(env.makespan()));
+    makespans.push_back(static_cast<double>(
+        run_greedy(env, [&policy](const SchedulingEnv& state) {
+          return policy.to_env_action(policy.greedy_output(state));
+        })));
   }
   return mean(makespans);
 }

@@ -20,8 +20,7 @@
 #include "common/supervisor.h"
 #include "common/table.h"
 #include "obs/report.h"
-#include "rl/imitation.h"
-#include "rl/reinforce.h"
+#include "rl/two_phase.h"
 #include "sched/sjf.h"
 #include "sched/tetris.h"
 #include "support.h"
@@ -61,6 +60,10 @@ int main(int argc, char** argv) {
       *paper ? 7000 : static_cast<std::size_t>(*epochs);
   const std::size_t n_rollouts =
       *paper ? 20 : static_cast<std::size_t>(*rollouts);
+  if (n_epochs == 0) {
+    std::fprintf(stderr, "--epochs must be positive\n");
+    return 2;
+  }
 
   const bool checkpointing = !checkpoint_dir->empty();
   const std::size_t ckpt_every = *checkpoint_every > 0
@@ -102,7 +105,8 @@ int main(int argc, char** argv) {
   std::printf("reference mean makespans: Tetris %.2f, SJF %.2f\n",
               tetris_mean, sjf_mean);
 
-  // §IV pipeline: imitation warmup, then REINFORCE with curve recording.
+  // §IV pipeline: imitation warmup, then REINFORCE with curve recording
+  // (TwoPhaseTrainer; a resume into REINFORCE skips the warmup).
   Rng rng(static_cast<std::uint64_t>(*seed));
   Policy policy = Policy::make(FeaturizerOptions{}, capacity.dims(), rng);
 
@@ -149,44 +153,16 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", report_path.c_str());
   };
 
-  // Stage 1: imitation warmup — skipped entirely when resuming into
-  // REINFORCE (the checkpoint already contains the warmed-up weights and
-  // the Rng state that followed them).
-  const bool skip_imitation =
-      loaded && loaded->state.phase == ckpt::kPhaseReinforce;
-  if (!skip_imitation) {
-    ImitationOptions imitation;
-    imitation.epochs = static_cast<std::size_t>(*imitation_epochs);
-    auto demos = collect_cp_demonstrations(policy, dags, capacity);
-    ImitationTrainer warmup(policy, std::move(demos), imitation, rng);
-    if (loaded && loaded->state.phase == ckpt::kPhaseImitation) {
-      warmup.restore(loaded->state);
-    }
-    while (!warmup.done()) {
-      if (stop_requested()) {
-        std::printf("stop requested; checkpointing imitation at epoch %zu\n",
-                    warmup.next_epoch());
-        flush_checkpoint(warmup.checkpoint_state(), /*stopped_early=*/true);
-        return 0;
-      }
-      WatchdogScope scope(
-          watchdog, epoch_deadline,
-          "imitation epoch " + std::to_string(warmup.next_epoch()));
-      warmup.run_epoch();
-      if (checkpointing && (warmup.next_epoch() % ckpt_every == 0)) {
-        manager->save(warmup.checkpoint_state());
-      }
-    }
-  }
-
-  CsvWriter csv(*csv_path);
-  csv.write("epoch", "mean_makespan", "tetris", "sjf");
+  ImitationOptions imitation;
+  imitation.epochs = static_cast<std::size_t>(*imitation_epochs);
   ReinforceOptions rl;
   rl.epochs = n_epochs;
   rl.rollouts_per_example = n_rollouts;
-  ReinforceTrainer trainer(policy, dags, capacity, rl, rng);
-  if (skip_imitation) trainer.restore(loaded->state);
+  TwoPhaseTrainer trainer(policy, dags, capacity, imitation, rl, rng);
+  if (loaded) trainer.restore(loaded->state);
 
+  CsvWriter csv(*csv_path);
+  csv.write("epoch", "mean_makespan", "tetris", "sjf");
   const auto emit_row = [&](std::size_t epoch, double makespan) {
     csv.write(static_cast<long long>(epoch), makespan, tetris_mean, sjf_mean);
     if (epoch % 5 == 0 || epoch + 1 == n_epochs) {
@@ -197,25 +173,24 @@ int main(int argc, char** argv) {
   };
   // Rows for epochs restored from the checkpoint, so a resumed run's CSV is
   // byte-identical to an uninterrupted one.
-  for (std::size_t e = 0; e < trainer.result().epoch_mean_makespan.size();
-       ++e) {
-    emit_row(e, trainer.result().epoch_mean_makespan[e]);
-  }
+  const auto& restored = trainer.reinforce_result().epoch_mean_makespan;
+  for (std::size_t e = 0; e < restored.size(); ++e) emit_row(e, restored[e]);
 
   while (!trainer.done()) {
+    const std::string phase(trainer.phase());
+    const std::size_t epoch = trainer.next_epoch();
     if (stop_requested()) {
-      std::printf("stop requested; checkpointing REINFORCE at epoch %zu\n",
-                  trainer.next_epoch());
+      std::printf("stop requested; checkpointing %s at epoch %zu\n",
+                  phase.c_str(), epoch);
       flush_checkpoint(trainer.checkpoint_state(), /*stopped_early=*/true);
       return 0;
     }
-    const std::size_t epoch = trainer.next_epoch();
     WatchdogScope scope(watchdog, epoch_deadline,
-                              "REINFORCE epoch " + std::to_string(epoch));
-    const double makespan = trainer.run_epoch();
-    emit_row(epoch, makespan);
-    if (checkpointing && (trainer.next_epoch() % ckpt_every == 0 ||
-                          trainer.done())) {
+                        phase + " epoch " + std::to_string(epoch));
+    const double value = trainer.run_epoch();
+    if (phase == ckpt::kPhaseReinforce) emit_row(epoch, value);
+    if (checkpointing &&
+        (trainer.next_epoch() % ckpt_every == 0 || trainer.done())) {
       manager->save(trainer.checkpoint_state());
     }
   }

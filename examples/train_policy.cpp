@@ -26,8 +26,7 @@
 #include "core/spear.h"
 #include "dag/generator.h"
 #include "nn/serialize.h"
-#include "rl/imitation.h"
-#include "rl/reinforce.h"
+#include "rl/two_phase.h"
 
 int main(int argc, char** argv) {
   using namespace spear;
@@ -87,57 +86,34 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const auto save_and_exit = [&](const ckpt::TrainerState& state) {
-    std::printf("stop requested; checkpointing %s at epoch %llu\n",
-                state.phase.c_str(),
-                static_cast<unsigned long long>(state.next_epoch));
-    manager->save(state);
-    return 0;
-  };
 
-  // Stage 1: imitation of the CP heuristic (skipped when resuming into
-  // REINFORCE — the checkpoint holds the warmed-up weights already).
-  const bool skip_imitation =
-      loaded && loaded->state.phase == ckpt::kPhaseReinforce;
-  if (!skip_imitation) {
-    ImitationOptions imitation;
-    imitation.epochs = static_cast<std::size_t>(*imitation_epochs);
-    auto demos = collect_cp_demonstrations(policy, dags, capacity);
-    ImitationTrainer warmup(policy, std::move(demos), imitation, rng);
-    if (loaded && loaded->state.phase == ckpt::kPhaseImitation) {
-      warmup.restore(loaded->state);
-    }
-    while (!warmup.done()) {
-      if (checkpointing && stop_requested()) {
-        return save_and_exit(warmup.checkpoint_state());
-      }
-      const std::size_t e = warmup.next_epoch();
-      const double loss = warmup.run_epoch();
-      std::printf("imitation epoch %3zu  CE loss %.4f\n", e, loss);
-      if (checkpointing && warmup.next_epoch() % ckpt_every == 0) {
-        manager->save(warmup.checkpoint_state());
-      }
-    }
-  }
-
-  // Stage 2: REINFORCE.
+  ImitationOptions imitation;
+  imitation.epochs = static_cast<std::size_t>(*imitation_epochs);
   ReinforceOptions rl;
   rl.epochs = static_cast<std::size_t>(*rl_epochs);
   rl.rollouts_per_example = static_cast<std::size_t>(*rollouts);
-  ReinforceTrainer trainer(policy, dags, capacity, rl, rng);
-  if (skip_imitation) trainer.restore(loaded->state);
-  for (std::size_t e = 0; e < trainer.result().epoch_mean_makespan.size();
-       ++e) {
-    std::printf("REINFORCE epoch %4zu  mean makespan %.2f\n", e,
-                trainer.result().epoch_mean_makespan[e]);
+  TwoPhaseTrainer trainer(policy, dags, capacity, imitation, rl, rng);
+  if (loaded) trainer.restore(loaded->state);
+
+  const auto& restored = trainer.reinforce_result().epoch_mean_makespan;
+  for (std::size_t e = 0; e < restored.size(); ++e) {
+    std::printf("REINFORCE epoch %4zu  mean makespan %.2f\n", e, restored[e]);
   }
   while (!trainer.done()) {
     if (checkpointing && stop_requested()) {
-      return save_and_exit(trainer.checkpoint_state());
+      const ckpt::TrainerState state = trainer.checkpoint_state();
+      std::printf("stop requested; checkpointing %s at epoch %llu\n",
+                  state.phase.c_str(),
+                  static_cast<unsigned long long>(state.next_epoch));
+      manager->save(state);
+      return 0;
     }
+    const bool imitating = trainer.phase() == ckpt::kPhaseImitation;
     const std::size_t e = trainer.next_epoch();
-    const double makespan = trainer.run_epoch();
-    std::printf("REINFORCE epoch %4zu  mean makespan %.2f\n", e, makespan);
+    const double value = trainer.run_epoch();
+    std::printf(imitating ? "imitation epoch %3zu  CE loss %.4f\n"
+                          : "REINFORCE epoch %4zu  mean makespan %.2f\n",
+                e, value);
     if (checkpointing &&
         (trainer.next_epoch() % ckpt_every == 0 || trainer.done())) {
       manager->save(trainer.checkpoint_state());

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
+#include <string_view>
 
 #include "common/logging.h"
 #include "obs/obs.h"
@@ -14,13 +15,14 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kExtension = ".spearck";
+constexpr std::string_view kPrefix = "ckpt-";
+constexpr std::string_view kExtension = ".spearck";
 
-std::string generation_name(const std::string& basename, std::uint64_t gen) {
+std::string generation_name(std::uint64_t gen) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "-%06llu",
+  std::snprintf(buf, sizeof(buf), "%06llu",
                 static_cast<unsigned long long>(gen));
-  return basename + buf + kExtension;
+  return std::string(kPrefix) + buf + std::string(kExtension);
 }
 
 }  // namespace
@@ -40,25 +42,17 @@ CheckpointManager::CheckpointManager(CheckpointManagerOptions options)
 }
 
 std::string CheckpointManager::path_for(std::uint64_t generation) const {
-  return (fs::path(options_.dir) /
-          generation_name(options_.basename, generation))
-      .string();
+  return (fs::path(options_.dir) / generation_name(generation)).string();
 }
 
 std::vector<std::uint64_t> CheckpointManager::generations() const {
   std::vector<std::uint64_t> gens;
-  const std::string prefix = options_.basename + "-";
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(options_.dir, ec)) {
     const std::string name = entry.path().filename().string();
-    if (name.size() <= prefix.size() + std::strlen(kExtension)) continue;
-    if (name.compare(0, prefix.size(), prefix) != 0) continue;
-    if (name.compare(name.size() - std::strlen(kExtension),
-                     std::strlen(kExtension), kExtension) != 0) {
-      continue;
-    }
+    if (!name.starts_with(kPrefix) || !name.ends_with(kExtension)) continue;
     const std::string digits = name.substr(
-        prefix.size(), name.size() - prefix.size() - std::strlen(kExtension));
+        kPrefix.size(), name.size() - kPrefix.size() - kExtension.size());
     if (digits.empty() ||
         digits.find_first_not_of("0123456789") != std::string::npos) {
       continue;

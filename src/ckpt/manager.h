@@ -3,8 +3,8 @@
 // A checkpoint directory holds up to `keep` generations, and the directory
 // itself is the only index:
 //
-//   <dir>/<basename>-000012.spearck
-//   <dir>/<basename>-000013.spearck
+//   <dir>/ckpt-000012.spearck
+//   <dir>/ckpt-000013.spearck
 //   ...
 //
 // save() writes the next generation atomically (tmp file + rename) and then
@@ -28,7 +28,6 @@ namespace spear::ckpt {
 
 struct CheckpointManagerOptions {
   std::string dir;
-  std::string basename = "ckpt";
   /// Generations retained on disk; older ones are pruned after each save.
   std::size_t keep = 3;
 };

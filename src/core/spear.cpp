@@ -2,8 +2,7 @@
 
 #include "common/logging.h"
 #include "dag/generator.h"
-#include "rl/imitation.h"
-#include "rl/reinforce.h"
+#include "rl/two_phase.h"
 #include "trace/mapreduce.h"
 #include "trace/trace.h"
 
@@ -24,7 +23,7 @@ std::unique_ptr<MctsScheduler> make_spear_scheduler(
   mcts.leaf_tree_reuse = options.leaf_tree_reuse;
   mcts.name = "Spear";
   auto guide = std::make_shared<DrlDecisionPolicy>(std::move(policy),
-                                                   !options.sample_rollouts);
+                                                   /*greedy=*/true);
   return std::make_unique<MctsScheduler>(std::move(mcts), std::move(guide));
 }
 
@@ -46,41 +45,39 @@ Policy train_default_spear_policy(SpearTrainingOptions options) {
   dag_options.num_tasks = options.tasks_per_example;
   std::vector<Dag> examples =
       generate_random_dags(dag_options, options.num_examples, rng);
-  if (options.include_mapreduce_examples) {
-    // Half as many small shuffle-barrier jobs so the policy also sees the
-    // trace workload's two-stage structure.
-    TraceOptions trace_options;
-    trace_options.num_jobs = std::max<std::size_t>(options.num_examples / 2, 1);
-    trace_options.max_map_tasks = 15;
-    trace_options.max_reduce_tasks = 15;
-    trace_options.median_map_tasks = 10;
-    trace_options.median_reduce_tasks = 10;
-    trace_options.median_map_runtime = 20;
-    trace_options.median_reduce_runtime = 12;
-    trace_options.max_task_runtime = 60;
-    Rng trace_rng = rng.split();
-    for (const auto& job : generate_trace(trace_options, trace_rng)) {
-      examples.push_back(mapreduce_to_dag(job));
-    }
+  // Half as many small shuffle-barrier jobs so the policy also sees the
+  // trace workload's two-stage structure.
+  TraceOptions trace_options;
+  trace_options.num_jobs = std::max<std::size_t>(options.num_examples / 2, 1);
+  trace_options.max_map_tasks = 15;
+  trace_options.max_reduce_tasks = 15;
+  trace_options.median_map_tasks = 10;
+  trace_options.median_reduce_tasks = 10;
+  trace_options.median_map_runtime = 20;
+  trace_options.median_reduce_runtime = 12;
+  trace_options.max_task_runtime = 60;
+  Rng trace_rng = rng.split();
+  for (const auto& job : generate_trace(trace_options, trace_rng)) {
+    examples.push_back(mapreduce_to_dag(job));
   }
 
   Policy policy = Policy::make(FeaturizerOptions{}, capacity.dims(), rng);
 
   ImitationOptions imitation;
   imitation.epochs = options.imitation_epochs;
-  const auto imitation_result =
-      pretrain_on_cp(policy, examples, capacity, imitation, rng);
-  if (!imitation_result.epoch_losses.empty()) {
-    SPEAR_LOG(Info) << "imitation pre-training: CE "
-                    << imitation_result.epoch_losses.front() << " -> "
-                    << imitation_result.epoch_losses.back();
-  }
-
   ReinforceOptions reinforce;
   reinforce.epochs = options.reinforce_epochs;
   reinforce.rollouts_per_example = options.rollouts_per_example;
-  const auto rl_result =
-      train_reinforce(policy, examples, capacity, reinforce, rng);
+  TwoPhaseTrainer trainer(policy, examples, capacity, imitation, reinforce,
+                          rng);
+  while (!trainer.done()) trainer.run_epoch();
+
+  const auto losses = trainer.imitation_result().epoch_losses;
+  if (!losses.empty()) {
+    SPEAR_LOG(Info) << "imitation pre-training: CE " << losses.front()
+                    << " -> " << losses.back();
+  }
+  const auto rl_result = trainer.finalize();
   if (!rl_result.epoch_mean_makespan.empty()) {
     SPEAR_LOG(Info) << "REINFORCE: mean makespan "
                     << rl_result.epoch_mean_makespan.front() << " -> "

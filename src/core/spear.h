@@ -28,11 +28,6 @@ struct SpearOptions {
   std::int64_t min_budget = 100;
   double exploration_scale = 1.0;
   std::uint64_t seed = 42;
-  /// Sample rollout actions from the policy distribution instead of taking
-  /// the argmax.  Greedy (the default) evaluates leaves with the expert's
-  /// deterministic play and measures noticeably better on both random DAGs
-  /// and the trace workload.
-  bool sample_rollouts = false;
   /// Search threads (MctsOptions::num_threads); 1 = serial, N > 1 =
   /// leaf-parallel search on N workers.
   int num_threads = 1;
@@ -51,7 +46,10 @@ struct SpearOptions {
   bool leaf_tree_reuse = true;
 };
 
-/// Builds the Spear scheduler around a trained policy.
+/// Builds the Spear scheduler around a trained policy.  Rollouts take the
+/// policy's argmax: the expert's deterministic play evaluates leaves
+/// noticeably better than sampling on both random DAGs and the trace
+/// workload.
 std::unique_ptr<MctsScheduler> make_spear_scheduler(
     std::shared_ptr<const Policy> policy, SpearOptions options = {});
 
@@ -70,15 +68,13 @@ struct SpearTrainingOptions {
   std::size_t imitation_epochs = 10;
   std::size_t reinforce_epochs = 40;
   std::size_t rollouts_per_example = 8;
-  /// Mix small MapReduce-shaped jobs (shuffle-barrier DAGs) into the
-  /// training set alongside the random layered DAGs, so one policy guides
-  /// both the simulation and the trace experiments well.
-  bool include_mapreduce_examples = true;
   std::uint64_t seed = 7;
 };
 
-/// End-to-end policy production: generate training DAGs, imitation-pretrain
-/// on the CP heuristic, then REINFORCE — the full §IV pipeline.  Returns the
+/// End-to-end policy production: generate training DAGs (random layered
+/// DAGs plus half as many small MapReduce-shaped jobs, so one policy guides
+/// both the simulation and the trace experiments), then run the §IV
+/// pipeline (TwoPhaseTrainer: imitation of CP, then REINFORCE).  Returns the
 /// trained policy (capacity fixed at 1.0 per resource, 2 resources).
 Policy train_default_spear_policy(SpearTrainingOptions options = {});
 

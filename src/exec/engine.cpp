@@ -33,6 +33,11 @@ const char* kind_name(EventKind kind) {
   return "?";
 }
 
+const Dag& checked(const std::shared_ptr<const Dag>& dag) {
+  if (!dag) throw std::invalid_argument("ExecutionEngine: null dag");
+  return *dag;
+}
+
 }  // namespace
 
 std::string format_events(const std::vector<ExecEvent>& events) {
@@ -82,13 +87,11 @@ ExecutionEngine::ExecutionEngine(std::shared_ptr<const Dag> dag,
                                  ResourceVector capacity, ExecOptions options)
     : dag_(std::move(dag)),
       capacity_(std::move(capacity)),
-      options_(std::move(options)) {
-  if (!dag_) {
-    throw std::invalid_argument("ExecutionEngine: null dag");
-  }
-  if (options_.absorb_factor < 0.0 || options_.research_factor < 0.0) {
+      options_(std::move(options)),
+      features_(checked(dag_)) {
+  if (options_.research_factor < 0.0) {
     throw std::invalid_argument(
-        "ExecutionEngine: ladder factors must be >= 0");
+        "ExecutionEngine: research_factor must be >= 0");
   }
   if (options_.research_cooldown < 0 ||
       options_.research_initial_budget <= 0 ||
@@ -112,6 +115,26 @@ ExecutionEngine::ExecutionEngine(std::shared_ptr<const Dag> dag,
   }
 }
 
+bool ExecutionEngine::parents_done(const RunState& s, TaskId id) const {
+  for (TaskId p : dag_->parents(id)) {
+    if (!s.done[static_cast<std::size_t>(p)]) return false;
+  }
+  return true;
+}
+
+Time ExecutionEngine::speculation_time(const RunState& s,
+                                       const RunningAttempt& r) const {
+  if (!options_.speculate || r.speculative ||
+      s.speculated[static_cast<std::size_t>(r.task)]) {
+    return -1;
+  }
+  const Time runtime = dag_->task(r.task).runtime;
+  return r.start +
+         std::max<Time>(1, static_cast<Time>(std::ceil(
+                               static_cast<double>(runtime) *
+                               options_.speculation_factor)));
+}
+
 bool ExecutionEngine::try_start_tasks(RunState& s) const {
   bool any = false;
   const ResourceVector loss =
@@ -119,17 +142,11 @@ bool ExecutionEngine::try_start_tasks(RunState& s) const {
                       : ResourceVector(capacity_.dims());
   for (auto it = s.pending.begin(); it != s.pending.end();) {
     const TaskId id = *it;
-    bool ready = true;
-    for (TaskId p : dag_->parents(id)) {
-      if (!s.done[static_cast<std::size_t>(p)]) {
-        ready = false;
-        break;
-      }
-    }
     // Open-loop replay is plan-faithful: never start before the committed
     // start time.  The ladder is work-conserving and ignores the gate.
-    if (!ready || (!options_.repair &&
-                   s.now < s.planned[static_cast<std::size_t>(id)])) {
+    if (!parents_done(s, id) ||
+        (!options_.repair &&
+         s.now < s.planned[static_cast<std::size_t>(id)])) {
       ++it;
       continue;
     }
@@ -160,17 +177,12 @@ void ExecutionEngine::maybe_speculate(RunState& s) const {
   // Index loop: launching a duplicate appends to s.running.
   const std::size_t primaries = s.running.size();
   for (std::size_t i = 0; i < primaries; ++i) {
+    const Time at = speculation_time(s, s.running[i]);
+    if (at < 0 || s.now < at) continue;
     // Copy the fields we need — the push_back below may reallocate.
     const TaskId id = s.running[i].task;
-    const Time started = s.running[i].start;
-    if (s.running[i].speculative) continue;
     const auto idx = static_cast<std::size_t>(id);
-    if (s.speculated[idx]) continue;
     const Task& task = dag_->task(id);
-    const Time trigger = std::max<Time>(
-        1, static_cast<Time>(std::ceil(static_cast<double>(task.runtime) *
-                                       options_.speculation_factor)));
-    if (s.now < started + trigger) continue;
     if (!(task.demand + loss).fits_within(s.avail)) continue;
     s.speculated[idx] = 1;
     ++s.stats.speculations;
@@ -190,27 +202,13 @@ Time ExecutionEngine::next_event_time(const RunState& s) const {
   for (const RunningAttempt& r : s.running) {
     consider(r.finish);
     // A pending speculation trigger is a wake-up instant too.
-    if (options_.speculate && !r.speculative &&
-        !s.speculated[static_cast<std::size_t>(r.task)]) {
-      const Task& task = dag_->task(r.task);
-      consider(r.start +
-               std::max<Time>(1, static_cast<Time>(std::ceil(
-                                     static_cast<double>(task.runtime) *
-                                     options_.speculation_factor))));
-    }
+    consider(speculation_time(s, r));
   }
   // A ready pending task that could not start is waiting on either the
   // open-loop planned-start gate or a capacity-loss window boundary.
   bool blocked_ready = false;
   for (TaskId id : s.pending) {
-    bool ready = true;
-    for (TaskId p : dag_->parents(id)) {
-      if (!s.done[static_cast<std::size_t>(p)]) {
-        ready = false;
-        break;
-      }
-    }
-    if (!ready) continue;
+    if (!parents_done(s, id)) continue;
     blocked_ready = true;
     if (!options_.repair) {
       consider(s.planned[static_cast<std::size_t>(id)]);
@@ -235,7 +233,7 @@ void ExecutionEngine::handle_completion(RunState& s, TaskId task,
   if (!options_.repair || s.pending.empty()) return;
   const double magnitude = std::abs(static_cast<double>(surprise));
   const double est = static_cast<double>(estimate);
-  if (magnitude <= options_.absorb_factor * est) {
+  if (magnitude <= kAbsorbFactor * est) {
     ++s.stats.absorbed;
     s.events.push_back({s.now, EventKind::kAbsorb, task, 0, surprise});
     return;
@@ -254,25 +252,11 @@ void ExecutionEngine::handle_completion(RunState& s, TaskId task,
 }
 
 void ExecutionEngine::local_repair(RunState& s) const {
-  // Residual bottom level over nominal runtimes: the classic critical-path
-  // urgency, recomputed cheaply (no descendant of an unfinished task can be
-  // finished, so the full-DAG recurrence is exact for the frontier).
-  std::vector<Time> bl(dag_->num_tasks(), 0);
-  const auto& topo = dag_->topological_order();
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const TaskId id = *it;
-    Time best = 0;
-    for (TaskId c : dag_->children(id)) {
-      best = std::max(best, bl[static_cast<std::size_t>(c)]);
-    }
-    bl[static_cast<std::size_t>(id)] = dag_->task(id).runtime + best;
-  }
-  std::sort(s.pending.begin(), s.pending.end(),
-            [&bl](TaskId a, TaskId b) {
-              const Time ba = bl[static_cast<std::size_t>(a)];
-              const Time bb = bl[static_cast<std::size_t>(b)];
-              return ba != bb ? ba > bb : a < b;
-            });
+  std::sort(s.pending.begin(), s.pending.end(), [this](TaskId a, TaskId b) {
+    const Time ba = features_.b_level(a);
+    const Time bb = features_.b_level(b);
+    return ba != bb ? ba > bb : a < b;
+  });
 }
 
 void ExecutionEngine::research(RunState& s) const {

@@ -10,11 +10,11 @@
 // surprise — realized lateness versus the estimate — and climbs a repair
 // ladder of increasing cost:
 //
-//   1. absorb       — |surprise| <= absorb_factor * estimate: the event
+//   1. absorb       — |surprise| <= kAbsorbFactor * estimate: the event
 //                     slack soaks it up; nothing to do.
-//   2. local repair — re-sort the not-yet-started frontier by residual
-//                     bottom level (critical path over the remaining work).
-//                     Cheap, handles most lateness.
+//   2. local repair — re-sort the not-yet-started frontier by bottom level
+//                     (critical path over the remaining work), computed
+//                     once per engine.  Cheap, handles most lateness.
 //   3. re-search    — surprise > research_factor * estimate: rebuild the
 //                     residual DAG (pending tasks plus in-flight work as
 //                     preloaded source stubs), hand it to MctsScheduler via
@@ -48,6 +48,7 @@
 
 #include "cluster/schedule.h"
 #include "dag/dag.h"
+#include "dag/features.h"
 #include "dag/resource.h"
 #include "exec/perturb.h"
 #include "fault/fault.h"
@@ -101,6 +102,9 @@ struct ExecResult {
   ExecStats stats;
 };
 
+/// Ladder rung 1: |surprise| <= kAbsorbFactor * estimate is absorbed.
+inline constexpr double kAbsorbFactor = 0.25;
+
 struct ExecOptions {
   /// false = open-loop baseline: plan-faithful replay (a task never starts
   /// before its planned start, priority order is frozen, no ladder).
@@ -113,8 +117,6 @@ struct ExecOptions {
   /// FaultInjector's own attempt durations for cross-validation).
   DurationFn realized;
 
-  /// Ladder rung 1: |surprise| <= absorb_factor * estimate is absorbed.
-  double absorb_factor = 0.25;
   /// Ladder rung 3: surprise > research_factor * estimate triggers a
   /// bounded re-search (subject to cooldown / min-pending gates below).
   double research_factor = 1.0;
@@ -166,6 +168,10 @@ class ExecutionEngine {
   struct RunningAttempt;
   struct RunState;
 
+  bool parents_done(const RunState& s, TaskId id) const;
+  /// The instant attempt `r` may get its duplicate; -1 when it never will
+  /// (speculation off, `r` is a duplicate, or its task already has one).
+  Time speculation_time(const RunState& s, const RunningAttempt& r) const;
   bool try_start_tasks(RunState& s) const;
   void maybe_speculate(RunState& s) const;
   Time next_event_time(const RunState& s) const;
@@ -176,6 +182,9 @@ class ExecutionEngine {
   std::shared_ptr<const Dag> dag_;
   ResourceVector capacity_;
   ExecOptions options_;
+  /// Local repair's urgency: b-levels over nominal runtimes (exact for the
+  /// frontier: no descendant of an unfinished task can be finished).
+  DagFeatures features_;
   std::optional<RuntimePerturber> perturber_;  // engaged iff !options_.realized
 };
 

@@ -211,9 +211,6 @@ MctsScheduler::MctsScheduler(MctsOptions options,
   if (!guide_) {
     guide_ = std::make_shared<RandomDecisionPolicy>();
   }
-  if (!options_.fallback) {
-    options_.fallback = std::make_shared<HeuristicDecisionPolicy>();
-  }
 }
 
 void MctsScheduler::set_anytime_budgets(std::int64_t initial_budget,
@@ -804,7 +801,7 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
           // Anytime degradation: the deadline expired before a single
           // iteration finished — take the fallback heuristic's move.
           ++stats_.degradations;
-          apply_action(env, options_.fallback->pick(env, rng));
+          apply_action(env, fallback_.pick(env, rng));
         } else {
           // Budget too small to expand anything: fall back to the guide's
           // top untried choice.

@@ -49,7 +49,7 @@
 // deadline.  When the deadline expires mid-decision the best root action
 // found so far is returned; when not even one iteration completes (e.g. an
 // expensive guide evaluation already ate the budget) the decision degrades
-// gracefully to a configurable fallback heuristic instead of stalling.
+// gracefully to the CP x Tetris heuristic instead of stalling.
 // Degradations and deadline cutoffs are counted in Stats.  Wall-clock
 // budgets trade the bit-for-bit determinism of the iteration budget for
 // bounded latency.
@@ -113,11 +113,6 @@ struct MctsOptions {
   /// Anytime wall-clock budget per decision, in milliseconds; 0 (default) =
   /// unlimited (the iteration budget alone governs, fully deterministic).
   std::int64_t time_budget_ms = 0;
-  /// Fallback heuristic used when the deadline expires before a single
-  /// iteration completes (anytime degradation).  Defaults to
-  /// HeuristicDecisionPolicy (the CP x Tetris blend); construct it with
-  /// b_level_urgency or tetris_alignment for a pure CP or Tetris fallback.
-  std::shared_ptr<DecisionPolicy> fallback;
 
   /// Failure-aware scheduling: non-null = simulate (and search) under this
   /// fault injector with the retry policy below.
@@ -344,6 +339,9 @@ class MctsScheduler : public Scheduler {
 
   MctsOptions options_;
   std::shared_ptr<DecisionPolicy> guide_;
+  /// Anytime degradation's move when the deadline expires before a single
+  /// iteration completes: the CP x Tetris blend.
+  HeuristicDecisionPolicy fallback_;
   Stats stats_;
   std::unique_ptr<ThreadPool> pool_;
   /// worker_guides_[0] is guide_; the rest are its clones.

@@ -49,10 +49,10 @@ ImitationTrainer::ImitationTrainer(Policy& policy,
       optimizer_(policy.net(), options.optimizer),
       grads_(policy.net().make_gradients()) {
   if (demos_.empty()) {
-    throw std::invalid_argument("train_imitation: no demonstrations");
+    throw std::invalid_argument("ImitationTrainer: no demonstrations");
   }
   if (options_.batch_size == 0) {
-    throw std::invalid_argument("train_imitation: batch_size must be > 0");
+    throw std::invalid_argument("ImitationTrainer: batch_size must be > 0");
   }
   order_.resize(demos_.size());
   std::iota(order_.begin(), order_.end(), 0);
@@ -169,21 +169,6 @@ void ImitationTrainer::restore(const ckpt::TrainerState& state) {
   batches_done_ = state.episodes;
   result_.epoch_losses = state.curve;
   order_.assign(state.permutation.begin(), state.permutation.end());
-}
-
-ImitationResult train_imitation(Policy& policy,
-                                std::vector<Demonstration> demos,
-                                const ImitationOptions& options, Rng& rng) {
-  ImitationTrainer trainer(policy, std::move(demos), options, rng);
-  while (!trainer.done()) trainer.run_epoch();
-  return trainer.result();
-}
-
-ImitationResult pretrain_on_cp(Policy& policy, const std::vector<Dag>& dags,
-                               const ResourceVector& capacity,
-                               const ImitationOptions& options, Rng& rng) {
-  auto demos = collect_cp_demonstrations(policy, dags, capacity);
-  return train_imitation(policy, std::move(demos), options, rng);
 }
 
 }  // namespace spear

@@ -9,6 +9,7 @@
 #include "nn/grad_guard.h"
 #include "nn/loss.h"
 #include "obs/obs.h"
+#include "sched/list_scheduler.h"
 
 namespace spear {
 
@@ -25,38 +26,30 @@ struct Episode {
   double ret = 0.0;  // cumulative reward = -makespan
 };
 
-Episode play_episode(const Policy& policy, SchedulingEnv env,
-                     const ReinforceOptions& options, Rng& rng,
+// A sampled process action jumps to the next completion (identical
+// reachable states, many fewer gradient steps; see DESIGN.md).  Every step
+// reward is a whole number of slots, so their sum is exactly -makespan.
+Episode play_episode(const Policy& policy, SchedulingEnv env, Rng& rng,
                      Mlp::ForwardWorkspace& ws, std::vector<double>& probs) {
   const Mlp& net = policy.net();
   Episode episode;
-  while (!env.done()) {
+  const Time makespan = run_greedy(env, [&](const SchedulingEnv& state) {
     EpisodeStep step;
     // Features go straight into the reused workspace row; the copy kept in
     // the step record feeds the batched gradient pass later.
     Matrix& input = net.begin_forward(ws, 1);
-    policy.featurizer().featurize_into(env, input.data().data());
+    policy.featurizer().featurize_into(state, input.data().data());
     step.features.assign(input.data().begin(), input.data().end());
-    step.mask = policy.valid_output_mask(env);
+    step.mask = policy.valid_output_mask(state);
     net.forward_ws(ws);
     probs.assign(net.output_dim(), 0.0);
     Policy::masked_softmax_into(ws.logits().data().data(), step.mask,
                                 net.output_dim(), probs.data());
     step.output = rng.categorical(probs);
-
-    const int action = policy.to_env_action(step.output);
-    // A sampled process action jumps to the next completion (identical
-    // reachable states, many fewer gradient steps; see DESIGN.md); its
-    // reward still counts every elapsed slot.
-    episode.ret += action == SchedulingEnv::kProcessAction
-                       ? env.process_to_next_finish()
-                       : env.step(action);
-
-    if (options.max_steps_per_episode == 0 ||
-        episode.steps.size() < options.max_steps_per_episode) {
-      episode.steps.push_back(std::move(step));
-    }
-  }
+    episode.steps.push_back(std::move(step));
+    return policy.to_env_action(episode.steps.back().output);
+  });
+  episode.ret = -static_cast<double>(makespan);
   return episode;
 }
 
@@ -73,11 +66,11 @@ ReinforceTrainer::ReinforceTrainer(Policy& policy,
       optimizer_(policy.net(), options.optimizer),
       grads_(policy.net().make_gradients()) {
   if (examples.empty()) {
-    throw std::invalid_argument("train_reinforce: no training examples");
+    throw std::invalid_argument("ReinforceTrainer: no training examples");
   }
   if (options_.rollouts_per_example == 0) {
     throw std::invalid_argument(
-        "train_reinforce: rollouts_per_example must be > 0");
+        "ReinforceTrainer: rollouts_per_example must be > 0");
   }
 
   env_options_.max_ready = policy_.featurizer().options().max_ready;
@@ -104,8 +97,8 @@ double ReinforceTrainer::run_epoch() {
     episodes.reserve(options_.rollouts_per_example);
     for (std::size_t r = 0; r < options_.rollouts_per_example; ++r) {
       SchedulingEnv env(dags_[e], capacity_, env_options_, features_[e]);
-      episodes.push_back(play_episode(policy_, std::move(env), options_, rng_,
-                                      ws_, probs_scratch_));
+      episodes.push_back(
+          play_episode(policy_, std::move(env), rng_, ws_, probs_scratch_));
       makespan_sum += -episodes.back().ret;
       ++makespan_count;
       ++episodes_;
@@ -230,20 +223,6 @@ void ReinforceTrainer::restore(const ckpt::TrainerState& state) {
   result_.epoch_mean_makespan = state.curve;
   result_.clipped_updates = state.clipped_updates;
   result_.skipped_updates = state.skipped_updates;
-}
-
-ReinforceResult train_reinforce(Policy& policy,
-                                const std::vector<Dag>& examples,
-                                const ResourceVector& capacity,
-                                const ReinforceOptions& options, Rng& rng,
-                                const ReinforceProgress& progress) {
-  ReinforceTrainer trainer(policy, examples, capacity, options, rng);
-  while (!trainer.done()) {
-    const std::size_t epoch = trainer.next_epoch();
-    const double mean_makespan = trainer.run_epoch();
-    if (progress) progress(epoch, mean_makespan);
-  }
-  return trainer.finalize();
 }
 
 }  // namespace spear

@@ -10,7 +10,6 @@
 
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -25,9 +24,6 @@ struct ReinforceOptions {
   std::size_t epochs = 100;
   std::size_t rollouts_per_example = 20;  // paper: 20
   RmsPropOptions optimizer;               // paper defaults
-  /// Cap on recorded steps per episode (safety valve against degenerate
-  /// policies early in training; 0 = unlimited).
-  std::size_t max_steps_per_episode = 0;
   /// Global L2 norm ceiling for each gradient update (<= 0 disables
   /// clipping).  Non-finite gradients or returns always skip the update.
   double max_grad_norm = 10.0;
@@ -44,14 +40,11 @@ struct ReinforceResult {
   std::size_t skipped_updates = 0;
 };
 
-/// Per-epoch progress callback: (epoch, mean makespan).
-using ReinforceProgress = std::function<void(std::size_t, double)>;
-
-/// Epoch-stepped REINFORCE.  train_reinforce() below is a thin loop over
-/// run_epoch(); the class form exists so callers can checkpoint between
-/// epochs and resume bit-identically after a crash (DESIGN.md §9): a
-/// trainer restored from checkpoint_state() continues the exact weight,
-/// optimizer and Rng trajectory of the interrupted run.
+/// Epoch-stepped REINFORCE, the second phase of TwoPhaseTrainer
+/// (rl/two_phase.h).  Callers checkpoint between epochs and resume
+/// bit-identically after a crash (DESIGN.md §9): a trainer restored from
+/// checkpoint_state() continues the exact weight, optimizer and Rng
+/// trajectory of the interrupted run.
 class ReinforceTrainer {
  public:
   /// Throws std::invalid_argument on an empty training set or zero
@@ -64,8 +57,6 @@ class ReinforceTrainer {
   std::size_t next_epoch() const { return next_epoch_; }
   bool done() const { return next_epoch_ >= options_.epochs; }
   std::uint64_t episodes() const { return episodes_; }
-  /// Baseline of the last example update (checkpoint diagnostic).
-  double last_baseline() const { return last_baseline_; }
 
   /// Runs one epoch over every example and returns its mean makespan
   /// (also appended to result().epoch_mean_makespan).
@@ -103,12 +94,5 @@ class ReinforceTrainer {
   std::uint64_t episodes_ = 0;
   double last_baseline_ = 0.0;
 };
-
-/// Trains `policy` in place on `examples`.  Deterministic given `rng`.
-ReinforceResult train_reinforce(Policy& policy,
-                                const std::vector<Dag>& examples,
-                                const ResourceVector& capacity,
-                                const ReinforceOptions& options, Rng& rng,
-                                const ReinforceProgress& progress = {});
 
 }  // namespace spear

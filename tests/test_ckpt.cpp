@@ -1,8 +1,9 @@
 // The crash-safety contract of src/ckpt (DESIGN.md §9): binary container
 // integrity (CRC footer, truncation detection), atomic writes, generation
 // rotation with fallback recovery, the signal/watchdog supervision layer,
-// and — the headline guarantee — bit-identical training resume, including
-// the fig8b-style learning-curve CSV byte-equality an interrupted bench run
+// and — the headline guarantee — bit-identical training resume, per trainer
+// and through the two-phase pipeline's resume rule, including the
+// fig8b-style learning-curve CSV byte-equality an interrupted bench run
 // must reproduce.
 
 #include <bit>
@@ -14,6 +15,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -28,6 +30,7 @@
 #include "dag/generator.h"
 #include "rl/imitation.h"
 #include "rl/reinforce.h"
+#include "rl/two_phase.h"
 
 namespace spear {
 namespace {
@@ -642,6 +645,92 @@ TEST(Resume, LearningCurveCsvIsByteIdentical) {
   const std::string full_bytes = read_bytes(full_csv);
   ASSERT_FALSE(full_bytes.empty());
   EXPECT_EQ(full_bytes, read_bytes(resumed_csv));
+}
+
+// ---------------------------------------------------------------------------
+// The two-phase pipeline's resume rule: a run stopped after `stop_after`
+// epochs (imitation epochs first, then REINFORCE) is saved through the
+// rotation manager and resumed with load_latest() into a fresh
+// TwoPhaseTrainer; weights, curves and the episode count must match an
+// uninterrupted run bit for bit.
+
+void expect_pipeline_resume_bit_identical(const std::string& dir_name,
+                                          std::size_t stop_after,
+                                          std::string_view stop_phase,
+                                          std::size_t stop_epoch) {
+  const auto dags = tiny_training_set(2, 30);
+  ImitationOptions imitation;
+  imitation.epochs = 3;
+  imitation.batch_size = 8;
+  ReinforceOptions reinforce;
+  reinforce.epochs = 3;
+  reinforce.rollouts_per_example = 2;
+
+  Rng rng_a(31);
+  Policy policy_a = make_tiny_policy(rng_a);
+  TwoPhaseTrainer full(policy_a, dags, cap(), imitation, reinforce, rng_a);
+  while (!full.done()) full.run_epoch();
+
+  ScratchDir dir(dir_name);
+  ckpt::CheckpointManagerOptions mo;
+  mo.dir = dir.str();
+  ckpt::CheckpointManager manager(mo);
+  {
+    Rng rng_b(31);
+    Policy policy_b = make_tiny_policy(rng_b);
+    TwoPhaseTrainer run(policy_b, dags, cap(), imitation, reinforce, rng_b);
+    for (std::size_t e = 0; e < stop_after; ++e) {
+      run.run_epoch();
+      manager.save(run.checkpoint_state());
+    }
+  }
+  const auto loaded = manager.load_latest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->state.phase, stop_phase);
+  EXPECT_EQ(loaded->state.next_epoch, stop_epoch);
+
+  Rng rng_c(31);
+  Policy policy_c = make_tiny_policy(rng_c);
+  TwoPhaseTrainer resumed(policy_c, dags, cap(), imitation, reinforce, rng_c);
+  resumed.restore(loaded->state);
+  EXPECT_EQ(resumed.phase(), stop_phase);
+  EXPECT_EQ(resumed.next_epoch(), stop_epoch);
+  while (!resumed.done()) resumed.run_epoch();
+
+  const auto bits = [](const std::vector<double>& curve) {
+    std::vector<std::uint64_t> out;
+    for (double v : curve) out.push_back(std::bit_cast<std::uint64_t>(v));
+    return out;
+  };
+  EXPECT_EQ(weight_bits(policy_a.net()), weight_bits(policy_c.net()));
+  EXPECT_EQ(bits(full.reinforce_result().epoch_mean_makespan),
+            bits(resumed.reinforce_result().epoch_mean_makespan));
+  EXPECT_EQ(full.checkpoint_state().episodes,
+            resumed.checkpoint_state().episodes);
+  if (stop_phase == ckpt::kPhaseImitation) {
+    EXPECT_EQ(bits(full.imitation_result().epoch_losses),
+              bits(resumed.imitation_result().epoch_losses));
+  } else {
+    // The resume rule skipped imitation: nothing was replayed.
+    EXPECT_TRUE(resumed.imitation_result().epoch_losses.empty());
+  }
+}
+
+TEST(Resume, PipelineStoppedInImitationIsBitIdentical) {
+  expect_pipeline_resume_bit_identical("spear_pipeline_imitation", 2,
+                                       ckpt::kPhaseImitation, 2);
+}
+
+TEST(Resume, PipelineStoppedAtThePhaseBoundaryIsBitIdentical) {
+  // The last imitation epoch hands over to REINFORCE at once, so the
+  // boundary checkpoint is REINFORCE's epoch 0.
+  expect_pipeline_resume_bit_identical("spear_pipeline_boundary", 3,
+                                       ckpt::kPhaseReinforce, 0);
+}
+
+TEST(Resume, PipelineStoppedInReinforceIsBitIdentical) {
+  expect_pipeline_resume_bit_identical("spear_pipeline_reinforce", 5,
+                                       ckpt::kPhaseReinforce, 2);
 }
 
 }  // namespace

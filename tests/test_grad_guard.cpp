@@ -91,8 +91,10 @@ TEST(GradGuard, ReinforceClipsEveryUpdateUnderATinyNormCeiling) {
   // Independent tasks: sampled rollouts pack them differently, so returns
   // vary and the advantages (hence gradients) are non-zero.
   const std::vector<Dag> dags = {testing::make_independent(4, 2)};
-  const ReinforceResult result = train_reinforce(
-      policy, dags, ResourceVector{1.0, 1.0}, options, rng);
+  ReinforceTrainer trainer(policy, dags, ResourceVector{1.0, 1.0}, options,
+                           rng);
+  while (!trainer.done()) trainer.run_epoch();
+  const ReinforceResult& result = trainer.result();
 
   EXPECT_GT(result.clipped_updates, 0u);
   EXPECT_EQ(result.skipped_updates, 0u);

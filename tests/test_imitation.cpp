@@ -70,7 +70,10 @@ TEST(Imitation, TrainingReducesLoss) {
   ImitationOptions options;
   options.epochs = 30;
   options.optimizer.learning_rate = 1e-3;  // faster for the test
-  const auto result = pretrain_on_cp(policy, dags, cap(), options, rng);
+  ImitationTrainer trainer(
+      policy, collect_cp_demonstrations(policy, dags, cap()), options, rng);
+  while (!trainer.done()) trainer.run_epoch();
+  const auto& result = trainer.result();
   ASSERT_EQ(result.epoch_losses.size(), 30u);
   EXPECT_LT(result.epoch_losses.back(), result.epoch_losses.front() * 0.9);
 }
@@ -90,7 +93,9 @@ TEST(Imitation, TrainedPolicyImitatesTeacherGreedily) {
   ImitationOptions options;
   options.epochs = 150;
   options.optimizer.learning_rate = 1e-2;
-  pretrain_on_cp(policy, {dag}, cap(), options, rng);
+  ImitationTrainer trainer(
+      policy, collect_cp_demonstrations(policy, {dag}, cap()), options, rng);
+  while (!trainer.done()) trainer.run_epoch();
 
   EnvOptions env_options;
   env_options.max_ready = 4;
@@ -101,13 +106,13 @@ TEST(Imitation, TrainedPolicyImitatesTeacherGreedily) {
 TEST(Imitation, ValidatesArguments) {
   Rng rng(7);
   Policy policy = make_tiny_policy(rng);
-  EXPECT_THROW(train_imitation(policy, {}, {}, rng), std::invalid_argument);
+  EXPECT_THROW(ImitationTrainer(policy, {}, {}, rng), std::invalid_argument);
   ImitationOptions bad;
   bad.batch_size = 0;
   std::vector<Demonstration> demos(1);
   demos[0].features.assign(policy.net().input_dim(), 0.0);
   demos[0].mask.assign(policy.num_outputs(), true);
-  EXPECT_THROW(train_imitation(policy, demos, bad, rng),
+  EXPECT_THROW(ImitationTrainer(policy, demos, bad, rng),
                std::invalid_argument);
 }
 
@@ -119,8 +124,11 @@ TEST(Imitation, DeterministicGivenSeeds) {
     ImitationOptions options;
     options.epochs = 5;
     Rng train_rng(seed + 1);
-    return pretrain_on_cp(policy, dags, cap(), options, train_rng)
-        .epoch_losses;
+    ImitationTrainer trainer(
+        policy, collect_cp_demonstrations(policy, dags, cap()), options,
+        train_rng);
+    while (!trainer.done()) trainer.run_epoch();
+    return trainer.result().epoch_losses;
   };
   EXPECT_EQ(run(9), run(9));
 }

@@ -119,7 +119,10 @@ TEST(Integration, SpearEndToEndOnMixedWorkload) {
   const auto train_dags = generate_random_dags(gen, 3, rng);
   ImitationOptions imitation;
   imitation.epochs = 8;
-  pretrain_on_cp(policy, train_dags, cap(), imitation, rng);
+  ImitationTrainer trainer(
+      policy, collect_cp_demonstrations(policy, train_dags, cap()), imitation,
+      rng);
+  while (!trainer.done()) trainer.run_epoch();
 
   SpearOptions options;
   options.initial_budget = 60;

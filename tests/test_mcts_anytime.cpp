@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "mcts/mcts.h"
-#include "sched/critical_path.h"
 #include "support/builders.h"
 
 namespace spear {
@@ -54,7 +53,6 @@ class SlowGuide : public DecisionPolicy {
 TEST(AnytimeMcts, DegradesToFallbackWhenTheGuideEatsTheBudget) {
   MctsOptions options;
   options.time_budget_ms = 1;
-  options.fallback = std::make_shared<HeuristicDecisionPolicy>(b_level_urgency);
   MctsScheduler scheduler(options, std::make_shared<SlowGuide>());
 
   const Dag dag = testing::make_diamond(3, 4, 5, 2);

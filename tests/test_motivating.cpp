@@ -57,20 +57,23 @@ TEST(MotivatingExample, SpearFindsTheOptimum) {
   ImitationOptions imitation;
   imitation.epochs = 10;
   imitation.optimizer.learning_rate = 1e-3;
-  pretrain_on_cp(policy, {dag}, cap(), imitation, rng);
+  ImitationTrainer trainer(
+      policy, collect_cp_demonstrations(policy, {dag}, cap()), imitation, rng);
+  while (!trainer.done()) trainer.run_epoch();
 
-  SpearOptions options;
+  MctsOptions options;
   options.initial_budget = 400;
   options.min_budget = 100;
   options.seed = 2;
+  options.name = "Spear";
   // The policy here is imitation-only (CP-like), and the instance is built
   // to trap CP; sampled rollouts supply the exploration that deterministic
   // expert rollouts would lack on this adversarial DAG.
-  options.sample_rollouts = true;
-  auto spear = make_spear_scheduler(
-      std::make_shared<const Policy>(std::move(policy)), options);
-  EXPECT_EQ(validated_makespan(*spear, dag, cap()),
-            kMotivatingExampleOptimum);
+  MctsScheduler spear(
+      options, std::make_shared<DrlDecisionPolicy>(
+                   std::make_shared<const Policy>(std::move(policy)),
+                   /*greedy=*/false));
+  EXPECT_EQ(validated_makespan(spear, dag, cap()), kMotivatingExampleOptimum);
 }
 
 TEST(MotivatingExample, ReductionMatchesPaperHeadline) {

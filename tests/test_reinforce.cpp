@@ -6,7 +6,7 @@
 
 #include "common/stats.h"
 #include "dag/generator.h"
-#include "rl/imitation.h"
+#include "rl/two_phase.h"
 #include "support/builders.h"
 
 namespace spear {
@@ -24,12 +24,12 @@ Policy make_tiny_policy(Rng& rng) {
 TEST(Reinforce, ValidatesArguments) {
   Rng rng(1);
   Policy policy = make_tiny_policy(rng);
-  EXPECT_THROW(train_reinforce(policy, {}, cap(), {}, rng),
+  EXPECT_THROW(ReinforceTrainer(policy, {}, cap(), {}, rng),
                std::invalid_argument);
   ReinforceOptions bad;
   bad.rollouts_per_example = 0;
   const std::vector<Dag> dags = {testing::make_chain({1, 2})};
-  EXPECT_THROW(train_reinforce(policy, dags, cap(), bad, rng),
+  EXPECT_THROW(ReinforceTrainer(policy, dags, cap(), bad, rng),
                std::invalid_argument);
 }
 
@@ -40,27 +40,12 @@ TEST(Reinforce, RecordsOneEntryPerEpoch) {
   ReinforceOptions options;
   options.epochs = 4;
   options.rollouts_per_example = 3;
-  const auto result = train_reinforce(policy, dags, cap(), options, rng);
+  ReinforceTrainer trainer(policy, dags, cap(), options, rng);
+  while (!trainer.done()) trainer.run_epoch();
+  const auto& result = trainer.result();
   ASSERT_EQ(result.epoch_mean_makespan.size(), 4u);
   // A 2-task chain always has makespan 5 regardless of policy.
   for (double m : result.epoch_mean_makespan) EXPECT_DOUBLE_EQ(m, 5.0);
-}
-
-TEST(Reinforce, ProgressCallbackInvokedEveryEpoch) {
-  Rng rng(3);
-  Policy policy = make_tiny_policy(rng);
-  const std::vector<Dag> dags = {testing::make_chain({1, 1})};
-  ReinforceOptions options;
-  options.epochs = 3;
-  options.rollouts_per_example = 2;
-  std::size_t calls = 0;
-  train_reinforce(policy, dags, cap(), options, rng,
-                  [&](std::size_t epoch, double makespan) {
-                    EXPECT_EQ(epoch, calls);
-                    EXPECT_GT(makespan, 0.0);
-                    ++calls;
-                  });
-  EXPECT_EQ(calls, 3u);
 }
 
 TEST(Reinforce, DeterministicGivenSeeds) {
@@ -75,8 +60,9 @@ TEST(Reinforce, DeterministicGivenSeeds) {
     options.epochs = 3;
     options.rollouts_per_example = 3;
     Rng train_rng(seed + 100);
-    return train_reinforce(policy, dags, cap(), options, train_rng)
-        .epoch_mean_makespan;
+    ReinforceTrainer trainer(policy, dags, cap(), options, train_rng);
+    while (!trainer.done()) trainer.run_epoch();
+    return trainer.result().epoch_mean_makespan;
   };
   EXPECT_EQ(run(5), run(5));
 }
@@ -95,13 +81,14 @@ TEST(Reinforce, ImprovesSchedulingOnPackingProblem) {
   Policy policy = make_tiny_policy(rng);
   ImitationOptions imitation;
   imitation.epochs = 10;
-  pretrain_on_cp(policy, dags, cap(), imitation, rng);
 
   ReinforceOptions options;
   options.epochs = 25;
   options.rollouts_per_example = 6;
   options.optimizer.learning_rate = 1e-3;
-  const auto result = train_reinforce(policy, dags, cap(), options, rng);
+  TwoPhaseTrainer trainer(policy, dags, cap(), imitation, options, rng);
+  while (!trainer.done()) trainer.run_epoch();
+  const auto& result = trainer.reinforce_result();
 
   const auto& curve = result.epoch_mean_makespan;
   ASSERT_EQ(curve.size(), 25u);
@@ -123,8 +110,9 @@ TEST(Reinforce, EpisodeReturnsCountEverySlotEvenWithJumps) {
   ReinforceOptions options;
   options.epochs = 1;
   options.rollouts_per_example = 2;
-  const auto result = train_reinforce(policy, dags, cap(), options, rng);
-  EXPECT_DOUBLE_EQ(result.epoch_mean_makespan[0], 7.0);
+  ReinforceTrainer trainer(policy, dags, cap(), options, rng);
+  trainer.run_epoch();
+  EXPECT_DOUBLE_EQ(trainer.result().epoch_mean_makespan[0], 7.0);
 }
 
 }  // namespace

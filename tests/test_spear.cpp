@@ -30,7 +30,9 @@ std::shared_ptr<const Policy> tiny_trained_policy() {
     ImitationOptions imitation;
     imitation.epochs = 15;
     imitation.optimizer.learning_rate = 1e-3;
-    pretrain_on_cp(p, dags, cap(), imitation, rng);
+    ImitationTrainer trainer(p, collect_cp_demonstrations(p, dags, cap()),
+                             imitation, rng);
+    while (!trainer.done()) trainer.run_epoch();
     return std::make_shared<const Policy>(std::move(p));
   }();
   return policy;
@@ -89,7 +91,6 @@ TEST(Spear, GreedyRolloutModeWorks) {
   SpearOptions options;
   options.initial_budget = 20;
   options.min_budget = 5;
-  options.sample_rollouts = false;
   auto spear = make_spear_scheduler(tiny_trained_policy(), options);
   Dag dag = testing::make_independent(6, 4, ResourceVector{0.3, 0.3});
   const Time makespan = validated_makespan(*spear, dag, cap());
