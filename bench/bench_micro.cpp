@@ -79,11 +79,7 @@ void BM_RandomEpisode(benchmark::State& state) {
       const auto actions = env.valid_actions();
       const auto pick = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(actions.size()) - 1));
-      if (actions[pick] == SchedulingEnv::kProcessAction) {
-        env.process_to_next_finish();
-      } else {
-        env.step(actions[pick]);
-      }
+      env.apply(actions[pick]);
     }
     benchmark::DoNotOptimize(env.makespan());
   }
@@ -188,12 +184,7 @@ std::vector<SchedulingEnv> episode_states(std::size_t max_states) {
   std::vector<SchedulingEnv> states;
   while (!env.done() && states.size() < max_states) {
     states.push_back(env);
-    const auto actions = env.valid_actions();
-    if (actions.front() == SchedulingEnv::kProcessAction) {
-      env.process_to_next_finish();
-    } else {
-      env.step(actions.front());
-    }
+    env.apply(env.valid_actions().front());
   }
   return states;
 }

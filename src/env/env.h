@@ -107,7 +107,7 @@ class SchedulingEnv {
   /// set, the backlog, and any pending retries.  Two states with equal keys
   /// featurize bit-identically and expose identical valid-action sets, so
   /// every DecisionPolicy evaluates them to bitwise-equal action weights —
-  /// the property the leaf-parallel transposition cache relies on.  The DAG
+  /// the property the search's state cache relies on.  The DAG
   /// identity is NOT part of the key; callers must not mix keys across
   /// DAGs.
   void append_canonical_key(std::vector<std::uint64_t>& out) const;
@@ -122,6 +122,17 @@ class SchedulingEnv {
   /// MCTS variant: advances to the next task completion.  Requires
   /// can_process().  Returns -(elapsed slots).
   double process_to_next_finish();
+
+  /// The search's step rule: kProcessAction processes to the next task
+  /// completion (the paper's depth-minimizing adaptation), any other action
+  /// is step(action).
+  void apply(int action) {
+    if (action == kProcessAction) {
+      process_to_next_finish();
+    } else {
+      step(action);
+    }
+  }
 
  private:
   struct PendingRetry {

@@ -14,16 +14,6 @@ namespace spear {
 
 namespace {
 
-/// Applies an env-level action, processing to the next completion for the
-/// process action (the paper's depth-minimizing adaptation).
-void apply_action(SchedulingEnv& env, int action) {
-  if (action == SchedulingEnv::kProcessAction) {
-    env.process_to_next_finish();
-  } else {
-    env.step(action);
-  }
-}
-
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -66,16 +56,20 @@ struct LeafJob {
   bool aborted = false;
   bool terminal = false;
   double value = 0.0;
-  StateKey key;  ///< canonical key (nonterminal kExpand, caches armed)
-  /// Rollout cache only: each state the rollout asked the guide about, with
-  /// the action picked there, in step order; published at backup.
-  std::vector<std::pair<StateKey, int>> misses;
+  /// Nonterminal kExpand with the state cache on: the child's canonical
+  /// key, moved into its rollout when the guide is pure.
+  StateKey key;
+  /// Pure guide only: each state the rollout asked the guide about, with
+  /// the priors it gave there, in step order; published at backup.
+  std::vector<std::pair<StateKey, Priors>> misses;
   /// The job's search counters, folded into stats_ at backup in slot order
   /// so the totals are independent of the worker partition.
   MctsScheduler::Stats counts;
 
+  /// The new child's ordering: from the state cache or its own first
+  /// rollout step (worker side), else from the evaluator.
+  Priors priors;
   // Evaluation-queue bookkeeping (coordinator side).
-  Priors priors;  ///< new child's ordering
   std::chrono::steady_clock::time_point enqueued;  ///< obs: queue wait
 
   void reset() {
@@ -101,8 +95,14 @@ struct ActiveRollout {
 
   std::size_t slot;
   SchedulingEnv env;
-  StateKey key;  ///< rollout cache only: the current state's key
-  // This step's plan: the pick of this pick_batch row, or `action` as is.
+  // Pure guide only: the current state's key and the state cache's entry
+  // there (null on a miss), probed once when the state is reached.
+  StateKey key;
+  const StateEntry* entry = nullptr;
+  /// This step's state is the job's new child, which takes the priors of
+  /// this step's row.
+  bool child_step = false;
+  // This step's plan: the pick of this guide row, or `action` as is.
   std::size_t guide_row = 0;
   int action = 0;
 };
@@ -110,12 +110,13 @@ struct ActiveRollout {
 /// A worker's rollout scratch, reused across the ticks of a decision.
 struct WorkerScratch {
   std::vector<ActiveRollout> active;
-  // One step's pick_batch rows: every active rollout with the cache off,
-  // one per distinct missed key with it on.
+  // One step's guide rows: every active rollout without a pure guide, one
+  // per distinct missed key with one.
   std::vector<const SchedulingEnv*> envs;
   std::vector<Rng*> rngs;
-  std::vector<int> picks;
-  std::vector<const StateKey*> row_keys;  ///< rollout cache: each row's key
+  std::vector<int> picks;                 ///< pick_batch's answers
+  std::vector<Priors> priors;             ///< pure guide: the rows' priors
+  std::vector<const StateKey*> row_keys;  ///< pure guide: each row's key
 };
 
 /// Every int64_t Stats counter with its metric name, in declaration order.
@@ -231,7 +232,15 @@ void MctsScheduler::set_anytime_budgets(std::int64_t initial_budget,
 SearchTree MctsScheduler::make_tree(const SchedulingEnv& env) {
   SearchTree tree(env);
   SearchNode& root = tree.node(tree.root());
-  root.untried = guide_->action_weights(env);
+  // A decision root is usually the previous decision's chosen child, whose
+  // priors the state cache already holds.
+  const StateEntry* cached = nullptr;
+  if (state_cache_) {
+    StateKey key;
+    env.append_canonical_key(key);
+    cached = state_cache_->find(key);
+  }
+  root.untried = cached ? cached->priors : guide_->action_weights(env);
   if (root.untried.empty()) {
     throw std::logic_error("MctsScheduler: no valid action at decision root");
   }
@@ -272,6 +281,10 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
   // (see MctsOptions): the same seed and budget descend the same tree no
   // matter how many workers split the slots.
   const bool serial = serial_search();
+  // A pure guide's rollouts probe and fill the state cache, and a new
+  // child's own first rollout step gives it its priors.
+  SharedActionCache* const cache = state_cache_.get();
+  const bool pure = cache && cache->kept_by_pure_guide();
   const std::int64_t per_tick =
       std::min<std::int64_t>(serial ? 1 : options_.leaf_batch_size, budget);
 
@@ -420,6 +433,13 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
         count_faults(job, a.env);
       };
 
+      // Keys `a`'s current state and probes the state cache there.
+      const auto reach = [&](ActiveRollout& a) {
+        a.key.clear();
+        a.env.append_canonical_key(a.key);
+        a.entry = cache->find(a.key);
+      };
+
       ws.active.clear();
       for (std::size_t s = lo; s < hi; ++s) {
         LeafJob& job = jobs[s];
@@ -428,12 +448,12 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
         ++job.counts.env_copies;
         if (job.kind == LeafJob::Kind::kRollout) {
           ActiveRollout& a = ws.active.emplace_back(s, node.state);
-          if (rollout_cache_) a.env.append_canonical_key(a.key);
+          if (pure) reach(a);
           continue;
         }
         SchedulingEnv& child = job.child.emplace(node.state);
         try {
-          apply_action(child, job.action);
+          child.apply(job.action);
         } catch (const JobAbortedError&) {
           // Fault mode: this action path exhausts a retry budget.  Keep the
           // node (with its fixed penalty) so the search learns to avoid it.
@@ -447,23 +467,38 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
           count_faults(job, child);
           continue;
         }
-        // Only the state caches read the key: capacity 0 pays nothing for
-        // it.
-        if (transpositions_) child.append_canonical_key(job.key);
         if (obs::enabled()) job.enqueued = std::chrono::steady_clock::now();
         ++job.counts.env_copies;
-        ws.active.emplace_back(s, child,
-                               rollout_cache_ ? job.key : StateKey());
+        ActiveRollout& a = ws.active.emplace_back(s, child);
+        // Capacity 0 pays nothing for a key.  The child's key is probed
+        // once: a hit gives its priors (and a pure guide's rollout its
+        // first step); a pure guide's miss makes the child a row of its
+        // own first rollout step; any other miss goes to the evaluator.
+        if (!cache) continue;
+        child.append_canonical_key(job.key);
+        const StateEntry* hit = cache->find(job.key);
+        if (hit) {
+          ++job.counts.tt_hits;
+          job.priors = hit->priors;
+        } else {
+          ++job.counts.tt_misses;
+        }
+        if (pure) {
+          a.key = std::move(job.key);
+          a.entry = hit;
+          a.child_step = !hit;
+        }
       }
 
       while (!ws.active.empty()) {
-        // Plan the step.  With the rollout cache armed, one probe per
-        // rollout decides it: a known makespan ends the rollout there, a
-        // cached action is taken as is, and a miss becomes a pick_batch
-        // row, which the step's other misses with an equal key share.
-        // Without the cache every rollout gets its own row.  Finished
-        // rollouts are compacted away in the same pass, before a row's
-        // pointers are taken, so no row moves until the step is applied.
+        // Plan the step.  With a pure guide the entry found when the state
+        // was reached decides it: a known makespan ends the rollout there,
+        // cached priors give the action, and a miss becomes a guide row,
+        // which the step's other misses with an equal key share.  Any
+        // other guide gives every rollout its own pick_batch row.
+        // Finished rollouts are compacted away in the same pass, before a
+        // row's pointers are taken, so no row moves until the step is
+        // applied.
         ws.envs.clear();
         ws.rngs.clear();
         ws.row_keys.clear();
@@ -471,19 +506,18 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
         for (std::size_t i = 0; i < ws.active.size(); ++i) {
           if (kept != i) ws.active[kept] = std::move(ws.active[i]);
           ActiveRollout& a = ws.active[kept];
-          RolloutStep step;
-          if (rollout_cache_ && rollout_cache_->find(a.key, &step)) {
-            if (step.makespan != RolloutStep::kUnknownMakespan) {
+          if (a.entry) {
+            if (a.entry->makespan != StateEntry::kUnknownMakespan) {
               ++jobs[a.slot].counts.rollout_memo_hits;
-              retire(a, -static_cast<double>(step.makespan));
+              retire(a, -static_cast<double>(a.entry->makespan));
               continue;
             }
             ++jobs[a.slot].counts.rollout_cache_hits;
             a.guide_row = ActiveRollout::kCachedStep;
-            a.action = step.action;
+            a.action = a.entry->priors.front().first;
           } else {
             a.guide_row = ws.envs.size();
-            if (rollout_cache_) {
+            if (pure) {
               const auto row = std::find_if(
                   ws.row_keys.begin(), ws.row_keys.end(),
                   [&a](const StateKey* k) { return *k == a.key; });
@@ -501,25 +535,36 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
         ws.active.erase(ws.active.begin() + static_cast<std::ptrdiff_t>(kept),
                         ws.active.end());
         if (!ws.envs.empty()) {
-          ws.picks.resize(ws.envs.size());
-          guide.pick_batch(ws.envs.data(), ws.envs.size(), ws.rngs.data(),
-                           ws.picks.data());
+          if (pure) {
+            ws.priors =
+                guide.action_weights_batch(ws.envs.data(), ws.envs.size());
+          } else {
+            ws.picks.resize(ws.envs.size());
+            guide.pick_batch(ws.envs.data(), ws.envs.size(), ws.rngs.data(),
+                             ws.picks.data());
+          }
         }
 
-        // Apply the step; a rollout that goes on keys its new state.
+        // Apply the step; with a pure guide a rollout that goes on keys
+        // and probes its new state.
         kept = 0;
         for (std::size_t i = 0; i < ws.active.size(); ++i) {
           ActiveRollout& a = ws.active[i];
           LeafJob& job = jobs[a.slot];
           if (a.guide_row != ActiveRollout::kCachedStep) {
-            a.action = ws.picks[a.guide_row];
-            if (rollout_cache_) {
-              job.misses.emplace_back(std::move(a.key), a.action);
+            if (pure) {
+              const Priors& priors = ws.priors[a.guide_row];
+              a.action = priors.front().first;
+              if (a.child_step) job.priors = priors;
+              job.misses.emplace_back(std::move(a.key), priors);
               ++job.counts.rollout_cache_misses;
+            } else {
+              a.action = ws.picks[a.guide_row];
             }
           }
+          a.child_step = false;
           try {
-            apply_action(a.env, a.action);
+            a.env.apply(a.action);
           } catch (const JobAbortedError&) {
             // Penalize the abort, never kill the search.
             ++job.counts.search_aborts;
@@ -530,10 +575,7 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
             retire(a, -static_cast<double>(a.env.makespan()));
             continue;
           }
-          if (rollout_cache_) {
-            a.key.clear();
-            a.env.append_canonical_key(a.key);
-          }
+          if (pure) reach(a);
           if (kept != i) ws.active[kept] = std::move(a);
           ++kept;
         }
@@ -554,8 +596,9 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
       }
     }
 
-    // --- Evaluator: drain the queue of new leaf states through the
-    // transposition cache, then ONE fused guide forward for the misses. ---
+    // --- Evaluator: ONE fused guide forward for the new leaf states still
+    // without priors (none with a pure guide), whose priors then enter the
+    // state cache. ---
     {
       obs::ScopedTimer drain_span("mcts.evaluator.drain", "mcts",
                                   /*with_trace=*/!serial);
@@ -574,12 +617,7 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
                                                         job.enqueued)
                   .count());
         }
-        if (transpositions_ && transpositions_->find(job.key, &job.priors)) {
-          ++stats_.tt_hits;
-        } else {
-          // No cache (capacity 0) is not "all misses": the probe counters
-          // only track a cache that is actually in play.
-          if (transpositions_) ++stats_.tt_misses;
+        if (job.priors.empty()) {
           pending.push_back(&*job.child);
           pending_jobs.push_back(&job);
         }
@@ -594,8 +632,9 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
                        static_cast<double>(pending.size()));
         }
         for (std::size_t i = 0; i < pending_jobs.size(); ++i) {
-          if (transpositions_) {
-            transpositions_->insert(pending_jobs[i]->key, lists[i]);
+          if (cache) {
+            cache->insert(std::move(pending_jobs[i]->key),
+                          StateEntry{lists[i], StateEntry::kUnknownMakespan});
           }
           pending_jobs[i]->priors = std::move(lists[i]);
         }
@@ -620,14 +659,15 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
         backprop_from = child_id;
       }
       stats_ += job.counts;
-      if (rollout_cache_) {
+      if (pure) {
         // Publish the job's missed states.  With faults off no rollout
         // aborts, so one that asked the guide finished at -value.
         const Time makespan = options_.faults
-                                  ? RolloutStep::kUnknownMakespan
+                                  ? StateEntry::kUnknownMakespan
                                   : static_cast<Time>(-job.value);
-        for (auto& [key, action] : job.misses) {
-          rollout_cache_->insert(std::move(key), RolloutStep{action, makespan});
+        for (auto& [key, priors] : job.misses) {
+          cache->insert(std::move(key),
+                        StateEntry{std::move(priors), makespan});
         }
       }
       ++stats_.iterations;
@@ -703,26 +743,20 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
       static_cast<double>(std::max<Time>(greedy_makespan_estimate(env), 1));
 
   ensure_workers();
-  // The state caches are built here, fresh per schedule — their keys do not
+  // The state cache is built here, fresh per schedule — its keys do not
   // encode the DAG identity — in every search configuration (see
-  // transposition_capacity).  The rollout cache is offered to every worker
-  // guide and armed only when a guide marked it pure (the mark is on the
-  // cache, so it survives forwarding decorators): sampling and heuristic
-  // guides search without it.  Forward tallies are zeroed so the
-  // end-of-schedule fold reports THIS schedule only.
-  std::shared_ptr<SharedActionCache> offered;
+  // transposition_capacity), and offered to every worker guide.  Its
+  // priors serve every guide; rollouts use it only when a guide marked it
+  // pure (the mark is on the cache, so it survives forwarding decorators).
+  // Forward tallies are zeroed so the end-of-schedule fold reports THIS
+  // schedule only.
   if (options_.transposition_capacity > 0) {
-    transpositions_ =
-        std::make_unique<TranspositionCache>(options_.transposition_capacity);
-    offered =
+    state_cache_ =
         std::make_shared<SharedActionCache>(options_.transposition_capacity);
   }
   for (const auto& g : worker_guides_) {
-    if (offered) g->share_rollout_cache(offered);
+    if (state_cache_) g->share_rollout_cache(state_cache_);
     g->reset_forward_stats();
-  }
-  if (offered && offered->kept_by_pure_guide()) {
-    rollout_cache_ = std::move(offered);
   }
 
   // Anytime mode: every decision gets its own wall-clock deadline, started
@@ -751,8 +785,7 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
         hist_add(stats_.batch_rows_hist, *hist);
       }
     }
-    transpositions_.reset();
-    rollout_cache_.reset();
+    state_cache_.reset();
     if (!obs::enabled()) return;
     obs::count("mcts.schedules");
     stats_.for_each_count(
@@ -771,7 +804,7 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
       const SearchNode& root = tree->node(tree->root());
       if (root.untried.size() == 1 && root.children.empty()) {
         // Forced move: skip the search entirely.
-        apply_action(env, root.untried.front().first);
+        env.apply(root.untried.front().first);
         tree.reset();
         ++stats_.decisions;
         ++stats_.forced_decisions;
@@ -801,15 +834,15 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
           // Anytime degradation: the deadline expired before a single
           // iteration finished — take the fallback heuristic's move.
           ++stats_.degradations;
-          apply_action(env, fallback_.pick(env, rng));
+          env.apply(fallback_.pick(env, rng));
         } else {
           // Budget too small to expand anything: fall back to the guide's
           // top untried choice.
-          apply_action(env, tree->node(tree->root()).untried.front().first);
+          env.apply(tree->node(tree->root()).untried.front().first);
         }
         tree.reset();
       } else {
-        apply_action(env, tree->node(best).action_from_parent);
+        env.apply(tree->node(best).action_from_parent);
         // The serial search builds a fresh tree for every decision.
         if (!serial && options_.leaf_tree_reuse) {
           tree = tree->reroot(best);

@@ -25,17 +25,20 @@
 // One search engine runs every mode (DESIGN.md §6, §11): a shared tree
 // searched in ticks — descents under virtual loss, worker threads that
 // build children and advance rollouts, and a central evaluator that scores
-// new leaves with one batched forward per tick through a transposition
-// cache.  With a greedy guide every rollout step first probes the search's
-// rollout cache, which holds the greedy action at each state a rollout
-// asked the guide about and, with faults off, the makespan that rollout
-// finished at: a known makespan ends the rollout there, a cached action
-// skips the guide, and only the misses reach pick_batch.  The coordinator
-// publishes a tick's new entries at backup, in slot order, so the workers
-// only read the cache and every search counter but the forward tallies is
-// independent of the worker count.  schedule_env() builds both caches (one
-// StateCache class, mcts/transposition.h) fresh for each schedule and
-// releases them when the schedule returns or throws; a hit is
+// the new leaves still without priors with one batched forward per tick.
+// One state cache (mcts/transposition.h) holds, per state, the guide's
+// priors and, with a greedy guide and faults off, the makespan the greedy
+// rollout from it finished at.  A new leaf (or decision root) found there
+// takes its priors from it, for every guide.  With a greedy guide every
+// rollout state is probed too: a known makespan ends the rollout, cached
+// priors give the step, and only the misses reach the guide, through
+// action_weights_batch — so a new leaf the cache misses is a row of its own
+// first rollout step, whose priors become the leaf's, and the evaluator
+// has nothing left to score.  The coordinator publishes a tick's new
+// entries at backup, in slot order, so the workers only read the cache and
+// every search counter but the forward tallies is independent of the
+// worker count.  schedule_env() builds the cache fresh for each schedule
+// and releases it when the schedule returns or throws; a hit is
 // bitwise-identical to the forward or rollout it replaces.  The serial
 // search (SearchMode::kRoot at num_threads == 1) is the one-slot
 // configuration: ticks of one descent drawing from one schedule-wide RNG
@@ -139,9 +142,9 @@ struct MctsOptions {
   /// but hold more virtual loss concurrently; ticks never exceed the
   /// decision's remaining budget.
   int leaf_batch_size = 32;
-  /// Max entries in each of the two state caches, in every search mode: the
-  /// transposition cache and the rollout cache (armed for greedy guides
-  /// only); 0 disables both (the paper's cache-less loop, one forward per
+  /// Max entries in the search's one state cache, in every search mode:
+  /// priors for every guide, rollout steps and makespans for greedy guides
+  /// only; 0 disables it (the paper's cache-less loop, one forward per
   /// rollout step).  Cached priors, greedy rollout actions and rollout
   /// makespans are bitwise-identical to fresh evaluations, so this is
   /// purely a throughput knob.
@@ -149,7 +152,7 @@ struct MctsOptions {
   /// Leaf mode reuses the chosen subtree across decisions by default
   /// (SearchTree::reroot, §III-C: "the selected action will point to a
   /// child node which will become the new root node") — it compounds with
-  /// the transposition cache.  The benches' --no-tree-reuse clears this.
+  /// the state cache.  The benches' --no-tree-reuse clears this.
   /// The serial search always builds a fresh tree per decision.
   bool leaf_tree_reuse = true;
 };
@@ -206,8 +209,9 @@ class MctsScheduler : public Scheduler {
     std::int64_t search_aborts = 0;    ///< simulated trajectories that
                                        ///< exhausted the retry budget
     // Batched-evaluation telemetry: the central evaluator's queue drains
-    // that reached the guide (ticks whose new leaves all hit the
-    // transposition cache issue none).
+    // that reached the guide (ticks whose new leaves all got their priors
+    // from the state cache or their own first rollout step — every tick of
+    // a greedy guide's search — issue none).
     std::int64_t batched_evals = 0;  ///< fused batch forwards issued
     std::int64_t batched_rows = 0;   ///< states scored by those batches
                                      ///< (rows per eval = batched_rows /
@@ -230,15 +234,18 @@ class MctsScheduler : public Scheduler {
     // iteration and never collides (one descent in flight).
     std::int64_t leaf_ticks = 0;  ///< evaluator ticks (descend -> evaluate
                                   ///< -> backup rounds)
-    std::int64_t tt_hits = 0;     ///< transposition-cache prior hits
-    std::int64_t tt_misses = 0;   ///< probes that fell through to the
-                                  ///< evaluator
+    std::int64_t tt_hits = 0;     ///< new leaves whose priors the state
+                                  ///< cache held
+    std::int64_t tt_misses = 0;   ///< new leaves it did not (scored by
+                                  ///< their first rollout step or by the
+                                  ///< evaluator)
     std::int64_t vloss_collisions = 0;  ///< descents that crossed a node
                                         ///< already holding virtual loss
                                         ///< (another descent in flight)
-    std::int64_t rollout_cache_hits = 0;    ///< rollout steps that took a
-                                            ///< cached action (entries
-                                            ///< without a makespan: faults)
+    std::int64_t rollout_cache_hits = 0;    ///< rollout steps that took
+                                            ///< cached priors' front
+                                            ///< action (entries without a
+                                            ///< makespan: faults)
     std::int64_t rollout_cache_misses = 0;  ///< rollout steps that asked
                                             ///< the guide
     std::int64_t rollout_memo_hits = 0;  ///< rollouts ended early at a
@@ -317,11 +324,11 @@ class MctsScheduler : public Scheduler {
 
   /// One decision (DESIGN.md §11): runs up to `budget` iterations on `tree`
   /// in synchronized ticks — descend with virtual loss, construct children
-  /// and advance rollouts on the workers, drain the evaluation queue
-  /// through the transposition cache and ONE batched guide forward, back up
-  /// in slot order — stopping at `deadline` if set.  Serial ticks hold one
-  /// slot and roll out with `rng`; leaf ticks hold leaf_batch_size slots,
-  /// each with its own stream.  Returns the chosen root child (kNoNode if
+  /// and advance rollouts on the workers, score the new leaves still
+  /// without priors in ONE batched guide forward, back up in slot order —
+  /// stopping at `deadline` if set.  Serial ticks hold one slot and roll
+  /// out with `rng`; leaf ticks hold leaf_batch_size slots, each with its
+  /// own stream.  Returns the chosen root child (kNoNode if
   /// nothing was ever expanded — callers fall back); `ran_any` reports
   /// whether at least one iteration completed.
   NodeId decide(SearchTree& tree, std::int64_t budget,
@@ -331,7 +338,8 @@ class MctsScheduler : public Scheduler {
   /// tiebreaker (mean only under the ablation); kNoNode when the root has
   /// no children.
   NodeId best_root_child(const SearchTree& tree) const;
-  /// Fresh single-node tree for `env` with guide-ordered untried actions.
+  /// Fresh single-node tree for `env` with guide-ordered untried actions,
+  /// taken from the state cache when it holds `env`.
   SearchTree make_tree(const SchedulingEnv& env);
   /// On first use, lists the worker guides (guide_ itself, then clones)
   /// and builds the thread pool when there is more than one worker.
@@ -346,12 +354,9 @@ class MctsScheduler : public Scheduler {
   std::unique_ptr<ThreadPool> pool_;
   /// worker_guides_[0] is guide_; the rest are its clones.
   std::vector<std::shared_ptr<DecisionPolicy>> worker_guides_;
-  /// Prior cache of the running schedule_env() call; null at
+  /// State cache of the running schedule_env() call; null at
   /// transposition_capacity 0 and between calls.
-  std::unique_ptr<TranspositionCache> transpositions_;
-  /// Rollout cache of the running schedule_env() call; null at
-  /// transposition_capacity 0, without a pure guide and between calls.
-  std::shared_ptr<SharedActionCache> rollout_cache_;
+  std::shared_ptr<SharedActionCache> state_cache_;
   /// Rollout value assigned to simulated trajectories that abort under the
   /// retry policy — a deterministic penalty worse than any completion.
   double abort_value_ = 0.0;

@@ -10,11 +10,19 @@ namespace spear {
 namespace {
 
 /// Sorts action/weight pairs by descending weight, ties keeping env order —
-/// the ordering contract of DecisionPolicy::action_weights.
+/// the ordering contract of DecisionPolicy::action_weights.  An in-place
+/// stable insertion sort: the lists are short (a DRL guide's hold at most
+/// max_ready + 1 entries) and sorted on every rollout step a cache misses,
+/// where std::stable_sort would allocate a temporary buffer each call.
 void sort_by_weight(std::vector<std::pair<int, double>>& weights) {
-  std::stable_sort(
-      weights.begin(), weights.end(),
-      [](const auto& a, const auto& b) { return a.second > b.second; });
+  for (std::size_t i = 1; i < weights.size(); ++i) {
+    const std::pair<int, double> item = weights[i];
+    std::size_t j = i;
+    for (; j > 0 && weights[j - 1].second < item.second; --j) {
+      weights[j] = weights[j - 1];
+    }
+    weights[j] = item;
+  }
 }
 
 }  // namespace
@@ -160,6 +168,7 @@ void DrlDecisionPolicy::forward_batch(const SchedulingEnv* const* envs,
 std::vector<std::pair<int, double>> DrlDecisionPolicy::weights_from_probs(
     const std::vector<double>& probs) const {
   std::vector<std::pair<int, double>> out;
+  out.reserve(probs.size());
   for (std::size_t o = 0; o < probs.size(); ++o) {
     if (probs[o] > 0.0) {
       out.emplace_back(policy_->to_env_action(o), probs[o]);

@@ -46,11 +46,12 @@ class DecisionPolicy {
 
   /// Batched rollout step: out[i] == pick(*envs[i], *rngs[i]) for every i
   /// (bit-identical — each row consumes only its own RNG draws, in the same
-  /// number as pick()).  MCTS asks this for every rollout step its rollout
-  /// cache does not answer — many rows in lockstep in leaf mode, so
-  /// batch-capable guides score one fused forward per step instead of one
-  /// forward per rollout, and one row at a time in the serial search.  The
-  /// default loops over pick().
+  /// number as pick()).  MCTS asks this for every rollout step of a guide
+  /// that did not mark its state cache pure (a pure guide's cache misses
+  /// are scored by action_weights_batch instead) — many rows in lockstep in
+  /// leaf mode, so batch-capable guides score one fused forward per step
+  /// instead of one forward per rollout, and one row at a time in the
+  /// serial search.  The default loops over pick().
   virtual void pick_batch(const SchedulingEnv* const* envs, std::size_t n,
                           Rng* const* rngs, int* out);
 
@@ -73,14 +74,14 @@ class DecisionPolicy {
   /// No-op; kept only because the benchmark's guide decorator overrides it.
   virtual void enable_rollout_cache(std::size_t capacity) { (void)capacity; }
 
-  /// MCTS offers every worker guide the schedule's fresh rollout cache
-  /// (mcts/transposition.h) when a schedule starts.  A guide whose picks
-  /// are a pure function of the state and consume no RNG calls
-  /// cache->mark_kept_by_pure_guide(); the search arms the cache only when
-  /// that mark is set, and then probes and fills it itself, asking the
-  /// guide only for the states it misses.  The guide keeps nothing.
-  /// Default: no-op — a guide with RNG-consuming or impure picks must not
-  /// have them cached.
+  /// MCTS offers every worker guide the schedule's fresh state cache
+  /// (mcts/transposition.h) when a schedule starts.  A guide whose pick is
+  /// the front of its own action_weights and consumes no RNG calls
+  /// cache->mark_kept_by_pure_guide(); rollouts use the cache only when
+  /// that mark is set, and the search then probes and fills it itself,
+  /// scoring only the states it misses through action_weights_batch.  The
+  /// guide keeps nothing.  Default: no-op — a guide with RNG-consuming or
+  /// impure picks must not have them cached.
   virtual void share_rollout_cache(std::shared_ptr<SharedActionCache> cache) {
     (void)cache;
   }
@@ -155,10 +156,11 @@ class DrlDecisionPolicy : public DecisionPolicy {
   void pick_batch(const SchedulingEnv* const* envs, std::size_t n,
                   Rng* const* rngs, int* out) override;
 
-  /// Greedy picks are deterministic and consume no RNG, so greedy mode
-  /// marks the offered cache kept by a pure guide, which arms it; sampling
-  /// mode leaves it unmarked (a skipped draw would shift the rollout's RNG
-  /// stream).
+  /// A greedy pick is the first maximum of the row's probabilities, which
+  /// is action_weights' front (descending weight, ties in output order),
+  /// and consumes no RNG, so greedy mode marks the offered cache kept by a
+  /// pure guide; sampling mode leaves it unmarked (a skipped draw would
+  /// shift the rollout's RNG stream).
   void share_rollout_cache(std::shared_ptr<SharedActionCache> cache) override;
   const std::vector<std::int64_t>* forward_hist() const override {
     return &forward_hist_;

@@ -15,28 +15,13 @@ std::uint64_t hash_state_key(const StateKey& key) {
   return h;
 }
 
-template <typename V>
-bool StateCache<V>::find(const Key& key, V* out) const {
-  if (capacity_ == 0) return false;
+const StateEntry* SharedActionCache::find(const StateKey& key) const {
+  if (capacity_ == 0) return nullptr;
   const auto it = entries_.find(Probe{&key, hash_state_key(key)});
-  if (it == entries_.end()) return false;
-  *out = it->second;
-  return true;
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
-template <typename V>
-void StateCache<V>::insert(const Key& key, V value) {
-  insert_impl(key, std::move(value));
-}
-
-template <typename V>
-void StateCache<V>::insert(Key&& key, V value) {
-  insert_impl(std::move(key), std::move(value));
-}
-
-template <typename V>
-template <typename K>
-void StateCache<V>::insert_impl(K&& key, V value) {
+void SharedActionCache::insert(StateKey key, StateEntry entry) {
   if (capacity_ == 0) return;
   const std::uint64_t hash = hash_state_key(key);
   if (entries_.find(Probe{&key, hash}) != entries_.end()) return;
@@ -46,12 +31,9 @@ void StateCache<V>::insert_impl(K&& key, V value) {
     order_.pop_front();
   }
   const auto inserted =
-      entries_.emplace(HashedKey{std::forward<K>(key), hash}, std::move(value))
+      entries_.emplace(HashedKey{std::move(key), hash}, std::move(entry))
           .first;
   order_.push_back(&inserted->first);
 }
-
-template class StateCache<Priors>;
-template class StateCache<RolloutStep>;
 
 }  // namespace spear

@@ -23,14 +23,7 @@ int greedy_action(const SchedulingEnv& env, const PriorityFn& priority) {
 
 Time run_greedy(SchedulingEnv& env,
                 const std::function<int(const SchedulingEnv&)>& next_action) {
-  while (!env.done()) {
-    const int action = next_action(env);
-    if (action == SchedulingEnv::kProcessAction) {
-      env.process_to_next_finish();
-    } else {
-      env.step(action);
-    }
-  }
+  while (!env.done()) env.apply(next_action(env));
   return env.makespan();
 }
 

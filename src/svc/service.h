@@ -103,7 +103,7 @@ struct ServiceOptions {
   std::int64_t heuristic_floor_ms = 4;
   /// Search threads inside one worker's scheduler, which always runs the
   /// leaf-parallel search (even single-threaded: the batched central
-  /// evaluator and transposition cache win on their own, DESIGN.md §11).
+  /// evaluator and state cache win on their own, DESIGN.md §11).
   /// Default 1: the service scales across REQUESTS via `workers`; raise
   /// this only for few-tenant, large-DAG deployments.
   int search_threads = 1;

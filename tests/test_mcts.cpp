@@ -1,5 +1,6 @@
 #include "mcts/mcts.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -607,12 +608,12 @@ TEST(SerialSearchGolden, PlacementsAndCountsMatchParent) {
   EXPECT_EQ(index, goldens.size());
 }
 
-// The serial search arms both state caches like every other configuration.
-// The StateCache contract (full-key compare, priors a pure function of the
-// state, greedy picks consume no RNG, sampling never caches, rollout
-// entries published only at backup) makes the armed search equal the
-// cache-less one bit for bit; only the cache and forward counters may
-// differ.
+// The serial search arms its state cache like every other configuration.
+// The cache's contract (full-key compare, priors a pure function of the
+// state, a greedy pick is the front of its priors and consumes no RNG,
+// sampling rollouts never use the cache, entries published only at backup)
+// makes the armed search equal the cache-less one bit for bit; only the
+// cache and forward counters may differ.
 TEST(SerialSearch, CachesOnMatchCachesOffBitForBit) {
   using Stats = MctsScheduler::Stats;
   const auto all_counts = [](const Stats& s) {
@@ -726,6 +727,64 @@ TEST(SerialSearch, OnlyAPureGuideMarksTheRolloutCache) {
     EXPECT_EQ(cache->kept_by_pure_guide(), std::string(name) == "drl-greedy")
         << name;
   }
+}
+
+// The promise a guide makes by marking the state cache pure: its pick is
+// the front of its own priors and draws nothing from the RNG, so the search
+// may take a rollout step from cached priors.  Checked for the greedy DRL
+// guide on every state of episodes over the golden DAGs (one following the
+// guide, three taking uniformly random valid actions).  A copy of the guide
+// with its output layer zeroed gives every valid action the same weight, so
+// it checks ties at the top: the pick and the priors' front are both the
+// first valid action in output order.
+TEST(PureGuide, GreedyDrlPickIsTheFrontOfItsPriors) {
+  Rng policy_rng(5);
+  Policy flat = Policy::make(FeaturizerOptions{}, 2, policy_rng, {16});
+  Mlp::Layer& output = flat.net().layers().back();
+  output.weights.fill(0.0);
+  std::fill(output.bias.begin(), output.bias.end(), 0.0);
+  const std::vector<std::shared_ptr<DecisionPolicy>> guides = {
+      golden_guide("drl-greedy"),
+      std::make_shared<DrlDecisionPolicy>(
+          std::make_shared<const Policy>(std::move(flat)), /*greedy=*/true)};
+  std::size_t states = 0;
+  std::size_t ties = 0;
+  for (std::size_t g = 0; g < guides.size(); ++g) {
+    DecisionPolicy& guide = *guides[g];
+    for (std::uint64_t k = 0; k < 4; ++k) {
+      const auto dag = std::make_shared<Dag>(golden_dag(k));
+      EnvOptions env_options;
+      env_options.max_ready = ready_window(guide, *dag);
+      for (std::uint64_t episode = 0; episode < 4; ++episode) {
+        SchedulingEnv env(dag, cap(), env_options);
+        Rng walk(100 * k + episode);
+        while (!env.done()) {
+          const std::string where =
+              "guide " + std::to_string(g) + ", dag " + std::to_string(k) +
+              ", episode " + std::to_string(episode);
+          const auto priors = guide.action_weights(env);
+          ASSERT_FALSE(priors.empty()) << where;
+          if (priors.size() > 1 && priors[0].second == priors[1].second) {
+            ++ties;
+          }
+          Rng rng(7 + states);
+          Rng untouched = rng;
+          const int pick = guide.pick(env, rng);
+          EXPECT_EQ(pick, priors.front().first) << where;
+          EXPECT_EQ(rng.next_u64(), untouched.next_u64()) << where;
+          ++states;
+          const auto actions = env.valid_actions();
+          env.apply(episode == 0
+                        ? pick
+                        : actions[static_cast<std::size_t>(walk.uniform_int(
+                              0, static_cast<std::int64_t>(actions.size()) -
+                                     1))]);
+        }
+      }
+    }
+  }
+  EXPECT_GT(states, 0u);
+  EXPECT_GT(ties, 0u);
 }
 
 /// Forwards every DecisionPolicy virtual to the wrapped guide, the way a

@@ -177,16 +177,32 @@ TEST(LeafMcts, VirtualLossCollisionsObserved) {
 }
 
 TEST(LeafMcts, BatchedEvaluatorRuns) {
+  // A sampling guide's rollouts never touch the state cache, so the new
+  // leaves it misses reach the evaluator's fused forward.
+  const Dag dag = test_dag(27);
+  MctsOptions options = leaf_options(2);
+  MctsScheduler mcts(options, make_guide(/*greedy=*/false));
+  mcts.schedule(dag, cap());
+  const auto& stats = mcts.last_stats();
+  EXPECT_GT(stats.leaf_ticks, 0);
+  EXPECT_GT(stats.batched_evals, 0);
+  EXPECT_GE(stats.batched_rows, stats.batched_evals);
+}
+
+TEST(LeafMcts, GreedyGuideLeavesTheEvaluatorIdle) {
+  // A greedy guide's new leaf takes its priors from the state cache or from
+  // its own first rollout step, so the evaluator never forwards.
   const Dag dag = test_dag(27);
   MctsOptions options = leaf_options(2);
   MctsScheduler mcts(options, make_guide());
   mcts.schedule(dag, cap());
   const auto& stats = mcts.last_stats();
   EXPECT_GT(stats.leaf_ticks, 0);
-  EXPECT_GT(stats.batched_evals, 0);
-  EXPECT_GE(stats.batched_rows, stats.batched_evals);
+  EXPECT_EQ(stats.batched_evals, 0);
+  EXPECT_EQ(stats.batched_rows, 0);
+  EXPECT_GT(stats.tt_hits + stats.tt_misses, 0);
   // Greedy DRL rollouts replay heavily (first-child expansion re-walks the
-  // parent's rollout), so the rollout cache must be ending rollouts early.
+  // parent's rollout), so the state cache must be ending rollouts early.
   EXPECT_GT(stats.rollout_memo_hits, 0);
 }
 
@@ -285,23 +301,29 @@ TEST(LeafMcts, SearchCountersIndependentOfThreadCount) {
 }
 
 TEST(LeafMcts, OneWorkerStatsMatchGolden) {
-  // Every Stats counter, the rollout cache split included, is a pure
+  // Every Stats counter, the state cache split included, is a pure
   // function of the inputs.  The golden placements and the non-cache
   // counts (in for_each_count order) were recorded with the per-worker
   // private rollout cache of earlier versions; the forward and rollout
   // cache counters were re-pinned when the rollout cache began to store
   // makespans (without faults every hit ends a rollout, so the last counter,
-  // rollout_memo_hits, takes every hit).  Capacity 24 forces heavy FIFO
-  // eviction.
+  // rollout_memo_hits, takes every hit).  The four forward counters
+  // (batched_evals, batched_rows, guide_forwards, guide_forward_rows) and
+  // the prior split (tt_hits, tt_misses) were re-pinned when one state
+  // cache replaced the prior cache and the rollout cache: a new leaf's
+  // priors now come from the cache or its own first rollout step, so the
+  // evaluator no longer forwards (its 140 rows are gone), and a leaf an
+  // earlier rollout already scored is a prior hit.  Capacity 24 forces
+  // heavy FIFO eviction.
   struct Golden {
     std::size_t capacity;
     std::vector<std::int64_t> counts;
   };
   const std::vector<Golden> goldens = {
-      {8192, {31, 0, 536, 519, 141, 660, 0, 0, 0, 0, 0, 0, 0, 30, 140, 336,
-              823, 32, 0, 140, 440, 0, 1644, 454}},
-      {24, {31, 0, 536, 519, 141, 660, 0, 0, 0, 0, 0, 0, 0, 30, 140, 454,
-            1590, 32, 0, 140, 440, 0, 4343, 331}},
+      {8192, {31, 0, 536, 519, 141, 660, 0, 0, 0, 0, 0, 0, 0, 0, 0, 306,
+              683, 32, 65, 75, 440, 0, 1644, 454}},
+      {24, {31, 0, 536, 519, 141, 660, 0, 0, 0, 0, 0, 0, 0, 0, 0, 424,
+            1450, 32, 30, 110, 440, 0, 4343, 331}},
   };
   const std::vector<std::pair<TaskId, Time>> placements = {
       {1, 0},   {0, 0},   {2, 11},  {3, 11},  {4, 12},  {5, 22},
@@ -402,7 +424,7 @@ TEST(LeafMcts, RootModeAtSeveralThreadsRunsTheLeafSearch) {
   expect_same_placements(root.schedule(dag, cap()).placements(),
                          leaf.schedule(dag, cap()).placements());
 
-  // Every counter must agree too, the rollout cache's and the forward
+  // Every counter must agree too, the state cache's and the forward
   // tallies included: both searches split the same slots over three
   // workers.
   const auto& a = root.last_stats();

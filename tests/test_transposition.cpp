@@ -27,62 +27,66 @@ StateKey key_of(const SchedulingEnv& env) {
   return key;
 }
 
-bool has(const TranspositionCache& cache, const StateKey& key) {
-  Priors priors;
-  return cache.find(key, &priors);
+bool has(const SharedActionCache& cache, const StateKey& key) {
+  return cache.find(key) != nullptr;
 }
 
+/// An entry whose priors hold `action` alone.
+StateEntry entry_of(int action, Time makespan) {
+  return StateEntry{{{action, 1.0}}, makespan};
+}
+
+// The TranspositionCache cases pin the priors half of an entry.
 TEST(TranspositionCache, HitReturnsBitwiseIdenticalPriors) {
-  TranspositionCache cache(8);
+  SharedActionCache cache(8);
   const StateKey key = {1, 2, 3};
   // Exactly representable and deliberately awkward doubles: a hit must
   // return the stored words bit for bit, not a recomputed approximation.
   const Priors priors = {{2, 0.625}, {0, 0.3125}, {5, 1.0 / 3.0}};
-  cache.insert(key, priors);
+  cache.insert(key, {priors, StateEntry::kUnknownMakespan});
 
-  Priors hit;
-  ASSERT_TRUE(cache.find(key, &hit));
-  ASSERT_EQ(hit.size(), priors.size());
+  const StateEntry* hit = cache.find(key);
+  ASSERT_NE(hit, nullptr);
+  ASSERT_EQ(hit->priors.size(), priors.size());
   for (std::size_t i = 0; i < priors.size(); ++i) {
-    EXPECT_EQ(hit[i].first, priors[i].first);
-    EXPECT_EQ(hit[i].second, priors[i].second);  // exact, not NEAR
+    EXPECT_EQ(hit->priors[i].first, priors[i].first);
+    EXPECT_EQ(hit->priors[i].second, priors[i].second);  // exact, not NEAR
   }
+  EXPECT_EQ(hit->makespan, StateEntry::kUnknownMakespan);
 }
 
 TEST(TranspositionCache, MissesOnUnknownKey) {
-  TranspositionCache cache(8);
-  cache.insert({1, 2, 3}, {{0, 1.0}});
-  Priors untouched = {{9, 0.5}};
-  EXPECT_FALSE(cache.find({1, 2, 4}, &untouched));
-  // A miss leaves the output alone.
-  ASSERT_EQ(untouched.size(), 1u);
-  EXPECT_EQ(untouched[0].first, 9);
+  SharedActionCache cache(8);
+  cache.insert({1, 2, 3}, entry_of(0, 5));
+  EXPECT_EQ(cache.find({1, 2, 4}), nullptr);
   // Prefixes and extensions are distinct keys, not hash-degenerate hits.
   EXPECT_FALSE(has(cache, {1, 2}));
   EXPECT_FALSE(has(cache, {1, 2, 3, 0}));
+  EXPECT_TRUE(has(cache, {1, 2, 3}));
 }
 
 TEST(TranspositionCache, DuplicateInsertKeepsFirstEntry) {
-  TranspositionCache cache(8);
-  cache.insert({7}, {{1, 0.75}});
-  cache.insert({7}, {{9, 0.25}});
-  Priors hit;
-  ASSERT_TRUE(cache.find({7}, &hit));
-  ASSERT_EQ(hit.size(), 1u);
-  EXPECT_EQ(hit[0].first, 1);
-  EXPECT_EQ(hit[0].second, 0.75);
+  SharedActionCache cache(8);
+  cache.insert({7}, {{{1, 0.75}}, StateEntry::kUnknownMakespan});
+  cache.insert({7}, {{{9, 0.25}}, StateEntry::kUnknownMakespan});
+  const StateEntry* hit = cache.find({7});
+  ASSERT_NE(hit, nullptr);
+  ASSERT_EQ(hit->priors.size(), 1u);
+  EXPECT_EQ(hit->priors[0].first, 1);
+  EXPECT_EQ(hit->priors[0].second, 0.75);
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(TranspositionCache, FifoEvictionUnderCap) {
-  TranspositionCache cache(2);
-  cache.insert({1}, {{1, 1.0}});
-  cache.insert({2}, {{2, 1.0}});
+  SharedActionCache cache(2);
+  cache.insert({1}, entry_of(1, StateEntry::kUnknownMakespan));
+  cache.insert({2}, entry_of(2, StateEntry::kUnknownMakespan));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_TRUE(has(cache, {1}));
   EXPECT_TRUE(has(cache, {2}));
 
-  cache.insert({3}, {{3, 1.0}});  // evicts the OLDEST entry, key {1}
+  cache.insert({3}, entry_of(3, StateEntry::kUnknownMakespan));
+  // Evicts the OLDEST entry, key {1}.
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_FALSE(has(cache, {1}));
   EXPECT_TRUE(has(cache, {2}));
@@ -90,46 +94,49 @@ TEST(TranspositionCache, FifoEvictionUnderCap) {
 }
 
 TEST(TranspositionCache, ZeroCapacityDisables) {
-  TranspositionCache cache(0);
-  cache.insert({1, 2}, {{0, 1.0}});
+  SharedActionCache cache(0);
+  cache.insert({1, 2}, entry_of(0, 5));
   EXPECT_FALSE(has(cache, {1, 2}));
   EXPECT_EQ(cache.size(), 0u);
 }
 
-// The RolloutStep suite pins the rollout cache: one global FIFO over every
-// key, entries holding the greedy action and, once known, the makespan.
+// The RolloutStep suite pins the rollout half of the cache: one global FIFO
+// over every key, entries holding the greedy action (the priors' front)
+// and, once known, the makespan.
 TEST(RolloutStep, StoresAndEvictsFifo) {
   SharedActionCache cache(2);
-  cache.insert({1}, {10, 100});
-  cache.insert({2}, {20, RolloutStep::kUnknownMakespan});
-  RolloutStep step;
-  ASSERT_TRUE(cache.find({1}, &step));
-  EXPECT_EQ(step.action, 10);
-  EXPECT_EQ(step.makespan, 100);
+  cache.insert({1}, entry_of(10, 100));
+  cache.insert({2}, entry_of(20, StateEntry::kUnknownMakespan));
+  const StateEntry* step = cache.find({1});
+  ASSERT_NE(step, nullptr);
+  EXPECT_EQ(step->priors.front().first, 10);
+  EXPECT_EQ(step->makespan, 100);
 
-  cache.insert({3}, {30, 300});  // evicts key {1}, the oldest, despite its hit
+  cache.insert({3}, entry_of(30, 300));  // evicts key {1}, the oldest
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.find({1}, &step));
-  ASSERT_TRUE(cache.find({2}, &step));
-  EXPECT_EQ(step.action, 20);
-  EXPECT_EQ(step.makespan, RolloutStep::kUnknownMakespan);
-  ASSERT_TRUE(cache.find({3}, &step));
-  EXPECT_EQ(step.action, 30);
-  cache.insert({4}, {40, 400});  // evicts {2}
-  EXPECT_FALSE(cache.find({2}, &step));
-  EXPECT_TRUE(cache.find({3}, &step));
-  EXPECT_TRUE(cache.find({4}, &step));
+  EXPECT_FALSE(has(cache, {1}));
+  step = cache.find({2});
+  ASSERT_NE(step, nullptr);
+  EXPECT_EQ(step->priors.front().first, 20);
+  EXPECT_EQ(step->makespan, StateEntry::kUnknownMakespan);
+  step = cache.find({3});
+  ASSERT_NE(step, nullptr);
+  EXPECT_EQ(step->priors.front().first, 30);
+  cache.insert({4}, entry_of(40, 400));  // evicts {2}
+  EXPECT_FALSE(has(cache, {2}));
+  EXPECT_TRUE(has(cache, {3}));
+  EXPECT_TRUE(has(cache, {4}));
 }
 
 // The search moves its keys in rather than copying them.
 TEST(RolloutStep, MovedInKeyIsFound) {
   SharedActionCache cache(8);
   StateKey key = {4, 5, 6};
-  cache.insert(std::move(key), {3, 42});
-  RolloutStep step;
-  ASSERT_TRUE(cache.find({4, 5, 6}, &step));
-  EXPECT_EQ(step.action, 3);
-  EXPECT_EQ(step.makespan, 42);
+  cache.insert(std::move(key), entry_of(3, 42));
+  const StateEntry* step = cache.find({4, 5, 6});
+  ASSERT_NE(step, nullptr);
+  EXPECT_EQ(step->priors.front().first, 3);
+  EXPECT_EQ(step->makespan, 42);
   EXPECT_EQ(cache.size(), 1u);
 }
 
@@ -138,23 +145,21 @@ TEST(RolloutStep, MovedInKeyIsFound) {
 // as itself.
 TEST(ActionCache, DuplicateInsertKeepsFirstEntry) {
   SharedActionCache cache(4);
-  cache.insert({5}, {SchedulingEnv::kProcessAction, 10});
-  cache.insert({5}, {2, 20});
-  RolloutStep step;
-  ASSERT_TRUE(cache.find({5}, &step));
-  EXPECT_EQ(step.action, SchedulingEnv::kProcessAction);
-  EXPECT_EQ(step.makespan, 10);
+  const StateKey key = {5};
+  cache.insert(key, entry_of(SchedulingEnv::kProcessAction, 10));
+  cache.insert(key, entry_of(2, 20));
+  const StateEntry* step = cache.find(key);
+  ASSERT_NE(step, nullptr);
+  EXPECT_EQ(step->priors.front().first, SchedulingEnv::kProcessAction);
+  EXPECT_EQ(step->makespan, 10);
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(ActionCache, ZeroCapacityDisables) {
   SharedActionCache cache(0);
-  cache.insert({1}, {42, 5});
-  RolloutStep step{7, 70};
-  EXPECT_FALSE(cache.find({1}, &step));
-  // A miss leaves the output alone.
-  EXPECT_EQ(step.action, 7);
-  EXPECT_EQ(step.makespan, 70);
+  const StateKey key = {1};
+  cache.insert(key, entry_of(42, 5));
+  EXPECT_EQ(cache.find(key), nullptr);
   EXPECT_EQ(cache.size(), 0u);
 }
 
@@ -162,33 +167,30 @@ TEST(ActionCache, ZeroCapacityDisables) {
 // moved-in keys as the search inserts them.
 TEST(RolloutMemo, DuplicateMovedInsertKeepsFirst) {
   SharedActionCache cache(8);
-  cache.insert(StateKey{7, 7}, {1, 10});
+  cache.insert(StateKey{7, 7}, entry_of(1, 10));
   StateKey again = {7, 7};
-  cache.insert(std::move(again), {2, 20});
-  RolloutStep step;
-  ASSERT_TRUE(cache.find({7, 7}, &step));
-  EXPECT_EQ(step.action, 1);
-  EXPECT_EQ(step.makespan, 10);
+  cache.insert(std::move(again), entry_of(2, 20));
+  const StateEntry* step = cache.find({7, 7});
+  ASSERT_NE(step, nullptr);
+  EXPECT_EQ(step->priors.front().first, 1);
+  EXPECT_EQ(step->makespan, 10);
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(RolloutMemo, ZeroCapacityMovedInsertIsNoOp) {
   SharedActionCache cache(0);
-  cache.insert(StateKey{1, 2}, {3, 5});
-  RolloutStep step{-2, -1};
-  EXPECT_FALSE(cache.find({1, 2}, &step));
-  EXPECT_EQ(step.action, -2);
-  EXPECT_EQ(step.makespan, -1);
+  cache.insert(StateKey{1, 2}, entry_of(3, 5));
+  EXPECT_EQ(cache.find({1, 2}), nullptr);
   EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(SharedActionCache, DuplicateInsertKeepsFirst) {
   SharedActionCache cache(16);
-  cache.insert({7, 7}, {1, 10});
-  cache.insert({7, 7}, {2, 20});
-  RolloutStep step;
-  ASSERT_TRUE(cache.find({7, 7}, &step));
-  EXPECT_EQ(step.action, 1);
+  cache.insert({7, 7}, entry_of(1, 10));
+  cache.insert({7, 7}, entry_of(2, 20));
+  const StateEntry* step = cache.find({7, 7});
+  ASSERT_NE(step, nullptr);
+  EXPECT_EQ(step->priors.front().first, 1);
   EXPECT_EQ(cache.size(), 1u);
 }
 
@@ -196,22 +198,21 @@ TEST(SharedActionCache, BoundedByCapacityWithFifoEviction) {
   // Overfilling evicts the oldest entries, never growing past the cap.
   SharedActionCache cache(8);
   for (std::uint64_t k = 0; k < 100; ++k) {
-    cache.insert({k}, {static_cast<int>(k), 0});
+    cache.insert({k}, entry_of(static_cast<int>(k), 0));
   }
   EXPECT_EQ(cache.size(), 8u);
-  RolloutStep step;
-  EXPECT_FALSE(cache.find({91}, &step));
+  EXPECT_FALSE(has(cache, {91}));
   for (std::uint64_t k = 92; k < 100; ++k) {
-    ASSERT_TRUE(cache.find({k}, &step)) << "key " << k;
-    EXPECT_EQ(step.action, static_cast<int>(k));
+    const StateEntry* step = cache.find({k});
+    ASSERT_NE(step, nullptr) << "key " << k;
+    EXPECT_EQ(step->priors.front().first, static_cast<int>(k));
   }
 }
 
 TEST(SharedActionCache, ZeroCapacityDisables) {
   SharedActionCache cache(0);
-  cache.insert({1}, {1, 0});
-  RolloutStep step;
-  EXPECT_FALSE(cache.find({1}, &step));
+  cache.insert({1}, entry_of(1, 0));
+  EXPECT_FALSE(has(cache, {1}));
   EXPECT_EQ(cache.size(), 0u);
 }
 
