@@ -29,7 +29,9 @@ int main(int argc, char** argv) {
   const auto min_budget = flags.define_int("min-budget", 50, "Spear min budget");
   const auto seed = flags.define_int("seed", 6, "workload seed");
   const auto threads =
-      flags.define_int("threads", 1, "parallel search workers");
+      flags.define_int("threads", 1,
+                       "search threads: > 1 selects leaf mode, which runs "
+                       "on one thread");
   const auto tree_reuse = flags.define_bool(
       "tree-reuse", true,
       "leaf mode: reuse the chosen subtree across decisions "

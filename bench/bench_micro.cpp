@@ -5,9 +5,9 @@
 // bench-harness defaults.
 //
 // Before the google benchmarks run, main() times the guided-policy forward
-// paths (bench_micro_policy_forward.json) and runs the DRL-guided sweep of a
-// serial baseline against leaf mode at 1/2/4/8 workers, with each cell's
-// tick phase times (bench_micro_leaf_parallel.json, committed as
+// paths (bench_micro_policy_forward.json) and runs the DRL-guided sweep of
+// the serial search against leaf mode, with each cell's tick phase times
+// (bench_micro_leaf_parallel.json, committed as
 // BENCH_mcts_leaf_parallel.json).
 
 #include <benchmark/benchmark.h>
@@ -241,9 +241,10 @@ void BM_MctsSchedule25(benchmark::State& state) {
 BENCHMARK(BM_MctsSchedule25)->Arg(10)->Arg(50);
 
 void BM_MctsScheduleThreads(benchmark::State& state) {
-  // Table-1 workload shape: 50-task DAG, budget 500.  The scheduler (and
-  // its thread pool) is reused across iterations, as in a long-lived
-  // service.  decisions/s and iters/s counters report search throughput.
+  // Table-1 workload shape: 50-task DAG, budget 500.  The scheduler is
+  // reused across iterations, as in a long-lived service.  1 thread is the
+  // serial search; 2 selects leaf mode (the same search at any N > 1).
+  // decisions/s and iters/s counters report search throughput.
   const Dag dag = benchmark_dag(50, 11);
   MctsOptions options;
   options.initial_budget = 500;
@@ -265,8 +266,6 @@ void BM_MctsScheduleThreads(benchmark::State& state) {
 BENCHMARK(BM_MctsScheduleThreads)
     ->Arg(1)
     ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -492,14 +491,15 @@ PhaseMs time_phases(MctsScheduler& mcts, const Dag& dag) {
 }
 
 /// The leaf-parallel sweep (DESIGN.md §11): the serial search against leaf
-/// mode at 1/2/4/8 workers across small/medium/large DAGs, DRL-guided
+/// mode across small/medium/large DAGs, DRL-guided
 /// (untrained weights — identical network cost to trained ones), equal
 /// iteration budget everywhere.  states/s counts completed search
 /// iterations per wall-clock second inside the search; each cell is timed
 /// kRuns times and reports the median with the min and max, because one
 /// run of a cell on a shared box can be off by a third.  Makespans are
-/// reported so quality regressions show up next to the speedup.  Writes the
-/// grid plus a per-size summary of leaf mode (median over its worker counts)
+/// reported so quality regressions show up next to the speedup.  Leaf mode
+/// runs on one thread at every num_threads, so one leaf cell per size
+/// covers them all.  Writes the grid plus a per-size summary of leaf mode
 /// against the serial baseline as JSON (committed as
 /// BENCH_mcts_leaf_parallel.json).
 void run_leaf_parallel_sweep(const char* json_path) {
@@ -515,18 +515,8 @@ void run_leaf_parallel_sweep(const char* json_path) {
   constexpr int kLeafBatchSize = 32;
   // Timed runs per cell: same seed, so every run repeats the same search.
   constexpr int kRuns = 5;
-  struct Config {
-    int threads;
-    SearchMode mode;
-  };
-  const Config configs[] = {{1, SearchMode::kRoot},
-                            {1, SearchMode::kLeaf},
-                            {2, SearchMode::kLeaf},
-                            {4, SearchMode::kLeaf},
-                            {8, SearchMode::kLeaf}};
   struct Cell {
     std::size_t tasks = 0;
-    int threads = 0;
     const char* mode = "";
     double seconds = 0.0;  ///< median over the runs
     std::int64_t iterations = 0;
@@ -550,19 +540,18 @@ void run_leaf_parallel_sweep(const char* json_path) {
   const auto policy = std::make_shared<const Policy>(
       Policy::make(FeaturizerOptions{}, 2, policy_rng));
 
-  Table table({"tasks", "threads", "mode", "search (s)", "states/s",
+  Table table({"tasks", "mode", "search (s)", "states/s",
                "min states/s", "max states/s", "makespan", "tt hit%",
                "roll hit%", "rows/eval", "descend ms", "workers ms",
                "eval ms", "backup ms"});
   table.set_precision(3);
   for (const std::size_t tasks : {25u, 50u, 100u}) {
     const Dag dag = benchmark_dag(tasks, 11);
-    for (const Config& config : configs) {
+    for (const SearchMode mode : {SearchMode::kRoot, SearchMode::kLeaf}) {
       MctsOptions options;
       options.initial_budget = kInitialBudget;
       options.min_budget = kMinBudget;
-      options.num_threads = config.threads;
-      options.search_mode = config.mode;
+      options.search_mode = mode;
       options.leaf_batch_size = kLeafBatchSize;
       options.name = "Spear";
       MctsScheduler mcts(options, std::make_shared<DrlDecisionPolicy>(
@@ -578,8 +567,7 @@ void run_leaf_parallel_sweep(const char* json_path) {
       }
       Cell cell;
       cell.tasks = tasks;
-      cell.threads = config.threads;
-      cell.mode = config.mode == SearchMode::kLeaf ? "leaf" : "serial";
+      cell.mode = mode == SearchMode::kLeaf ? "leaf" : "serial";
       cell.seconds = median(seconds);
       cell.iterations = stats.iterations;
       cell.sps = median(sps);
@@ -600,7 +588,7 @@ void run_leaf_parallel_sweep(const char* json_path) {
                                                 cell.tt_misses);
       const double roll_probes = static_cast<double>(
           cell.rollout_cache_hits + cell.rollout_cache_misses);
-      table.add(static_cast<long long>(tasks), config.threads, cell.mode,
+      table.add(static_cast<long long>(tasks), cell.mode,
                 cell.seconds, cell.sps, cell.sps_min, cell.sps_max,
                 static_cast<long long>(cell.makespan),
                 probes > 0.0 ? 100.0 * static_cast<double>(cell.tt_hits) /
@@ -650,7 +638,7 @@ void run_leaf_parallel_sweep(const char* json_path) {
       const Cell& c = cells[i];
       std::fprintf(
           f,
-          "    {\"tasks\": %zu, \"threads\": %d, \"mode\": \"%s\", "
+          "    {\"tasks\": %zu, \"mode\": \"%s\", "
           "\"search_seconds\": %.6f, \"iterations\": %lld, "
           "\"states_per_sec\": %.1f, \"states_per_sec_min\": %.1f, "
           "\"states_per_sec_max\": %.1f, \"makespan\": %lld, "
@@ -661,7 +649,7 @@ void run_leaf_parallel_sweep(const char* json_path) {
           "\"rollout_memo_hits\": %lld, "
           "\"phase_ms\": {\"descend\": %.3f, \"workers\": %.3f, "
           "\"evaluator\": %.3f, \"backup\": %.3f}}%s\n",
-          c.tasks, c.threads, c.mode, c.seconds,
+          c.tasks, c.mode, c.seconds,
           static_cast<long long>(c.iterations), c.sps, c.sps_min, c.sps_max,
           static_cast<long long>(c.makespan),
           static_cast<long long>(c.tt_hits),
@@ -675,40 +663,35 @@ void run_leaf_parallel_sweep(const char* json_path) {
           c.phases.workers, c.phases.evaluator, c.phases.backup,
           i + 1 < cells.size() ? "," : "");
     }
-    // Per size: leaf mode against the serial baseline.  Leaf results do not
-    // depend on the worker count, so the differences between its cells are
-    // run-to-run noise; the summary takes their median, not the fastest.
+    // Per size: leaf mode against the serial baseline.
     std::fprintf(f, "  ],\n  \"leaf_vs_serial\": [\n");
     bool first = true;
     for (const std::size_t tasks : {25u, 50u, 100u}) {
       const Cell* serial = nullptr;
       const Cell* leaf = nullptr;
-      std::vector<double> leaf_sps;
       for (const Cell& c : cells) {
         if (c.tasks != tasks) continue;
         if (std::strcmp(c.mode, "serial") == 0) {
           serial = &c;
         } else {
           leaf = &c;
-          leaf_sps.push_back(c.sps);
         }
       }
       if (!serial || !leaf) continue;
-      const double sps = median(leaf_sps);
-      const double speedup = serial->sps > 0.0 ? sps / serial->sps : 0.0;
+      const double speedup =
+          serial->sps > 0.0 ? leaf->sps / serial->sps : 0.0;
       std::fprintf(f,
                    "%s    {\"tasks\": %zu, \"serial_states_per_sec\": %.1f, "
-                   "\"leaf_median_states_per_sec\": %.1f, "
+                   "\"leaf_states_per_sec\": %.1f, "
                    "\"speedup\": %.3f, \"serial_makespan\": %lld, "
                    "\"leaf_makespan\": %lld}",
-                   first ? "" : ",\n", tasks, serial->sps, sps, speedup,
+                   first ? "" : ",\n", tasks, serial->sps, leaf->sps, speedup,
                    static_cast<long long>(serial->makespan),
                    static_cast<long long>(leaf->makespan));
       first = false;
-      std::printf("tasks %zu: leaf (median over 1/2/4/8 workers) %.0f "
-                  "states/s vs serial %.0f states/s (%.2fx), makespan %lld "
-                  "vs %lld\n",
-                  tasks, sps, serial->sps, speedup,
+      std::printf("tasks %zu: leaf %.0f states/s vs serial %.0f states/s "
+                  "(%.2fx), makespan %lld vs %lld\n",
+                  tasks, leaf->sps, serial->sps, speedup,
                   static_cast<long long>(leaf->makespan),
                   static_cast<long long>(serial->makespan));
     }

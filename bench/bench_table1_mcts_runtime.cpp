@@ -26,7 +26,9 @@ int main(int argc, char** argv) {
   const auto jobs = flags.define_int("jobs", 3, "DAGs per cell (averaged)");
   const auto seed = flags.define_int("seed", 9, "workload seed");
   const auto threads =
-      flags.define_int("threads", 1, "parallel search workers");
+      flags.define_int("threads", 1,
+                       "search threads: > 1 selects leaf mode, which runs "
+                       "on one thread");
   const auto tree_reuse = flags.define_bool(
       "tree-reuse", true,
       "leaf mode: reuse the chosen subtree across decisions "

@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <exception>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -52,38 +51,6 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
     obs::gauge("pool.queue_depth", static_cast<double>(depth));
   }
   return future;
-}
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body) {
-  {
-    // Checked up front: n <= 1 submits nothing, and the after-shutdown
-    // contract must not depend on the shard count.
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) {
-      throw std::runtime_error("ThreadPool: parallel_for after shutdown");
-    }
-  }
-  if (n == 0) return;
-  // Index 0 runs on the calling thread, which would otherwise sleep on the
-  // futures: n shards keep n threads busy with n - 1 pool workers, and a
-  // one-shard call never touches the queue.
-  std::vector<std::future<void>> futures;
-  futures.reserve(n - 1);
-  for (std::size_t i = 1; i < n; ++i) {
-    futures.push_back(submit([&body, i] { body(i); }));
-  }
-  std::exception_ptr first;
-  try {
-    body(0);
-  } catch (...) {
-    first = std::current_exception();
-  }
-  // Barrier first: every shard must be done before any rethrow, otherwise a
-  // still-running shard could outlive the caller's captured state.
-  for (auto& f : futures) f.wait();
-  if (first) std::rethrow_exception(first);
-  for (auto& f : futures) f.get();
 }
 
 std::size_t ThreadPool::hardware_threads() {

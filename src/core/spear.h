@@ -28,8 +28,8 @@ struct SpearOptions {
   std::int64_t min_budget = 100;
   double exploration_scale = 1.0;
   std::uint64_t seed = 42;
-  /// Search threads (MctsOptions::num_threads); 1 = serial, N > 1 =
-  /// leaf-parallel search on N workers.
+  /// Search threads (MctsOptions::num_threads); 1 = serial, N > 1 selects
+  /// the leaf-parallel search, which runs on one thread.
   int num_threads = 1;
   /// Anytime wall-clock budget per decision in ms; 0 = unlimited
   /// (MctsOptions::time_budget_ms).

@@ -32,7 +32,7 @@
 //
 // Everything is deterministic: realized durations are pure functions of
 // (seed, task, attempt), re-search uses iteration budgets with leaf-mode
-// MCTS (bit-identical across worker counts), and the event log serializes
+// MCTS (bit-identical across thread counts), and the event log serializes
 // to a canonical text form — the same seed yields byte-identical logs, and
 // 1 vs 4 re-search threads yield identical repair decisions.  The offline
 // planning paths are untouched: the engine is a pure consumer of Schedule.
@@ -130,8 +130,8 @@ struct ExecOptions {
   /// reproducible across machines and thread counts.
   std::int64_t research_initial_budget = 128;
   std::int64_t research_min_budget = 32;
-  /// Leaf-parallel workers for the re-search; results are bit-identical
-  /// across values (leaf mode), so this is purely a latency knob.
+  /// MctsOptions::num_threads of the re-search, which runs leaf mode on one
+  /// thread whatever this says: results are bit-identical across values.
   int research_threads = 1;
 
   /// Straggler speculation master switch.  Each task gets at most one

@@ -21,9 +21,8 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 /// Independent deterministic RNG stream for one (decision, iteration) slot
-/// of the leaf-parallel search.  Keyed by the GLOBAL iteration index, not
-/// the worker id, so a slot's rollout stream is the same no matter how
-/// slots are partitioned across workers.  Two SplitMix64 passes decorrelate
+/// of the leaf-parallel search, keyed by the GLOBAL iteration index.  Two
+/// SplitMix64 passes decorrelate
 /// nearby decision/iteration indices; the salt is part of the stream
 /// definition (changing it changes every leaf-mode result).
 std::uint64_t leaf_stream_seed(std::uint64_t seed, std::uint64_t decision,
@@ -35,10 +34,9 @@ std::uint64_t leaf_stream_seed(std::uint64_t seed, std::uint64_t decision,
 }
 
 /// One in-flight descent of an evaluator tick (DESIGN.md §11).  The
-/// coordinator fills the descent fields under virtual loss; a worker thread
-/// fills the child/rollout results (each worker owns a disjoint contiguous
-/// slot range, so jobs are written race-free); the coordinator consumes
-/// everything at backup, in slot order.  Jobs are reused tick after tick:
+/// descent fills the descent fields under virtual loss, the worker phase
+/// the child/rollout results, and backup consumes everything, in slot
+/// order.  Jobs are reused tick after tick:
 /// reset() clears every field but keeps the buffers' capacity.
 struct LeafJob {
   enum class Kind {
@@ -62,8 +60,7 @@ struct LeafJob {
   /// Pure guide only: each state the rollout asked the guide about, with
   /// the priors it gave there, in step order; published at backup.
   std::vector<std::pair<StateKey, Priors>> misses;
-  /// The job's search counters, folded into stats_ at backup in slot order
-  /// so the totals are independent of the worker partition.
+  /// The job's search counters, folded into stats_ at backup in slot order.
   MctsScheduler::Stats counts;
 
   /// The new child's ordering: from the state cache or its own first
@@ -88,7 +85,8 @@ struct LeafJob {
   }
 };
 
-/// One rollout a worker advances in lockstep with its other rollouts.
+/// One rollout the worker phase advances in lockstep with the tick's other
+/// rollouts.
 struct ActiveRollout {
   /// guide_row of a step that takes a cached action.
   static constexpr std::size_t kCachedStep = static_cast<std::size_t>(-1);
@@ -107,7 +105,8 @@ struct ActiveRollout {
   int action = 0;
 };
 
-/// A worker's rollout scratch, reused across the ticks of a decision.
+/// The worker phase's rollout scratch, reused across the ticks of a
+/// decision.
 struct WorkerScratch {
   std::vector<ActiveRollout> active;
   // One step's guide rows: every active rollout without a pure guide, one
@@ -117,6 +116,7 @@ struct WorkerScratch {
   std::vector<int> picks;                 ///< pick_batch's answers
   std::vector<Priors> priors;             ///< pure guide: the rows' priors
   std::vector<const StateKey*> row_keys;  ///< pure guide: each row's key
+  std::vector<std::size_t> row_last;  ///< each row's last user in `active`
 };
 
 /// Every int64_t Stats counter with its metric name, in declaration order.
@@ -273,13 +273,10 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
                              double exploration_c, const Deadline& deadline,
                              bool& ran_any) {
   ran_any = false;
-  // The arena only grows in the backup loop below, after the workers have
-  // joined: descents and workers address nodes by id while it is fixed.
-  const auto workers = static_cast<std::int64_t>(worker_guides_.size());
-  // The serial search is one slot per tick, drawing from the schedule-wide
-  // `rng`.  Leaf mode uses the absolute, worker-count-independent tick size
-  // (see MctsOptions): the same seed and budget descend the same tree no
-  // matter how many workers split the slots.
+  // The arena only grows in the backup loop below: descents and the worker
+  // phase address nodes by id while it is fixed.  The serial search is one
+  // slot per tick, drawing from the schedule-wide `rng`; leaf mode ticks
+  // leaf_batch_size slots (see MctsOptions).
   const bool serial = serial_search();
   // A pure guide's rollouts probe and fill the state cache, and a new
   // child's own first rollout step gives it its priors.
@@ -288,11 +285,8 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
   const std::int64_t per_tick =
       std::min<std::int64_t>(serial ? 1 : options_.leaf_batch_size, budget);
 
-  // One sequential descent under virtual loss, reserving `job`.  Descents
-  // run on the coordinator thread — selection is a few float compares per
-  // level, negligible next to the network forwards the tick parallelizes —
-  // which is what keeps leaf mode deterministic: slot i's job depends only
-  // on the i-1 descents before it, never on OS timing.
+  // One sequential descent under virtual loss, reserving `job`: slot i's
+  // job depends only on the i-1 descents before it.
   const auto descend = [&](LeafJob& job) {
     job.reset();
     NodeId current = tree.root();
@@ -362,14 +356,35 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
   // Tick buffers, sized once per decision and reused by every tick.
   std::vector<LeafJob> jobs(static_cast<std::size_t>(per_tick));
   // Per-slot rollout RNGs: the schedule-wide `rng` in the serial search;
-  // in leaf mode, streams keyed by the global iteration index so they do
-  // not depend on the worker partition.
+  // in leaf mode, streams keyed by the global iteration index.
   std::vector<Rng> streams(serial ? 0 : jobs.size());
   std::vector<Rng*> slot_rngs(jobs.size(), &rng);
   for (std::size_t s = 0; s < streams.size(); ++s) slot_rngs[s] = &streams[s];
-  std::vector<WorkerScratch> scratch(static_cast<std::size_t>(workers));
+  WorkerScratch ws;
   std::vector<const SchedulingEnv*> pending;
   std::vector<LeafJob*> pending_jobs;
+
+  // Folds the fault events between the job's tree node and `last`, the
+  // last state the job reached.
+  const auto count_faults = [&](LeafJob& job, const SchedulingEnv& last) {
+    const EnvFaultStats& from = tree.node(job.node).state.fault_stats();
+    const EnvFaultStats& to = last.fault_stats();
+    job.counts.search_failures += to.failures - from.failures;
+    job.counts.search_retries += to.retries - from.retries;
+  };
+  // Ends rollout `a` at `value`.
+  const auto retire = [&](const ActiveRollout& a, double value) {
+    LeafJob& job = jobs[a.slot];
+    job.value = value;
+    ++job.counts.rollouts;
+    count_faults(job, a.env);
+  };
+  // Keys `a`'s current state and probes the state cache there.
+  const auto reach = [&](ActiveRollout& a) {
+    a.key.clear();
+    a.env.append_canonical_key(a.key);
+    a.entry = cache->find(a.key);
+  };
 
   std::int64_t completed = 0;
   while (completed < budget) {
@@ -405,43 +420,14 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
       }
     }
 
-    // --- Workers: construct child states, then advance all of their
-    // rollouts in lockstep so batch-capable guides fuse one forward per
-    // rollout STEP instead of one per rollout state. ---
-    const auto worker_body = [&](std::size_t w) {
-      const auto lo = static_cast<std::size_t>(
-          slots * static_cast<std::int64_t>(w) / workers);
-      const auto hi = static_cast<std::size_t>(
-          slots * (static_cast<std::int64_t>(w) + 1) / workers);
-      if (lo >= hi) return;
-      DecisionPolicy& guide = *worker_guides_[w];
-      WorkerScratch& ws = scratch[w];
-
-      // Folds the fault events between the job's tree node and `last`, the
-      // last state the job reached.
-      const auto count_faults = [&](LeafJob& job, const SchedulingEnv& last) {
-        const EnvFaultStats& from = tree.node(job.node).state.fault_stats();
-        const EnvFaultStats& to = last.fault_stats();
-        job.counts.search_failures += to.failures - from.failures;
-        job.counts.search_retries += to.retries - from.retries;
-      };
-      // Ends rollout `a` at `value`.
-      const auto retire = [&](const ActiveRollout& a, double value) {
-        LeafJob& job = jobs[a.slot];
-        job.value = value;
-        ++job.counts.rollouts;
-        count_faults(job, a.env);
-      };
-
-      // Keys `a`'s current state and probes the state cache there.
-      const auto reach = [&](ActiveRollout& a) {
-        a.key.clear();
-        a.env.append_canonical_key(a.key);
-        a.entry = cache->find(a.key);
-      };
-
+    // --- Worker phase: construct child states, then advance all of the
+    // tick's rollouts in lockstep so batch-capable guides fuse one forward
+    // per rollout STEP instead of one per rollout state. ---
+    {
+      obs::ScopedTimer workers_span("mcts.leaf.workers", "mcts",
+                                    /*with_trace=*/!serial);
       ws.active.clear();
-      for (std::size_t s = lo; s < hi; ++s) {
+      for (std::size_t s = 0; s < tick_jobs; ++s) {
         LeafJob& job = jobs[s];
         if (job.kind == LeafJob::Kind::kTerminal) continue;
         const SearchNode& node = tree.node(job.node);
@@ -502,6 +488,7 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
         ws.envs.clear();
         ws.rngs.clear();
         ws.row_keys.clear();
+        ws.row_last.clear();
         std::size_t kept = 0;
         for (std::size_t i = 0; i < ws.active.size(); ++i) {
           if (kept != i) ws.active[kept] = std::move(ws.active[i]);
@@ -528,6 +515,9 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
               ws.envs.push_back(&a.env);
               ws.rngs.push_back(slot_rngs[a.slot]);
               ws.row_keys.push_back(&a.key);
+              ws.row_last.push_back(kept);
+            } else {
+              ws.row_last[a.guide_row] = kept;
             }
           }
           ++kept;
@@ -537,11 +527,11 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
         if (!ws.envs.empty()) {
           if (pure) {
             ws.priors =
-                guide.action_weights_batch(ws.envs.data(), ws.envs.size());
+                guide_->action_weights_batch(ws.envs.data(), ws.envs.size());
           } else {
             ws.picks.resize(ws.envs.size());
-            guide.pick_batch(ws.envs.data(), ws.envs.size(), ws.rngs.data(),
-                             ws.picks.data());
+            guide_->pick_batch(ws.envs.data(), ws.envs.size(), ws.rngs.data(),
+                               ws.picks.data());
           }
         }
 
@@ -553,10 +543,16 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
           LeafJob& job = jobs[a.slot];
           if (a.guide_row != ActiveRollout::kCachedStep) {
             if (pure) {
-              const Priors& priors = ws.priors[a.guide_row];
-              a.action = priors.front().first;
-              if (a.child_step) job.priors = priors;
-              job.misses.emplace_back(std::move(a.key), priors);
+              // A row's last user takes it; earlier users (equal keys)
+              // copy it.
+              Priors& row = ws.priors[a.guide_row];
+              a.action = row.front().first;
+              if (a.child_step) job.priors = row;
+              if (i == ws.row_last[a.guide_row]) {
+                job.misses.emplace_back(std::move(a.key), std::move(row));
+              } else {
+                job.misses.emplace_back(std::move(a.key), row);
+              }
               ++job.counts.rollout_cache_misses;
             } else {
               a.action = ws.picks[a.guide_row];
@@ -581,18 +577,6 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
         }
         ws.active.erase(ws.active.begin() + static_cast<std::ptrdiff_t>(kept),
                         ws.active.end());
-      }
-    };
-    // Worker 0 runs on this thread either way (parallel_for runs index 0 on
-    // its caller), so guide_'s weights and workspace stay with the thread
-    // that runs the evaluator's forward below.  One worker has no pool.
-    {
-      obs::ScopedTimer workers_span("mcts.leaf.workers", "mcts",
-                                    /*with_trace=*/!serial);
-      if (pool_) {
-        pool_->parallel_for(static_cast<std::size_t>(workers), worker_body);
-      } else {
-        worker_body(0);
       }
     }
 
@@ -683,24 +667,6 @@ NodeId MctsScheduler::decide(SearchTree& tree, std::int64_t budget,
   return best_root_child(tree);
 }
 
-void MctsScheduler::ensure_workers() {
-  if (!worker_guides_.empty()) return;
-  // Worker 0 is the guide itself; only workers 1..n-1 run private clones.
-  // An uncloneable guide simply searches on one worker — results do not
-  // depend on the worker count, so this is the same search.
-  worker_guides_.push_back(guide_);
-  for (int w = 1; w < options_.num_threads; ++w) {
-    auto clone = guide_->clone();
-    if (!clone) break;
-    worker_guides_.push_back(std::move(clone));
-  }
-  // The coordinator runs worker 0 itself (parallel_for's index 0), so the
-  // pool holds only workers 1..n-1; a single worker needs no pool at all.
-  if (worker_guides_.size() > 1) {
-    pool_ = std::make_unique<ThreadPool>(worker_guides_.size() - 1);
-  }
-}
-
 Schedule MctsScheduler::schedule(const Dag& dag,
                                  const ResourceVector& capacity) {
   EnvOptions env_options;
@@ -742,22 +708,19 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
       options_.exploration_scale *
       static_cast<double>(std::max<Time>(greedy_makespan_estimate(env), 1));
 
-  ensure_workers();
   // The state cache is built here, fresh per schedule — its keys do not
   // encode the DAG identity — in every search configuration (see
-  // transposition_capacity), and offered to every worker guide.  Its
-  // priors serve every guide; rollouts use it only when a guide marked it
-  // pure (the mark is on the cache, so it survives forwarding decorators).
-  // Forward tallies are zeroed so the end-of-schedule fold reports THIS
-  // schedule only.
+  // transposition_capacity), and offered to the guide.  Its priors serve
+  // every guide; rollouts use it only when the guide marked it pure (the
+  // mark is on the cache, so it survives forwarding decorators).  Forward
+  // tallies are zeroed so the end-of-schedule fold reports THIS schedule
+  // only.
   if (options_.transposition_capacity > 0) {
     state_cache_ =
         std::make_shared<SharedActionCache>(options_.transposition_capacity);
+    guide_->share_rollout_cache(state_cache_);
   }
-  for (const auto& g : worker_guides_) {
-    if (state_cache_) g->share_rollout_cache(state_cache_);
-    g->reset_forward_stats();
-  }
+  guide_->reset_forward_stats();
 
   // Anytime mode: every decision gets its own wall-clock deadline, started
   // BEFORE the root guide evaluation so an expensive guide counts against
@@ -770,20 +733,17 @@ Schedule MctsScheduler::schedule_env(SchedulingEnv env) {
   // Runs once whether the schedule returns or throws.  Real-trajectory
   // fault counters come from the ONE persistent env the search steps (the
   // speculative search_* counters are added as the search runs).  Guide
-  // forward tallies accumulate across every decision and are folded once
-  // per distinct guide — worker 0 is guide_ itself, so worker_guides_ lists
-  // each once.  Then one registry push — hot loops only touch stats_.
+  // forward tallies accumulate across every decision and are folded once.
+  // Then one registry push — hot loops only touch stats_.
   const auto finish = [this, &env]() {
     if (options_.faults) {
       stats_.task_failures = env.fault_stats().failures;
       stats_.task_retries = env.fault_stats().retries;
     }
-    for (const auto& g : worker_guides_) {
-      stats_.guide_forwards += g->forward_calls();
-      stats_.guide_forward_rows += g->forward_rows();
-      if (const std::vector<std::int64_t>* hist = g->forward_hist()) {
-        hist_add(stats_.batch_rows_hist, *hist);
-      }
+    stats_.guide_forwards = guide_->forward_calls();
+    stats_.guide_forward_rows = guide_->forward_rows();
+    if (const std::vector<std::int64_t>* hist = guide_->forward_hist()) {
+      stats_.batch_rows_hist = *hist;
     }
     state_cache_.reset();
     if (!obs::enabled()) return;

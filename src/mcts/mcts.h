@@ -22,10 +22,11 @@
 // The chosen action is applied to the persistent environment and search
 // repeats until the DAG completes.
 //
-// One search engine runs every mode (DESIGN.md §6, §11): a shared tree
-// searched in ticks — descents under virtual loss, worker threads that
-// build children and advance rollouts, and a central evaluator that scores
-// the new leaves still without priors with one batched forward per tick.
+// One search engine runs every mode (DESIGN.md §6, §11), on the calling
+// thread: a tree searched in ticks — descents under virtual loss, a worker
+// phase that builds children and advances all of the tick's rollouts in
+// lockstep, and an evaluator that scores the new leaves still without
+// priors with one batched forward per tick.
 // One state cache (mcts/transposition.h) holds, per state, the guide's
 // priors and, with a greedy guide and faults off, the makespan the greedy
 // rollout from it finished at.  A new leaf (or decision root) found there
@@ -34,10 +35,9 @@
 // priors give the step, and only the misses reach the guide, through
 // action_weights_batch — so a new leaf the cache misses is a row of its own
 // first rollout step, whose priors become the leaf's, and the evaluator
-// has nothing left to score.  The coordinator publishes a tick's new
-// entries at backup, in slot order, so the workers only read the cache and
-// every search counter but the forward tallies is independent of the
-// worker count.  schedule_env() builds the cache fresh for each schedule
+// has nothing left to score.  Backup publishes a tick's new entries in
+// slot order, so the worker phase only reads the cache.  schedule_env()
+// builds the cache fresh for each schedule
 // and releases it when the schedule returns or throws; a hit is
 // bitwise-identical to the forward or rollout it replaces.  The serial
 // search (SearchMode::kRoot at num_threads == 1) is the one-slot
@@ -45,8 +45,9 @@
 // and a fresh tree per decision, which is exactly the paper's
 // select-expand-rollout-backup loop.  Leaf mode (kLeaf, or any
 // num_threads > 1) runs leaf_batch_size-slot ticks with per-slot RNG
-// streams and reuses the chosen subtree; its results do not depend on the
-// worker count.
+// streams and reuses the chosen subtree; it too runs on one thread, so
+// num_threads > 1 only selects it, and its results and counters do not
+// depend on num_threads.
 
 // Anytime search (time_budget_ms > 0): every decision races a wall-clock
 // deadline.  When the deadline expires mid-decision the best root action
@@ -73,7 +74,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "fault/fault.h"
 #include "mcts/policies.h"
 #include "mcts/transposition.h"
@@ -82,19 +82,19 @@
 
 namespace spear {
 
-/// Which configuration of the search engine a ONE-thread scheduler runs;
-/// at num_threads > 1 the search is always leaf mode and the two values
-/// behave the same.
+/// Which configuration of the search engine runs at num_threads == 1;
+/// num_threads > 1 always selects leaf mode, and the two values behave the
+/// same there.
 enum class SearchMode {
   /// The serial search (the paper's algorithm): one-slot ticks drawing from
   /// the schedule-wide RNG and a fresh tree per decision.
   kRoot,
   /// Leaf parallelism (DESIGN.md §11): leaf_batch_size descents per tick
-  /// hold virtual loss, leaf states park in an evaluation queue that a
-  /// central evaluator drains with ONE batched network forward per tick,
-  /// and worker threads advance the parked rollouts in lockstep batches.
-  /// Each slot draws from its own RNG stream, and the chosen subtree is
-  /// reused across decisions (leaf_tree_reuse).
+  /// hold virtual loss, the tick's rollouts advance in lockstep with one
+  /// batched guide call per step, and an evaluator scores the leaves still
+  /// without priors with ONE batched network forward per tick, all on the
+  /// calling thread.  Each slot draws from its own RNG stream, and the
+  /// chosen subtree is reused across decisions (leaf_tree_reuse).
   kLeaf,
 };
 
@@ -106,11 +106,9 @@ struct MctsOptions {
   std::uint64_t seed = 42;
   /// Display name ("MCTS" for the pure variant, "Spear" when DRL-guided).
   std::string name = "MCTS";
-  /// Search threads.  1 (default) = the serial search (or one-thread leaf
-  /// mode under SearchMode::kLeaf); N > 1 = leaf-parallel search on N
-  /// workers.  Worker 0 runs the guide itself, workers 1..N-1 private
-  /// clone()s; an uncloneable guide runs on one worker, which gives the
-  /// same results.
+  /// 1 (default) = the serial search (or leaf mode under
+  /// SearchMode::kLeaf); N > 1 selects leaf mode, which runs on one thread
+  /// whatever N is, so every N > 1 gives the same results and counters.
   int num_threads = 1;
 
   /// Anytime wall-clock budget per decision, in milliseconds; 0 (default) =
@@ -134,11 +132,10 @@ struct MctsOptions {
   /// kLeaf runs leaf mode even at num_threads == 1 (batched evaluation is a
   /// win on its own); kRoot keeps one thread serial.
   SearchMode search_mode = SearchMode::kRoot;
-  /// Descents held in flight per evaluator tick (split across the workers;
-  /// each tick is one descend -> evaluate -> backup round).  Deliberately
-  /// NOT scaled by num_threads: tick size shapes the search (virtual-loss
-  /// distortion, evaluator batch size), so keeping it absolute makes leaf
-  /// results independent of the worker count.  Larger ticks batch better
+  /// Descents held in flight per evaluator tick (each tick is one
+  /// descend -> evaluate -> backup round).  Deliberately NOT scaled by
+  /// num_threads: tick size shapes the search (virtual-loss distortion,
+  /// evaluator batch size).  Larger ticks batch better
   /// but hold more virtual loss concurrently; ticks never exceed the
   /// decision's remaining budget.
   int leaf_batch_size = 32;
@@ -181,9 +178,9 @@ class MctsScheduler : public Scheduler {
 
   /// Search telemetry for the most recent schedule() call.  Each search
   /// job keeps its own Stats, which the tick's backup folds in slot order
-  /// with operator+=, so all counters but guide_forwards and
-  /// guide_forward_rows (each worker batches its own rows) do not depend on
-  /// the worker count; wall time is measured around the per-decision search
+  /// with operator+=; every counter, the forward tallies included, is a
+  /// function of the inputs and does not depend on num_threads.  Wall time
+  /// is measured around the per-decision search
   /// only (tree setup + iterations), not around policy training or
   /// environment stepping outside the search.
   struct Stats {
@@ -216,9 +213,9 @@ class MctsScheduler : public Scheduler {
     std::int64_t batched_rows = 0;   ///< states scored by those batches
                                      ///< (rows per eval = batched_rows /
                                      ///< batched_evals)
-    // Physical forward telemetry, folded from the guides once per
+    // Physical forward telemetry, folded from the guide once per
     // schedule(): every PRIVATE-weights kernel invocation the guide
-    // policies executed (evaluator batches AND one-row calls — decision-root
+    // executed (evaluator batches AND one-row calls — decision-root
     // priors, one-slot rollout steps), with its row count.  This is the
     // denominator batch occupancy is measured against; batched_evals above
     // only counts the evaluator's calls.
@@ -297,8 +294,8 @@ class MctsScheduler : public Scheduler {
   /// deadline as already expired, so the search stops at the next iteration
   /// boundary and the remaining decisions degrade to the fallback heuristic
   /// — schedule() still returns a complete (cheap) schedule rather than
-  /// throwing.  The token is read with relaxed atomics from the search
-  /// threads; any thread may set it at any time.  Pass nullptr to detach.
+  /// throwing.  The token is read with relaxed atomics by the search; any
+  /// thread may set it at any time.  Pass nullptr to detach.
   /// Like set_anytime_budgets, never call concurrently with schedule().
   void set_cancel_token(const std::atomic<bool>* token) {
     cancel_token_ = token;
@@ -323,8 +320,8 @@ class MctsScheduler : public Scheduler {
   }
 
   /// One decision (DESIGN.md §11): runs up to `budget` iterations on `tree`
-  /// in synchronized ticks — descend with virtual loss, construct children
-  /// and advance rollouts on the workers, score the new leaves still
+  /// in ticks — descend with virtual loss, construct children and advance
+  /// the rollouts in lockstep, score the new leaves still
   /// without priors in ONE batched guide forward, back up in slot order —
   /// stopping at `deadline` if set.  Serial ticks hold one slot and roll
   /// out with `rng`; leaf ticks hold leaf_batch_size slots, each with its
@@ -341,9 +338,6 @@ class MctsScheduler : public Scheduler {
   /// Fresh single-node tree for `env` with guide-ordered untried actions,
   /// taken from the state cache when it holds `env`.
   SearchTree make_tree(const SchedulingEnv& env);
-  /// On first use, lists the worker guides (guide_ itself, then clones)
-  /// and builds the thread pool when there is more than one worker.
-  void ensure_workers();
 
   MctsOptions options_;
   std::shared_ptr<DecisionPolicy> guide_;
@@ -351,9 +345,6 @@ class MctsScheduler : public Scheduler {
   /// iteration completes: the CP x Tetris blend.
   HeuristicDecisionPolicy fallback_;
   Stats stats_;
-  std::unique_ptr<ThreadPool> pool_;
-  /// worker_guides_[0] is guide_; the rest are its clones.
-  std::vector<std::shared_ptr<DecisionPolicy>> worker_guides_;
   /// State cache of the running schedule_env() call; null at
   /// transposition_capacity 0 and between calls.
   std::shared_ptr<SharedActionCache> state_cache_;

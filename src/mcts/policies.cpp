@@ -167,8 +167,11 @@ void DrlDecisionPolicy::forward_batch(const SchedulingEnv* const* envs,
 
 std::vector<std::pair<int, double>> DrlDecisionPolicy::weights_from_probs(
     const std::vector<double>& probs) const {
+  // Sized to the valid actions, not the network's outputs: the search moves
+  // these lists into its state cache, which holds thousands of them.
   std::vector<std::pair<int, double>> out;
-  out.reserve(probs.size());
+  out.reserve(static_cast<std::size_t>(std::count_if(
+      probs.begin(), probs.end(), [](double p) { return p > 0.0; })));
   for (std::size_t o = 0; o < probs.size(); ++o) {
     if (probs[o] > 0.0) {
       out.emplace_back(policy_->to_env_action(o), probs[o]);

@@ -65,16 +65,16 @@ class DecisionPolicy {
   virtual std::vector<std::vector<std::pair<int, double>>>
   action_weights_batch(const SchedulingEnv* const* envs, std::size_t n);
 
-  /// Deep, thread-independent copy for parallel search: each worker past
-  /// the first owns a clone so concurrent action_weights/pick calls never
-  /// share mutable state.  Returns nullptr when the policy is not
-  /// cloneable; MCTS then searches on one worker (the guide itself).
+  /// Deep, thread-independent copy: each service worker owns a clone so
+  /// concurrent action_weights/pick calls never share mutable state.
+  /// Returns nullptr when the policy is not cloneable.  The search itself
+  /// never clones its guide.
   virtual std::shared_ptr<DecisionPolicy> clone() const { return nullptr; }
 
   /// No-op; kept only because the benchmark's guide decorator overrides it.
   virtual void enable_rollout_cache(std::size_t capacity) { (void)capacity; }
 
-  /// MCTS offers every worker guide the schedule's fresh state cache
+  /// MCTS offers its guide the schedule's fresh state cache
   /// (mcts/transposition.h) when a schedule starts.  A guide whose pick is
   /// the front of its own action_weights and consumes no RNG calls
   /// cache->mark_kept_by_pure_guide(); rollouts use the cache only when
@@ -192,7 +192,7 @@ class DrlDecisionPolicy : public DecisionPolicy {
 
   std::shared_ptr<const Policy> policy_;
   bool greedy_;
-  /// Reused scratch: one guide serves one thread (parallel search clones),
+  /// Reused scratch: one guide serves one thread (service workers clone),
   /// so holding the buffers across calls makes the steady state
   /// allocation-free.
   std::vector<std::vector<bool>> batch_masks_;

@@ -30,10 +30,10 @@
 //    mark rides on the cache object itself, so a decorator that forwards
 //    share_rollout_cache forwards the mark too.
 //
-// The cache is written only by the search's coordinator thread, between
-// worker phases: it is read-only while the workers run, so it needs no
-// lock, a found entry stays put until the next insert, and every hit/miss
-// count is a function of the seed and budget alone, at any worker count.
+// The cache is written only at a tick's backup and in the evaluator,
+// between worker phases: it is read-only while the rollouts run, so a
+// found entry stays put until the next insert, and every hit/miss count is
+// a function of the seed and budget alone, at any thread count.
 //
 // Contract: lookups compare the FULL key, not just its hash, so a hit is
 // bitwise-identical to a fresh evaluation and search results with the

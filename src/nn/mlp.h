@@ -53,8 +53,8 @@ class Mlp {
   /// differing batch sizes performs zero heap allocations at steady state.
   /// Growth is counted into the nn.alloc_bytes metric, so a run whose
   /// counter stops moving has reached the zero-allocation regime.  One
-  /// workspace serves one thread; parallel search gives each worker its
-  /// own (via the per-worker Policy clones).
+  /// workspace serves one thread; the service gives each worker its own
+  /// (via the per-worker Policy clones).
   struct ForwardWorkspace {
     Matrix input;                         // batch x input_dim (caller fills)
     std::vector<Matrix> pre_activations;  // per layer, before ReLU

@@ -89,8 +89,8 @@ class Policy {
   const std::vector<double>& one_row_probs(const SchedulingEnv& env) const;
 
   /// Per-policy inference workspace and single-state output buffers (one
-  /// thread per Policy instance; the parallel search clones the whole
-  /// Policy per worker).
+  /// thread per Policy instance; the service clones the whole Policy per
+  /// worker).
   mutable Mlp::ForwardWorkspace ws_;
   mutable std::vector<std::vector<bool>> batch_masks_;
   mutable std::vector<std::vector<double>> batch_probs_;

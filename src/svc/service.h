@@ -101,11 +101,10 @@ struct ServiceOptions {
   /// Degradation ladder thresholds (see header comment).
   std::int64_t full_search_floor_ms = 20;
   std::int64_t heuristic_floor_ms = 4;
-  /// Search threads inside one worker's scheduler, which always runs the
-  /// leaf-parallel search (even single-threaded: the batched central
-  /// evaluator and state cache win on their own, DESIGN.md §11).
-  /// Default 1: the service scales across REQUESTS via `workers`; raise
-  /// this only for few-tenant, large-DAG deployments.
+  /// MctsOptions::num_threads of one worker's scheduler, which always runs
+  /// the leaf-parallel search (the batched evaluator and state cache win on
+  /// their own, DESIGN.md §11), on the worker's thread whatever this says.
+  /// The service scales across REQUESTS via `workers`.
   int search_threads = 1;
   /// Optional trained DRL guide (Spear).  Null = unguided MCTS.
   std::shared_ptr<const Policy> policy;

@@ -143,7 +143,9 @@ int main(int argc, char** argv) {
       "heuristic-floor-ms", 4,
       "remaining deadline below which the heuristic answers without search");
   auto search_threads = flags.define_int(
-      "search-threads", 1, "parallel search threads inside each worker");
+      "search-threads", 1,
+      "search threads per worker: > 1 selects leaf mode, which runs on "
+      "one thread");
   auto capacity_text = flags.define_string(
       "capacity", "1.0,1.0", "cluster capacity, comma-separated per resource");
   auto policy_path = flags.define_string(

@@ -239,9 +239,9 @@ TEST(AnytimeMcts, LeafModeDeadlineSmallerThanOneTickFallsBack) {
 
 TEST(AnytimeMcts, LeafModeDegradationCountersAreWorkerCountInvariant) {
   // The deadline/degradation accounting must reconcile identically at 1, 2,
-  // and 4 workers: with the guide eating the whole budget, every searched
-  // decision degrades regardless of how many workers wait on the evaluator,
-  // and the fallback trajectory (deterministic heuristic) is the same.
+  // and 4 threads: with the guide eating the whole budget, every searched
+  // decision degrades, and the fallback trajectory (deterministic
+  // heuristic) is the same.
   const Dag dag = testing::make_diamond(3, 4, 5, 2);
   std::int64_t baseline_decisions = -1;
   std::int64_t baseline_degradations = -1;

@@ -1,8 +1,8 @@
-// Leaf-parallel MCTS (DESIGN.md §11): seeded determinism across worker
+// Leaf-parallel MCTS (DESIGN.md §11): seeded determinism across thread
 // counts, stats reconciliation, cache bit-identity, search counters that
-// do not depend on the worker count, no rollout cache left on the guide
+// do not depend on the thread count, no rollout cache left on the guide
 // after a schedule, kRoot at several threads running the same
-// search, and uncloneable guides running on one worker.
+// search, and uncloneable guides searching like any other.
 
 #include "mcts/mcts.h"
 
@@ -90,9 +90,9 @@ TEST(LeafMcts, SameSeedSameThreadsIsDeterministic) {
 }
 
 TEST(LeafMcts, ResultsIndependentOfThreadCount) {
-  // Descents are coordinator-serial, rollout RNG streams are keyed by slot
-  // (not worker), and backups fold in slot order — so the worker count only
-  // changes WHO computes each job, never the search.
+  // num_threads > 1 only selects leaf mode: the search runs on one thread,
+  // rollout RNG streams are keyed by slot and backups fold in slot order,
+  // so the thread count never changes the search.
   const Dag dag = test_dag(22);
   const auto reference = run_leaf(leaf_options(1), dag, make_guide());
   for (const int threads : {2, 4}) {
@@ -115,7 +115,7 @@ TEST(LeafMcts, PureMctsAlsoThreadCountInvariant) {
 TEST(LeafMcts, IterationCountersReconcileWithBudget) {
   // Flat budget + no deadline: every searched decision runs its budget to
   // completion, so the totals must reconcile EXACTLY — the folded
-  // per-worker tallies cannot drop or double-count a slot.
+  // per-job tallies cannot drop or double-count a slot.
   const Dag dag = test_dag(24);
   for (const int threads : {1, 2, 4}) {
     MctsOptions options = leaf_options(threads);
@@ -246,29 +246,20 @@ TEST(LeafMcts, CachesOffMatchCachesOnBitForBit) {
 }
 
 TEST(LeafMcts, SearchCountersIndependentOfThreadCount) {
-  // The rollout cache is written only at backup, in slot order, so every
-  // search counter is a function of the seed and budget.  Only the forward
-  // tallies may move: each worker batches its own rows.
+  // Leaf mode runs on one thread at every num_threads and the state cache
+  // is written only at backup, in slot order, so every search counter, the
+  // forward tallies and their row histogram included, is a function of
+  // the seed and budget.
   FaultOptions fault_options;
   fault_options.fault_rate = 0.3;
   fault_options.seed = 9;
   const Dag dag = test_dag(42);
-  const auto counts_of = [](const MctsScheduler::Stats& s) {
-    std::vector<std::pair<std::string, std::int64_t>> out;
-    s.for_each_count([&out](const char* name, std::int64_t value) {
-      const std::string metric = name;
-      if (metric != "mcts.guide_forwards" &&
-          metric != "mcts.guide_forward_rows") {
-        out.emplace_back(metric, value);
-      }
-    });
-    return out;
-  };
   for (const std::size_t capacity : {24, 8192}) {
     for (const bool faulty : {false, true}) {
       const std::string where = "capacity " + std::to_string(capacity) +
                                 (faulty ? ", faults" : "");
       std::vector<std::pair<std::string, std::int64_t>> reference;
+      std::vector<std::int64_t> reference_hist;
       for (const int threads : {1, 2, 4, 8}) {
         MctsOptions options = leaf_options(threads);
         options.transposition_capacity = capacity;
@@ -290,9 +281,13 @@ TEST(LeafMcts, SearchCountersIndependentOfThreadCount) {
             EXPECT_GT(stats.rollout_memo_hits, 0) << where;
             EXPECT_EQ(stats.rollout_cache_hits, 0) << where;
           }
-          reference = counts_of(stats);
+          EXPECT_GT(stats.guide_forwards, 0) << where;
+          reference = all_counts(stats);
+          reference_hist = stats.batch_rows_hist;
         } else {
-          EXPECT_EQ(counts_of(stats), reference)
+          EXPECT_EQ(all_counts(stats), reference)
+              << where << ", threads " << threads;
+          EXPECT_EQ(stats.batch_rows_hist, reference_hist)
               << where << ", threads " << threads;
         }
       }
@@ -425,8 +420,7 @@ TEST(LeafMcts, RootModeAtSeveralThreadsRunsTheLeafSearch) {
                          leaf.schedule(dag, cap()).placements());
 
   // Every counter must agree too, the state cache's and the forward
-  // tallies included: both searches split the same slots over three
-  // workers.
+  // tallies included.
   const auto& a = root.last_stats();
   const auto& b = leaf.last_stats();
   EXPECT_GT(a.leaf_ticks, 0);
@@ -445,11 +439,11 @@ TEST(LeafMcts, UncloneableGuideRunsOneWorker) {
       for (int action : env.valid_actions()) out.emplace_back(action, 1.0);
       return out;
     }
-    // clone() keeps the default nullptr: not safe to share across workers.
+    // clone() keeps the default nullptr.
   };
 
-  // Worker 0 is the guide itself, so an uncloneable guide searches on one
-  // worker — and results do not depend on the worker count.
+  // The search never clones its guide, so an uncloneable guide searches at
+  // two threads like any other.
   const Dag dag = test_dag(31, 10);
   const auto uncloneable =
       run_leaf(leaf_options(2), dag, std::make_shared<UncloneableGuide>());
