@@ -54,9 +54,6 @@ int main(int argc, char** argv) {
       "research-budget", 128, "re-search initial iteration budget");
   const auto research_min =
       flags.define_int("research-min", 32, "re-search min iteration budget");
-  const auto research_threads = flags.define_int(
-      "research-threads", 1,
-      "leaf-parallel re-search workers (results identical across values)");
   const auto csv_path =
       flags.define_string("csv", "online_replay.csv", "CSV output");
   ObsFlags obs_flags(flags);
@@ -106,7 +103,6 @@ int main(int argc, char** argv) {
       options.perturb = perturb;
       options.research_initial_budget = *research_budget;
       options.research_min_budget = *research_min;
-      options.research_threads = static_cast<int>(*research_threads);
       options.seed = perturb.seed ^ 0xec5dec5dULL;
       exec::ExecutionEngine engine(dag, capacity, options);
       exec::ExecResult result = engine.run(plan);

@@ -132,6 +132,7 @@ struct ExecOptions {
   std::int64_t research_min_budget = 32;
   /// MctsOptions::num_threads of the re-search, which runs leaf mode on one
   /// thread whatever this says: results are bit-identical across values.
+  /// Kept only because the benchmark's online workload sets it.
   int research_threads = 1;
 
   /// Straggler speculation master switch.  Each task gets at most one

@@ -5,8 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "sched/list_scheduler.h"
-
 namespace spear {
 
 namespace {
@@ -128,10 +126,6 @@ void Policy::action_probs_batch(const SchedulingEnv* const* envs,
   }
 }
 
-std::size_t Policy::sample_output(const SchedulingEnv& env, Rng& rng) const {
-  return rng.categorical(one_row_probs(env));
-}
-
 std::size_t Policy::greedy_output(const SchedulingEnv& env) const {
   const std::vector<double>& probs = one_row_probs(env);
   return static_cast<std::size_t>(
@@ -143,12 +137,6 @@ int Policy::to_env_action(std::size_t output) const {
     return SchedulingEnv::kProcessAction;
   }
   return static_cast<int>(output);
-}
-
-Time Policy::rollout_episode(SchedulingEnv env, Rng& rng) const {
-  return run_greedy(env, [&](const SchedulingEnv& state) {
-    return to_env_action(sample_output(state, rng));
-  });
 }
 
 }  // namespace spear

@@ -54,20 +54,11 @@ class Policy {
                           std::vector<std::vector<bool>>& masks,
                           std::vector<std::vector<double>>& probs) const;
 
-  /// Samples a network output index from action_probs.
-  std::size_t sample_output(const SchedulingEnv& env, Rng& rng) const;
-
   /// Highest-probability valid output (the first maximum).
   std::size_t greedy_output(const SchedulingEnv& env) const;
 
   /// Translates a network output index to a SchedulingEnv action.
   int to_env_action(std::size_t output) const;
-
-  /// Plays one full episode sampling from the policy; returns the makespan.
-  /// A process action advances to the next task completion (identical
-  /// reachable states, far fewer steps than one slot at a time; see
-  /// DESIGN.md).
-  Time rollout_episode(SchedulingEnv env, Rng& rng) const;
 
   /// Applies `mask` to raw logits and renormalizes: masked softmax.
   /// Exposed for the trainers.

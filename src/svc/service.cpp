@@ -220,8 +220,6 @@ void SchedulerService::start() {
                                                     /*greedy=*/true);
   }
 
-  pool_ = std::make_unique<ThreadPool>(
-      static_cast<std::size_t>(options_.workers));
   workers_.reserve(static_cast<std::size_t>(options_.workers));
   for (int i = 0; i < options_.workers; ++i) {
     auto worker = std::make_unique<Worker>();
@@ -235,16 +233,22 @@ void SchedulerService::start() {
     // reproducible from (seed, worker).
     mcts.seed = options_.seed + 0x9e3779b97f4a7c15ull * (i + 1);
     mcts.name = options_.policy ? "Spear" : "MCTS";
-    mcts.num_threads = options_.search_threads;
+    // Leaf mode: the batched evaluator and state cache win on their own
+    // (DESIGN.md §11).  The search runs on the worker's thread; the service
+    // scales across REQUESTS via `workers`.
     mcts.search_mode = SearchMode::kLeaf;
     worker->scheduler = std::make_unique<MctsScheduler>(
         mcts, prototype ? prototype->clone() : nullptr);
     workers_.push_back(std::move(worker));
   }
+  // One thread per worker loop.  std::async rather than a bare thread: a
+  // loop failure lands in its future (shutdown() rethrows it) instead of
+  // calling std::terminate.
   worker_done_.reserve(workers_.size());
   for (auto& worker : workers_) {
     Worker* w = worker.get();
-    worker_done_.push_back(pool_->submit([this, w] { worker_loop(*w); }));
+    worker_done_.push_back(
+        std::async(std::launch::async, [this, w] { worker_loop(*w); }));
   }
 }
 
@@ -358,10 +362,15 @@ void SchedulerService::shutdown() {
     if (done.valid()) done.get();
   }
   worker_done_.clear();
-  pool_.reset();
 }
 
 void SchedulerService::worker_loop(Worker& worker) {
+  // One Chrome-trace track per worker, named once per loop.
+  if (obs::enabled()) {
+    if (auto* tw = obs::trace()) {
+      tw->thread_name("svc-worker-" + std::to_string(worker.index));
+    }
+  }
   Job job;
   while (queue_.pop(job)) {
     serve(worker, job);

@@ -7,9 +7,9 @@
 // admission validates and either rejects structurally (invalid_dag /
 // unschedulable / too_large), sheds (queue_full / quota_exceeded with
 // retry-after), or enqueues into the multi-tenant fair queue
-// (svc/admission.h).  N service workers — long-running tasks on the repo's
-// shared ThreadPool — pop jobs in weighted-fair order and serve each within
-// its remaining deadline via a degradation ladder:
+// (svc/admission.h).  N service workers — one thread each, started by
+// start() — pop jobs in weighted-fair order and serve each within its
+// remaining deadline via a degradation ladder:
 //
 //   rung 0 "search"     remaining >= full_search_floor_ms: anytime MCTS at
 //                       the full iteration budget, wall-clock capped to the
@@ -69,7 +69,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/spear.h"
 #include "svc/admission.h"
 #include "svc/protocol.h"
@@ -101,11 +100,6 @@ struct ServiceOptions {
   /// Degradation ladder thresholds (see header comment).
   std::int64_t full_search_floor_ms = 20;
   std::int64_t heuristic_floor_ms = 4;
-  /// MctsOptions::num_threads of one worker's scheduler, which always runs
-  /// the leaf-parallel search (the batched evaluator and state cache win on
-  /// their own, DESIGN.md §11), on the worker's thread whatever this says.
-  /// The service scales across REQUESTS via `workers`.
-  int search_threads = 1;
   /// Optional trained DRL guide (Spear).  Null = unguided MCTS.
   std::shared_ptr<const Policy> policy;
   std::uint64_t seed = 42;
@@ -240,7 +234,6 @@ class SchedulerService {
 
   ServiceOptions options_;
   AdmissionQueue queue_;
-  std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::future<void>> worker_done_;
   std::atomic<bool> started_{false};

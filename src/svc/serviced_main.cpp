@@ -142,10 +142,6 @@ int main(int argc, char** argv) {
   auto heuristic_floor_ms = flags.define_int(
       "heuristic-floor-ms", 4,
       "remaining deadline below which the heuristic answers without search");
-  auto search_threads = flags.define_int(
-      "search-threads", 1,
-      "search threads per worker: > 1 selects leaf mode, which runs on "
-      "one thread");
   auto capacity_text = flags.define_string(
       "capacity", "1.0,1.0", "cluster capacity, comma-separated per resource");
   auto policy_path = flags.define_string(
@@ -215,7 +211,6 @@ int main(int argc, char** argv) {
     options.min_iterations = *min_iterations;
     options.full_search_floor_ms = *full_floor_ms;
     options.heuristic_floor_ms = *heuristic_floor_ms;
-    options.search_threads = static_cast<int>(*search_threads);
     options.seed = static_cast<std::uint64_t>(*seed);
     if (!policy_path->empty()) {
       Featurizer featurizer{FeaturizerOptions{}};

@@ -11,6 +11,7 @@
 #include "dag/generator.h"
 #include "env/featurizer.h"
 #include "mcts/mcts.h"
+#include "mcts/policies.h"
 #include "rl/policy.h"
 #include "sched/critical_path.h"
 #include "sched/graphene.h"
@@ -95,16 +96,20 @@ TEST(MultiResource, PolicyNetworkAdaptsInputWidth) {
   FeaturizerOptions featurizer;
   featurizer.max_ready = 4;
   featurizer.horizon = 6;
-  Policy policy = Policy::make(featurizer, 3, rng, {16});
+  auto policy = std::make_shared<const Policy>(
+      Policy::make(featurizer, 3, rng, {16}));
   // 6*3 (image) + 4*(4 + 2*3) (ready slots) + 3 (globals) = 61.
-  EXPECT_EQ(policy.net().input_dim(), 61u);
+  EXPECT_EQ(policy->net().input_dim(), 61u);
 
   const auto dag = std::make_shared<Dag>(random_dag3(6, 10));
   EnvOptions env_options;
   env_options.max_ready = 4;
   SchedulingEnv env(dag, cap3(), env_options);
-  Rng sampler(7);
-  const Time makespan = policy.rollout_episode(env, sampler);
+  DrlDecisionPolicy sampler(policy, /*greedy=*/false);
+  Rng draws(7);
+  const Time makespan = run_greedy(env, [&](const SchedulingEnv& state) {
+    return sampler.pick(state, draws);
+  });
   EXPECT_GT(makespan, 0);
 }
 

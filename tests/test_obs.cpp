@@ -18,6 +18,7 @@
 #include "obs/trace.h"
 #include "rl/policy.h"
 #include "sched/critical_path.h"
+#include "svc/service.h"
 
 namespace spear::obs {
 namespace {
@@ -229,6 +230,28 @@ TEST(GlobalSink, FinishEndsSpanEarlyAndIsIdempotent) {
   const MetricsSnapshot snap = metrics()->snapshot();
   EXPECT_EQ(snap.histograms.at("early.ms").count, 1);
   shutdown();
+}
+
+TEST(GlobalSink, ServiceWorkersNameTheirTraceTracks) {
+  // One Chrome-trace track per service worker, labelled by its index.
+  const std::string path = temp_path("spear_test_svc_tracks.json");
+  install_trace(std::make_shared<TraceEventWriter>(path));
+  {
+    svc::ServiceOptions options;
+    options.workers = 2;
+    svc::SchedulerService service(options);
+    service.start();
+    service.shutdown();  // joins both loops, so both tracks are named
+  }
+  shutdown();
+
+  const std::string content = read_file(path);
+  for (const std::string name : {"svc-worker-0", "svc-worker-1"}) {
+    const std::string metadata =
+        "\"name\":\"thread_name\",\"args\":{\"name\":\"" + name + "\"}";
+    EXPECT_NE(content.find(metadata), std::string::npos) << name;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(RunReport, RendersMetaAndMetrics) {

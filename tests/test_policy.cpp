@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "dag/generator.h"
+#include "mcts/policies.h"
 #include "support/builders.h"
 
 namespace spear {
@@ -24,6 +25,16 @@ SchedulingEnv make_env(Dag dag, std::size_t max_ready = 3) {
   EnvOptions options;
   options.max_ready = max_ready;
   return SchedulingEnv(std::make_shared<Dag>(std::move(dag)), cap(), options);
+}
+
+/// Plays one full episode sampling from `policy` through the search's
+/// rollout pick; returns the makespan.
+Time sampled_episode(Policy policy, SchedulingEnv env, Rng& rng) {
+  DrlDecisionPolicy sampler(std::make_shared<const Policy>(std::move(policy)),
+                            /*greedy=*/false);
+  return run_greedy(env, [&](const SchedulingEnv& state) {
+    return sampler.pick(state, rng);
+  });
 }
 
 TEST(Policy, MakeBuildsMatchingShapes) {
@@ -99,9 +110,11 @@ TEST(Policy, SampleOnlyReturnsValidOutputs) {
   Policy policy = make_tiny_policy(rng);
   auto env = make_env(testing::make_independent(2, 2, ResourceVector{0.7, 0.7}));
   env.step(0);  // now only process is valid
-  Rng sampler(6);
+  DrlDecisionPolicy sampler(std::make_shared<const Policy>(std::move(policy)),
+                            /*greedy=*/false);
+  Rng draws(6);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(policy.sample_output(env, sampler), 3u);
+    EXPECT_EQ(sampler.pick(env, draws), SchedulingEnv::kProcessAction);
   }
 }
 
@@ -133,7 +146,7 @@ TEST(Policy, RolloutEpisodeTerminatesWithValidSchedule) {
   Dag dag = generate_random_dag(options, gen);
   auto env = make_env(dag);
   Rng sampler(11);
-  const Time makespan = policy.rollout_episode(env, sampler);
+  const Time makespan = sampled_episode(std::move(policy), env, sampler);
   DagFeatures features(dag);
   EXPECT_GE(makespan, features.critical_path());
   EXPECT_LE(makespan, dag.total_runtime());
@@ -146,7 +159,7 @@ TEST(Policy, RolloutJumpAndSlotSemanticsBothTerminate) {
   auto env = make_env(dag);
   Rng sampler(13);
   // A chain admits exactly one schedule shape: the serial time.
-  EXPECT_EQ(policy.rollout_episode(env, sampler), 9);
+  EXPECT_EQ(sampled_episode(std::move(policy), env, sampler), 9);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "dag/generator.h"
+#include "mcts/policies.h"
 #include "rl/imitation.h"
 #include "support/brute_force.h"
 #include "support/builders.h"
@@ -122,17 +123,21 @@ TEST(TrainDefaultPolicy, ProducesWorkingPolicy) {
   options.imitation_epochs = 2;
   options.reinforce_epochs = 2;
   options.rollouts_per_example = 2;
-  Policy policy = train_default_spear_policy(options);
-  // The trained policy must drive a full episode.
+  auto policy =
+      std::make_shared<const Policy>(train_default_spear_policy(options));
+  // The trained policy must drive a full sampled episode.
   DagGeneratorOptions gen;
   gen.num_tasks = 10;
   Rng rng(3);
   Dag dag = generate_random_dag(gen, rng);
   EnvOptions env_options;
-  env_options.max_ready = policy.featurizer().options().max_ready;
+  env_options.max_ready = policy->featurizer().options().max_ready;
   SchedulingEnv env(std::make_shared<Dag>(dag), cap(), env_options);
-  Rng sampler(4);
-  const Time makespan = policy.rollout_episode(env, sampler);
+  DrlDecisionPolicy sampler(policy, /*greedy=*/false);
+  Rng draws(4);
+  const Time makespan = run_greedy(env, [&](const SchedulingEnv& state) {
+    return sampler.pick(state, draws);
+  });
   EXPECT_GT(makespan, 0);
 }
 

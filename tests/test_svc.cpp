@@ -180,6 +180,36 @@ TEST(SvcService, PlacesAValidDagWithinItsBudget) {
   EXPECT_EQ(counters.placed, 1);
 }
 
+TEST(SvcService, ShutdownIsIdempotent) {
+  // Destroyed without start(): there is no worker loop to join.
+  { SchedulerService never_started(ServiceOptions{}); }
+
+  ServiceOptions options;
+  options.workers = 2;
+  options.search_iterations = 40;
+  options.min_iterations = 20;
+  SchedulerService service(options);
+  service.start();
+  service.shutdown();
+  service.shutdown();  // a second call is a no-op
+  EXPECT_TRUE(service.draining());
+}
+
+TEST(SvcService, SingleWorkerStillWorks) {
+  ServiceOptions options;
+  options.workers = 0;  // normalized to one worker
+  options.search_iterations = 40;
+  options.min_iterations = 20;
+  SchedulerService service(options);
+  EXPECT_EQ(service.options().workers, 1);
+  service.start();
+  const Outcome outcome = roundtrip(service, chain_request("r1"));
+  ASSERT_TRUE(outcome.ok) << outcome.rejection.message;
+
+  service.shutdown();
+  EXPECT_EQ(service.counters().placed, 1);
+}
+
 TEST(SvcService, IsolatesStructurallyBadRequests) {
   ServiceOptions options;
   options.workers = 1;
